@@ -36,7 +36,6 @@ from .multipoly import (
     CubeSpec,
     MultiPoly,
     ParseError,
-    cube_fold,
     eval_poly,
     fold_poly_values,
     parse_poly,

@@ -7,10 +7,15 @@ divisibility, and the general gated weighted sum
     sum over points with p^(a_k) | f_k(x) for all k
         of  prod_k F_k(f_k(x) / p^(a_k))        = 0 (mod p^b)
 
-under the exact-rational hypothesis on n.  Two engines compute the sums:
-a vectorized modular one (each per-point value is reduced mod
-p^(a_k + b + ord_p(l_k!)), which pins the weight mod p^b), and a fully
-exact big-integer one used as an independent cross-check.
+under the exact-rational hypothesis on n.  Every verifier is an instance
+of that sum: the zero counts gate each f_k on p | f_k with weight 1, and
+the binomial-weight sums weight by C(f_k / p^a, l_k).  Each builds its
+CongruenceSystem and its own hypothesis, and one helper computes the sum
+and the verdict.  Two engines compute the sums: a vectorized modular one
+(each per-point value is reduced mod p^(a_k + b + ord_p(l_k!)), which
+pins the weight mod p^b), and a fully exact big-integer one used as an
+independent cross-check.  The zero counts and Lemma 2.2 report exact
+sums, so they always take the exact engine.
 """
 from __future__ import annotations
 
@@ -29,7 +34,8 @@ from .multipoly import (
     fold_poly_values,
     total_degree,
 )
-from .padic import PrimePower, binom_int, is_prime, ord_factorial, phi_prime_power
+from .padic import PrimePower, is_prime, ord_factorial, phi_prime_power
+from .padic import binom_int  # noqa: F401  unused here; tracers wrap it at this name
 
 _CHUNK = 1 << 16  # fixed, so results do not depend on the worker count
 
@@ -141,30 +147,6 @@ class _GatedProduct:
         return prod
 
 
-class _AllDivisible:
-    def __init__(self, modulus: int):
-        self.modulus = modulus
-
-    def __call__(self, values) -> int:
-        return 1 if all(v % self.modulus == 0 for v in values) else 0
-
-
-class _BinomialProduct:
-    def __init__(self, js):
-        self.js = list(js)
-        self.memos: list[dict] = [{} for _ in self.js]
-
-    def __call__(self, values) -> int:
-        prod = 1
-        for v, j, memo in zip(values, self.js, self.memos):
-            w = memo.get(v)
-            if w is None:
-                w = binom_int(v, j)
-                memo[v] = w
-            prod *= w
-        return prod
-
-
 def _modular_chunk(start, stop, p, n, pb, prepared):
     idx = np.arange(start, stop, dtype=np.int64)
     digits = [(idx // p ** (n - 1 - j)) % p for j in range(n)]
@@ -253,22 +235,46 @@ def _fits_int64(system: CongruenceSystem) -> bool:
     return True
 
 
+def _binomial_system(polys, p: int, b: int, a: int, ls) -> CongruenceSystem:
+    """Gate f_k on p^a | f_k(x) and weight it by C(f_k(x) / p^a, l_k)."""
+    if len(polys) != len(ls):
+        raise ValueError("need one binomial index per polynomial")
+    if any(l < 0 for l in ls):
+        raise ValueError("binomial indices must be >= 0")
+    constraints = tuple(
+        Constraint(f=f, a=a, F=IntegerValuedPoly([0] * l + [1]), l=l)
+        for f, l in zip(polys, ls))
+    n = polys[0].n_vars if polys else 0
+    return CongruenceSystem(p=p, b=b, n_vars=n, constraints=constraints)
+
+
+def _judge(system: CongruenceSystem, modulus: int, holds: bool, margin: Fraction,
+           workers: int, exact: bool, ceiling: int | None,
+           applies: bool = True) -> DivisibilityVerdict:
+    """Sum the system and compare the sum with the claimed modulus.
+
+    Raises TheoremViolation if the hypothesis holds, the statement applies
+    (a side condition beyond the hypothesis) and the sum is not divisible:
+    a proved impossibility.
+    """
+    s = theorem12_sum(system, workers=workers, exact=exact, ceiling=ceiling)
+    verdict = DivisibilityVerdict(sum=s, claimed_modulus=modulus,
+                                  hypothesis_holds=holds,
+                                  hypothesis_margin=margin,
+                                  divisible=s % modulus == 0)
+    if holds and applies and not verdict.divisible:
+        raise TheoremViolation(f"sum {s} not divisible by {modulus} although "
+                               f"the hypothesis holds with margin {margin}")
+    return verdict
+
+
 def verify_theorem12(system: CongruenceSystem, workers: int = 1,
                      exact: bool = False,
                      ceiling: int | None = None) -> DivisibilityVerdict:
-    """Full verdict; raises TheoremViolation if the hypothesis holds but
-    the sum is not divisible by p^b (a proved impossibility)."""
+    """The gated weighted sum against p^b under hypothesis_16."""
     holds, margin = hypothesis_16(system)
-    s = theorem12_sum(system, workers=workers, exact=exact, ceiling=ceiling)
-    pb = system.p ** system.b
-    verdict = DivisibilityVerdict(sum=s, claimed_modulus=pb,
-                                  hypothesis_holds=holds,
-                                  hypothesis_margin=margin,
-                                  divisible=s % pb == 0)
-    if holds and not verdict.divisible:
-        raise TheoremViolation(
-            f"sum {s} not divisible by {pb} although n exceeds the bound by {margin}")
-    return verdict
+    return _judge(system, system.p ** system.b, holds, margin, workers, exact,
+                  ceiling)
 
 
 def corollary11_verify(polys, a: int, b: int, ls, p: int, workers: int = 1,
@@ -284,108 +290,54 @@ def corollary11_verify(polys, a: int, b: int, ls, p: int, workers: int = 1,
     with d_1 the largest degree.  When it holds (and some d_k >= 1, the
     nondegenerate case), divisibility by p^b must follow.
     """
-    polys = list(polys)
-    ls = list(ls)
-    if len(polys) != len(ls):
-        raise ValueError("need one weight index per polynomial")
+    polys, ls = list(polys), list(ls)
     if a < 1:
         raise ValueError("a must be >= 1")
-    constraints = tuple(
-        Constraint(f=f, a=a, F=IntegerValuedPoly([0] * l + [1]), l=l)
-        for f, l in zip(polys, ls))
-    n = polys[0].n_vars if polys else 0
-    system = CongruenceSystem(p=p, b=b, n_vars=n, constraints=constraints)
-
+    system = _binomial_system(polys, p, b, a, ls)
     degrees = [total_degree(f) for f in polys]
     d1 = max(degrees, default=0)
     rhs = Fraction((b - 1) * d1 * p ** (a - 1))
     rhs += Fraction((p ** a - 1) * sum(degrees), p - 1)
     rhs += Fraction(p ** a * sum(l * d for l, d in zip(ls, degrees)), p - 1)
-    margin = Fraction(n) - rhs
-    holds = margin > 0
-
-    s = theorem12_sum(system, workers=workers, exact=exact, ceiling=ceiling)
-    pb = p ** b
-    verdict = DivisibilityVerdict(sum=s, claimed_modulus=pb,
-                                  hypothesis_holds=holds,
-                                  hypothesis_margin=margin,
-                                  divisible=s % pb == 0)
-    if holds and d1 >= 1 and not verdict.divisible:
-        raise TheoremViolation(
-            f"sum {s} not divisible by {pb} under the binomial-weight hypothesis")
-    return verdict
-
-
-def _zero_count(polys, p: int, workers: int, ceiling, modulus: int) -> int:
-    n = polys[0].n_vars if polys else 0
-    spec = CubeSpec(p, n)
-    return fold_poly_values(spec, list(polys), _AllDivisible(modulus),
-                            workers=workers, ceiling=ceiling)
+    margin = Fraction(system.n_vars) - rhs
+    return _judge(system, p ** b, margin > 0, margin, workers, exact, ceiling,
+                  applies=d1 >= 1)
 
 
 def chevalley_warning_verify(polys, p: int, workers: int = 1,
                              ceiling: int | None = None) -> DivisibilityVerdict:
     """Count common zeros mod p over the cube; p divides the count when
-    the degree sum is smaller than the number of variables."""
+    the degree sum is smaller than the number of variables (hypothesis_16
+    with b = 1 and every a_k = 1, F_k = 1)."""
     polys = list(polys)
-    n = polys[0].n_vars if polys else 0
-    degsum = sum(total_degree(f) for f in polys)
-    margin = Fraction(n - degsum)
-    holds = margin > 0
-    count = _zero_count(polys, p, workers, ceiling, p)
-    verdict = DivisibilityVerdict(sum=count, claimed_modulus=p,
-                                  hypothesis_holds=holds,
-                                  hypothesis_margin=margin,
-                                  divisible=count % p == 0)
-    if holds and not verdict.divisible:
-        raise TheoremViolation(f"zero count {count} not divisible by {p}")
-    return verdict
+    system = _binomial_system(polys, p, 1, 1, [0] * len(polys))
+    holds, margin = hypothesis_16(system)
+    return _judge(system, p, holds, margin, workers, True, ceiling)
 
 
 def axkatz_prime_verify(polys, b: int, p: int, workers: int = 1,
                         ceiling: int | None = None) -> DivisibilityVerdict:
-    """p^b divides the common-zero count when n > (b-1) d_1 + sum d_k."""
+    """p^b divides the common-zero count when n > (b-1) d_1 + sum d_k and
+    d_1 >= 1 (with only constants the count is 0 or p^n, whatever b)."""
     polys = list(polys)
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    n = polys[0].n_vars if polys else 0
+    system = _binomial_system(polys, p, b, 1, [0] * len(polys))
     degrees = [total_degree(f) for f in polys]
     d1 = max(degrees, default=0)
-    margin = Fraction(n - ((b - 1) * d1 + sum(degrees)))
-    holds = margin > 0
-    count = _zero_count(polys, p, workers, ceiling, p)
-    pb = p ** b
-    verdict = DivisibilityVerdict(sum=count, claimed_modulus=pb,
-                                  hypothesis_holds=holds,
-                                  hypothesis_margin=margin,
-                                  divisible=count % pb == 0)
-    if holds and not verdict.divisible:
-        raise TheoremViolation(f"zero count {count} not divisible by {pb}")
-    return verdict
+    margin = Fraction(system.n_vars - ((b - 1) * d1 + sum(degrees)))
+    return _judge(system, p ** b, margin > 0, margin, workers, True, ceiling,
+                  applies=d1 >= 1)
 
 
 def lemma22_verify(polys, js, c: int, p: int, workers: int = 1,
                    ceiling: int | None = None) -> DivisibilityVerdict:
     """Full-cube sum of prod_k C(f_k(x), j_k); p^c divides it when
     sum_k j_k deg f_k < (n - c + 1)(p - 1)."""
-    polys = list(polys)
-    js = list(js)
-    if len(polys) != len(js):
-        raise ValueError("need one binomial index per polynomial")
+    polys, js = list(polys), list(js)
     if c < 0:
         raise ValueError("c must be >= 0")
-    n = polys[0].n_vars if polys else 0
+    # the claimed modulus p^c may be 1; the system's own b only sizes the
+    # modular engine, which this exact sum never uses
+    system = _binomial_system(polys, p, max(c, 1), 0, js)
     degbound = sum(j * total_degree(f) for j, f in zip(js, polys))
-    margin = Fraction((n - c + 1) * (p - 1) - degbound)
-    holds = margin > 0
-    spec = CubeSpec(p, n)
-    s = fold_poly_values(spec, polys, _BinomialProduct(js), workers=workers,
-                         ceiling=ceiling)
-    pc = p ** c
-    verdict = DivisibilityVerdict(sum=s, claimed_modulus=pc,
-                                  hypothesis_holds=holds,
-                                  hypothesis_margin=margin,
-                                  divisible=s % pc == 0)
-    if holds and not verdict.divisible:
-        raise TheoremViolation(f"weighted sum {s} not divisible by {pc}")
-    return verdict
+    margin = Fraction((system.n_vars - c + 1) * (p - 1) - degbound)
+    return _judge(system, p ** c, margin > 0, margin, workers, True, ceiling)

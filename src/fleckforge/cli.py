@@ -16,6 +16,7 @@ import math
 import random
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from importlib import resources
 
@@ -181,83 +182,68 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK if check.ok else EXIT_VIOLATION
 
 
-def _verdict_dict(v: axkatz.DivisibilityVerdict) -> dict:
-    return {
-        "sum": v.sum,
-        "claimed_modulus": v.claimed_modulus,
-        "hypothesis_holds": v.hypothesis_holds,
-        "hypothesis_margin": v.hypothesis_margin,
-        "divisible": v.divisible,
-    }
+def _ints(values) -> list[int]:
+    return [_as_int(v) for v in values]
+
+
+def _polys(doc) -> list:
+    n_vars = _as_int(doc["n_vars"])
+    return [parse_poly(text, n_vars) for text in doc["polynomials"]]
+
+
+def _congruence_system(doc) -> axkatz.CongruenceSystem:
+    n_vars = _as_int(doc["n_vars"])
+    constraints = tuple(
+        axkatz.Constraint(f=parse_poly(c["f"], n_vars), a=_as_int(c["a"]),
+                          F=_ivp_from_json(c["F"]),
+                          l=_as_int(c["l"]) if "l" in c else None)
+        for c in doc["constraints"])
+    return axkatz.CongruenceSystem(p=_as_int(doc["p"]), b=_as_int(doc["b"]),
+                                   n_vars=n_vars, constraints=constraints)
+
+
+# count kind -> verifier call (doc, exact, workers, ceiling); only theorem12
+# and corollary11 have a modular engine for `exact` to switch off
+_COUNT_KINDS = {
+    "theorem12": lambda doc, exact, **run: axkatz.verify_theorem12(
+        _congruence_system(doc), exact=exact, **run),
+    "corollary11": lambda doc, exact, **run: axkatz.corollary11_verify(
+        _polys(doc), _as_int(doc["a"]), _as_int(doc["b"]), _ints(doc["ls"]),
+        _as_int(doc["p"]), exact=exact, **run),
+    "chevalley": lambda doc, exact, **run: axkatz.chevalley_warning_verify(
+        _polys(doc), _as_int(doc["p"]), **run),
+    "axkatz": lambda doc, exact, **run: axkatz.axkatz_prime_verify(
+        _polys(doc), _as_int(doc["b"]), _as_int(doc["p"]), **run),
+    "lemma22": lambda doc, exact, **run: axkatz.lemma22_verify(
+        _polys(doc), _ints(doc["js"]), _as_int(doc["c"]), _as_int(doc["p"]),
+        **run),
+}
 
 
 def cmd_count(args) -> int:
-    doc = _load_instance(args.instance,
-                         {"theorem12", "corollary11", "chevalley", "axkatz",
-                          "lemma22"})
+    doc = _load_instance(args.instance, _COUNT_KINDS)
     kind = doc["kind"]
-    p = _as_int(doc["p"])
     ceiling = args.ceiling if args.ceiling is not None else (
         _as_int(doc["ceiling"]) if "ceiling" in doc else None)
     exact = args.exact or doc.get("exact_mode", False)
-    workers = args.workers
+    report = {"kind": kind, "instance": doc, "workers": args.workers,
+              "results": {}}
     t0 = time.monotonic()
-    violation = None
     try:
-        if kind == "theorem12":
-            n_vars = _as_int(doc["n_vars"])
-            constraints = tuple(
-                axkatz.Constraint(
-                    f=parse_poly(c["f"], n_vars),
-                    a=_as_int(c["a"]),
-                    F=_ivp_from_json(c["F"]),
-                    l=_as_int(c["l"]) if "l" in c else None)
-                for c in doc["constraints"])
-            system = axkatz.CongruenceSystem(p=p, b=_as_int(doc["b"]),
-                                             n_vars=n_vars,
-                                             constraints=constraints)
-            try:
-                verdict = axkatz.verify_theorem12(system, workers=workers,
-                                                  exact=exact, ceiling=ceiling)
-            except TheoremViolation as exc:
-                violation = exc
-        else:
-            n_vars = _as_int(doc["n_vars"])
-            polys = [parse_poly(text, n_vars) for text in doc["polynomials"]]
-            try:
-                if kind == "corollary11":
-                    verdict = axkatz.corollary11_verify(
-                        polys, _as_int(doc["a"]), _as_int(doc["b"]),
-                        [_as_int(l) for l in doc["ls"]], p,
-                        workers=workers, exact=exact, ceiling=ceiling)
-                elif kind == "chevalley":
-                    verdict = axkatz.chevalley_warning_verify(
-                        polys, p, workers=workers, ceiling=ceiling)
-                elif kind == "axkatz":
-                    verdict = axkatz.axkatz_prime_verify(
-                        polys, _as_int(doc["b"]), p, workers=workers,
-                        ceiling=ceiling)
-                else:
-                    verdict = axkatz.lemma22_verify(
-                        polys, [_as_int(j) for j in doc["js"]],
-                        _as_int(doc["c"]), p, workers=workers,
-                        ceiling=ceiling)
-            except TheoremViolation as exc:
-                violation = exc
+        verdict = _COUNT_KINDS[kind](doc, exact, workers=args.workers,
+                                     ceiling=ceiling)
+        report["verdict"] = asdict(verdict)
+        code = EXIT_OK
+    except TheoremViolation as exc:
+        report["error"] = str(exc)
+        code = EXIT_VIOLATION
     except CeilingExceeded as exc:
         _emit({"kind": kind, "instance": doc, "results": {},
                "error": f"enumeration ceiling exceeded: {exc.required} points needed"},
               None)
         return EXIT_CEILING
-    elapsed = time.monotonic() - t0
-    report = {"kind": kind, "instance": doc, "workers": workers, "results": {}}
-    if violation is not None:
-        report["error"] = str(violation)
-        _emit(report, elapsed if args.timing else None)
-        return EXIT_VIOLATION
-    report["verdict"] = _verdict_dict(verdict)
-    _emit(report, elapsed if args.timing else None)
-    return EXIT_OK
+    _emit(report, time.monotonic() - t0 if args.timing else None)
+    return code
 
 
 def cmd_sweep(args) -> int:

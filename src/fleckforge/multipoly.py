@@ -9,17 +9,16 @@ A small precedence-climbing parser accepts the text grammar
 ``x1 + 3*(x2 - x1)^2`` (variables x1..xN, integer literals, + - * ^,
 parentheses; exponents are nonnegative integer literals).
 
-The enumeration engine walks [0, p-1]^n and folds an exact integer per
-point.  The workhorse for the verifiers is ``fold_poly_values``, which
-substitutes variables one at a time so that only the terms involving
-the changed variable are recomputed at each step.
+The enumeration engine, ``fold_poly_values``, walks [0, p-1]^n and folds
+an exact integer per point.  It substitutes variables one at a time so
+that only the terms involving the changed variable are recomputed at
+each step.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
 from .exceptions import CeilingExceeded
 
@@ -291,17 +290,6 @@ def _check_ceiling(spec: CubeSpec, ceiling: int | None) -> None:
         raise CeilingExceeded(required=spec.size, ceiling=ceiling)
 
 
-def _fold_block(spec: CubeSpec, per_point, first_values) -> int:
-    total = 0
-    if spec.n_vars == 0:
-        return per_point(())
-    suffix = range(spec.p)
-    for v0 in first_values:
-        for rest in product(suffix, repeat=spec.n_vars - 1):
-            total += per_point((v0,) + rest)
-    return total
-
-
 def _partition(values, blocks: int):
     """Split a list into <= blocks contiguous chunks of near-equal size."""
     n = len(values)
@@ -313,26 +301,6 @@ def _partition(values, blocks: int):
         out.append(values[start:stop])
         start = stop
     return out
-
-
-def cube_fold(spec: CubeSpec, per_point, workers: int = 1,
-              ceiling: int | None = None) -> int:
-    """Exact sum of per_point over every point of [0, p-1]^n_vars.
-
-    The result is independent of partitioning and order (integer
-    addition commutes).  With workers > 1 the first variable's range is
-    split into contiguous blocks handed to a process pool, so per_point
-    must be picklable (a module-level function or a partial over
-    picklable arguments) and free of shared mutable state.
-    """
-    _check_ceiling(spec, ceiling)
-    if workers <= 1 or spec.n_vars == 0 or spec.p == 1:
-        return _fold_block(spec, per_point, range(spec.p))
-    blocks = _partition(list(range(spec.p)), workers)
-    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-        futures = [pool.submit(_fold_block, spec, per_point, blk)
-                   for blk in blocks]
-        return sum(f.result() for f in futures)
 
 
 def _substitute_first(terms: dict, value: int) -> dict:
@@ -394,7 +362,9 @@ def fold_poly_values(spec: CubeSpec, polys, leaf, workers: int = 1,
     the cube with the last variable fastest, each step recomputes only
     the terms involving the changed variable.  ``leaf`` maps the tuple
     of exact polynomial values at a point to an integer contribution.
-    With workers > 1 the same pickling rules as cube_fold apply to leaf.
+    With workers > 1 the first variable's range is split into contiguous
+    blocks handed to a process pool, so ``leaf`` must be picklable and
+    free of shared mutable state; the sum does not depend on the split.
     """
     _check_ceiling(spec, ceiling)
     for f in polys:

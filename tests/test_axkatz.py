@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from fleckforge import axkatz
 from fleckforge.axkatz import (
     CongruenceSystem,
     Constraint,
@@ -15,7 +16,7 @@ from fleckforge.axkatz import (
     theorem12_sum,
     verify_theorem12,
 )
-from fleckforge.exceptions import CeilingExceeded
+from fleckforge.exceptions import CeilingExceeded, TheoremViolation
 from fleckforge.ivpoly import IntegerValuedPoly, eval_ivp
 from fleckforge.multipoly import MultiPoly, eval_poly, parse_poly
 from fleckforge.padic import binom_int
@@ -276,3 +277,30 @@ def test_constraint_validation():
         Constraint(f=parse_poly("x1", 1), a=1, F=X, l=0)  # l below degree
     with pytest.raises(ValueError):
         CongruenceSystem(p=4, b=1, n_vars=1, constraints=())
+
+
+# one instance per verifier, each with its hypothesis holding
+HOLDING = {
+    "theorem12": lambda: verify_theorem12(_system(2, 2, 3, [("x1+x2+x3", 1, ONE)])),
+    "corollary11": lambda: corollary11_verify([parse_poly("x1+x2+x3+x4", 4)],
+                                              1, 1, [1], 2),
+    "chevalley": lambda: chevalley_warning_verify([parse_poly("x1+x2", 2)], 3),
+    "axkatz": lambda: axkatz_prime_verify([parse_poly("x1+x2+x3", 3)], 2, 2),
+    "lemma22": lambda: lemma22_verify([parse_poly("x1+x2", 2)], [1], 2, 3),
+}
+
+
+@pytest.mark.parametrize("kind", HOLDING)
+def test_indivisible_sum_under_hypothesis_raises(monkeypatch, kind):
+    assert HOLDING[kind]().hypothesis_holds
+    monkeypatch.setattr(axkatz, "theorem12_sum", lambda system, **kw: 1)
+    with pytest.raises(TheoremViolation):
+        HOLDING[kind]()
+
+
+def test_all_constant_polynomials_never_raise():
+    # both statements need some d_k >= 1: with only constants the hypothesis
+    # holds for every n, but the count p^n need not be divisible by p^b
+    two = [parse_poly("2", 2)]
+    for v in (corollary11_verify(two, 1, 3, [0], 2), axkatz_prime_verify(two, 3, 2)):
+        assert v.hypothesis_holds and not v.divisible and v.sum == 4

@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from fleckforge import cli
+from fleckforge import axkatz, cli
 
 
 def run(capsys, argv):
@@ -171,3 +171,42 @@ def test_sweep_determinism(capsys):
     code, doc3 = run(capsys, ["sweep", "--seed", "43"])
     assert code == 0
     assert doc3["results"]["instances"] != doc1["results"]["instances"]
+
+
+# one count instance per kind, each with its hypothesis holding
+HOLDING = {
+    "theorem12": {"kind": "theorem12", "p": 2, "b": 2, "n_vars": 3,
+                  "constraints": [{"f": "x1+x2+x3", "a": 1,
+                                   "F": {"basis": "binomial", "coeffs": ["1"]}}]},
+    "corollary11": {"kind": "corollary11", "p": 2, "a": 1, "b": 1, "n_vars": 4,
+                    "polynomials": ["x1+x2+x3+x4"], "ls": [1]},
+    "chevalley": {"kind": "chevalley", "p": 3, "n_vars": 2,
+                  "polynomials": ["x1+x2"]},
+    "axkatz": {"kind": "axkatz", "p": 2, "b": 2, "n_vars": 3,
+               "polynomials": ["x1+x2+x3"]},
+    "lemma22": {"kind": "lemma22", "p": 3, "c": 2, "n_vars": 2,
+                "polynomials": ["x1+x2"], "js": [1]},
+}
+
+
+@pytest.mark.parametrize("kind", HOLDING)
+def test_count_violation_exit_code(tmp_path, capsys, monkeypatch, kind):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(HOLDING[kind]))
+    code, doc = run(capsys, ["count", str(inst), "--workers", "1"])
+    assert code == 0 and doc["verdict"]["hypothesis_holds"] is True
+    monkeypatch.setattr(axkatz, "theorem12_sum", lambda system, **kw: 1)
+    code, doc = run(capsys, ["count", str(inst), "--workers", "1"])
+    assert code == 2
+    validate_report(doc)
+    assert "not divisible" in doc["error"] and "verdict" not in doc
+
+
+@pytest.mark.parametrize("kind", ["chevalley", "axkatz", "lemma22"])
+def test_count_non_prime_p_exit_code(tmp_path, capsys, kind):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({**HOLDING[kind], "p": 4}))
+    code = cli.main(["count", str(inst), "--workers", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and "prime" in captured.err

@@ -8,7 +8,6 @@ from fleckforge.multipoly import (
     CubeSpec,
     MultiPoly,
     ParseError,
-    cube_fold,
     eval_poly,
     fold_poly_values,
     parse_poly,
@@ -103,49 +102,22 @@ def test_total_degree():
         total_degree(MultiPoly(2))
 
 
-def test_cube_fold_examples():
-    assert cube_fold(CubeSpec(3, 2), lambda pt: pt[0] + pt[1]) == 18
-    assert cube_fold(CubeSpec(2, 3), lambda pt: 1) == 8
-    assert cube_fold(CubeSpec(2, 2), lambda pt: pt[0] * pt[1]) == 1
+def _count_point(values):
+    return 1
 
 
-def test_cube_fold_matches_double_loop():
-    rng = random.Random(17)
-    for p in (2, 3):
-        for n in range(0, 5):
-            f = _random_poly(rng, max(n, 1), max_deg=3, max_abs=9)
-            if n == 0:
-                continue
-            direct = sum(eval_poly(f, pt) for pt in product(range(p), repeat=n)) \
-                if f.n_vars == n else None
-            if direct is None:
-                continue
-            assert cube_fold(CubeSpec(p, n), lambda pt: eval_poly(f, pt)) == direct
-
-
-def test_cube_fold_ceiling():
+def test_fold_poly_values_ceiling():
     with pytest.raises(CeilingExceeded) as err:
-        cube_fold(CubeSpec(3, 4), lambda pt: 1, ceiling=80)
+        fold_poly_values(CubeSpec(3, 4), [], _count_point, ceiling=80)
     assert err.value.required == 81
 
 
 def test_ceiling_env_override(monkeypatch):
     monkeypatch.setenv("FLECKFORGE_CEILING", "10")
     with pytest.raises(CeilingExceeded):
-        cube_fold(CubeSpec(2, 4), lambda pt: 1)
+        fold_poly_values(CubeSpec(2, 4), [], _count_point)
     monkeypatch.setenv("FLECKFORGE_CEILING", "100")
-    assert cube_fold(CubeSpec(2, 4), lambda pt: 1) == 16
-
-
-def _sum_coords(pt):
-    return sum(pt)
-
-
-def test_cube_fold_worker_independence():
-    spec = CubeSpec(5, 4)
-    expected = cube_fold(spec, _sum_coords, workers=1)
-    for workers in (2, 8):
-        assert cube_fold(spec, _sum_coords, workers=workers) == expected
+    assert fold_poly_values(CubeSpec(2, 4), [], _count_point) == 16
 
 
 def _pair_product(values):

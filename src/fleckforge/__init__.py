@@ -1,5 +1,5 @@
 """fleckforge: exact congruence sums, binomial-basis polynomial synthesis,
-and brute-force divisibility verification over prime fields."""
+and divisibility verification over prime fields by factorised cube sums."""
 
 from .axkatz import (
     CongruenceSystem,

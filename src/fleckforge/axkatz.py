@@ -11,33 +11,38 @@ under the exact-rational hypothesis on n.  Every verifier is an instance
 of that sum: the zero counts gate each f_k on p | f_k with weight 1, and
 the binomial-weight sums weight by C(f_k / p^a, l_k).  Each builds its
 CongruenceSystem and its own hypothesis, and one helper computes the sum
-and the verdict.  Two engines compute the sums: a vectorized modular one
-(each per-point value is reduced mod p^(a_k + b + ord_p(l_k!)), which
-pins the weight mod p^b), and a fully exact big-integer one used as an
-independent cross-check.  The zero counts and Lemma 2.2 report exact
-sums, so they always take the exact engine.
+and the verdict.  The sum depends only on the histogram of
+(f_1(x), ..., f_m(x)) over the cube, which is the convolution of the
+histograms of the connected components of the variables
+(``multipoly.factorise``), so each component is enumerated alone.  Two
+engines build and combine the histograms: a vectorized modular one over
+residues mod p^(a_k + b + ord_p(l_k!)), which pin every weight mod p^b,
+and a fully exact big-integer one used as an independent cross-check.
+The zero counts and Lemma 2.2 report exact sums, so they always take
+the exact engine.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
-from .exceptions import CeilingExceeded, TheoremViolation
+from .exceptions import TheoremViolation
 from .ivpoly import IntegerValuedPoly, eval_ivp
 from .multipoly import (
+    CHUNK,
     CubeSpec,
     MultiPoly,
-    enumeration_ceiling,
+    check_ceiling,
+    factorise,
     fold_poly_values,
     total_degree,
 )
 from .padic import PrimePower, is_prime, ord_factorial, phi_prime_power
 from .padic import binom_int  # noqa: F401  unused here; tracers wrap it at this name
-
-_CHUNK = 1 << 16  # fixed, so results do not depend on the worker count
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,8 @@ def hypothesis_16(sys: CongruenceSystem) -> tuple[bool, Fraction]:
 class _GatedProduct:
     """Exact leaf: gate on p^(a_k) | v_k, weight by prod F_k(v_k / p^(a_k)).
 
-    F evaluations are memoized per process; the memo never changes the
-    value, only the cost.
+    F evaluations are memoized across value tuples; the memo never
+    changes the value, only the cost.
     """
 
     def __init__(self, system: CongruenceSystem):
@@ -147,96 +152,169 @@ class _GatedProduct:
         return prod
 
 
-def _modular_chunk(start, stop, p, n, pb, prepared):
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = [(idx // p ** (n - 1 - j)) % p for j in range(n)]
-    mask = np.ones(stop - start, dtype=bool)
-    weight = np.full(stop - start, 1 % pb, dtype=np.int64)
-    for pa, mk, table, terms in prepared:
+def _chunk_histogram(start, stop, p, n, prepared, mods):
+    """Residue tuples of one chunk of a component, encoded as mixed-radix
+    keys (first constraint most significant), and their counts."""
+    rest = np.arange(start, stop, dtype=np.int64)
+    digits = [None] * n
+    for j in reversed(range(n)):
+        rest, digits[j] = np.divmod(rest, p)
+    key = np.zeros(stop - start, dtype=np.int64)
+    for terms, mk in zip(prepared, mods):
         val = np.zeros(stop - start, dtype=np.int64)
         powers: dict = {}
         for coeff, ve in terms:
-            t = np.full(stop - start, coeff, dtype=np.int64)
+            t = None
             for j, e in ve:
-                key = (j, e)
-                dp = powers.get(key)
+                dp = powers.get((j, e))
                 if dp is None:
-                    dp = (digits[j] ** e) % mk
-                    powers[key] = dp
-                t = (t * dp) % mk
-            val = (val + t) % mk
-        mask &= (val % pa) == 0
-        weight = (weight * table[val // pa]) % pb
-    return int(weight[mask].sum()) % pb
+                    dp = powers[(j, e)] = (digits[j] ** e) % mk
+                if t is None:
+                    t = dp * coeff
+                else:
+                    t *= dp
+                t %= mk
+            val += t  # each t < mk < 2^31, so the sum cannot overflow
+        val %= mk
+        key *= mk
+        key += val
+    return np.unique(key, return_counts=True)
 
 
-def _modular_sum(system: CongruenceSystem, workers: int) -> int:
-    p, b, n = system.p, system.b, system.n_vars
-    pb = p ** b
+def _merge(keys, counts, pb):
+    """Sum the counts of equal keys, mod pb."""
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(counts, starts) % pb
+
+
+def _residue_histogram(p, comp, mods, pb, workers):
+    """Counts mod pb of (f_1 mod m_1, ...) over one component's points."""
+    n = len(comp.variables)
     size = p ** n
-    if n == 0:
-        leaf = _GatedProduct(system)
-        return leaf(tuple(c.f.terms.get((), 0) for c in system.constraints)) % pb
-    prepared = []
-    for c in system.constraints:
-        pa = p ** c.a
-        span = b + ord_factorial(c.l_eff, p)  # arguments equal mod p^span pin F mod p^b
-        mk = pa * p ** span
-        table = np.array([eval_ivp(c.F, t) % pb for t in range(p ** span)],
-                         dtype=np.int64)
-        terms = [(coeff % mk, [(j, e) for j, e in enumerate(exps) if e])
-                 for exps, coeff in c.f.terms.items()]
-        prepared.append((pa, mk, table, terms))
-    starts = range(0, size, _CHUNK)
+    prepared = [[(coeff % mk, [(j, e) for j, e in enumerate(exps) if e])
+                 for exps, coeff in terms.items()]
+                for terms, mk in zip(comp.terms, mods)]
+    starts = range(0, size, CHUNK)
     if workers <= 1 or len(starts) <= 1:
-        total = 0
-        for s in starts:
-            total = (total + _modular_chunk(s, min(s + _CHUNK, size), p, n, pb,
-                                            prepared)) % pb
-        return total
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_modular_chunk, s, min(s + _CHUNK, size), p, n,
-                               pb, prepared) for s in starts]
-        return sum(f.result() for f in futures) % pb
+        parts = [_chunk_histogram(s, min(s + CHUNK, size), p, n, prepared, mods)
+                 for s in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_chunk_histogram, s, min(s + CHUNK, size), p,
+                                   n, prepared, mods) for s in starts]
+            parts = [f.result() for f in futures]
+    return _merge(np.concatenate([k for k, _ in parts]),
+                  np.concatenate([c for _, c in parts]), pb)
+
+
+def _convolve(keys_a, counts_a, keys_b, counts_b, mods, pb):
+    """Cyclic convolution of two sparse histograms over Z_m1 x ... x Z_mK."""
+    sums = []
+    for mk in reversed(mods):
+        keys_a, da = np.divmod(keys_a, mk)
+        keys_b, db = np.divmod(keys_b, mk)
+        sums.append((da[:, None] + db[None, :]) % mk)
+    key = np.zeros((len(counts_a), len(counts_b)), dtype=np.int64)
+    for mk, digit in zip(mods, reversed(sums)):
+        key = key * mk + digit
+    counts = counts_a[:, None] * counts_b[None, :] % pb
+    return _merge(key.ravel(), counts.ravel(), pb)
+
+
+def _gate_and_weight(system, keys, counts, mods, tables, pb) -> int:
+    """sum of count * prod_k [p^(a_k) | v_k] F_k(v_k / p^(a_k)) mod pb,
+    once per occurring residue tuple v."""
+    for c, mk, table in zip(reversed(system.constraints), reversed(mods),
+                            reversed(tables)):
+        keys, v = np.divmod(keys, mk)
+        pa = system.p ** c.a
+        gate = v % pa == 0
+        keys, v, counts = keys[gate], v[gate], counts[gate]
+        counts = counts * table[v // pa] % pb
+    return int(counts.sum()) % pb
+
+
+def _modular_sum(system: CongruenceSystem, workers: int,
+                 ceiling: int | None) -> int:
+    p, pb = system.p, system.p ** system.b
+    if not system.constraints:
+        return pow(p, system.n_vars, pb)
+    periods, mods = _periods(system)
+    fact = factorise(system.n_vars, [c.f for c in system.constraints])
+    states = [prod(mods)] * len(fact.components)
+    check_ceiling([p ** len(comp.variables) for comp in fact.components],
+                  states, states, ceiling, tables=sum(periods))
+    tables = [np.array([eval_ivp(c.F, t) % pb for t in range(period)],
+                       dtype=np.int64)
+              for c, period in zip(system.constraints, periods)]
+    key = 0
+    for const, mk in zip(fact.constants, mods):
+        key = key * mk + const % mk
+    keys = np.array([key], dtype=np.int64)
+    counts = np.array([pow(p, fact.free, pb)], dtype=np.int64)
+    for comp in fact.components:
+        keys, counts = _convolve(keys, counts,
+                                 *_residue_histogram(p, comp, mods, pb, workers),
+                                 mods, pb)
+    return _gate_and_weight(system, keys, counts, mods, tables, pb)
 
 
 def theorem12_sum(system: CongruenceSystem, workers: int = 1,
                   exact: bool = False, ceiling: int | None = None) -> int:
-    """The gated weighted sum over the cube.
+    """The gated weighted sum over the cube, factorised by variable components.
 
-    Modular mode (default) reduces per-point values mod
-    p^(a_k + b + ord_p(l_k!)) and returns the sum mod p^b; exact mode
-    enumerates with big integers and returns the full sum.  The two
-    agree mod p^b.  An empty constraint list means an always-open gate
-    and weight 1, so the sum is the cube size.
+    Modular mode (default) builds each component's histogram of
+    (f_k mod p^(a_k + b + ord_p(l_k!)))_k, combines the histograms by
+    cyclic convolution, applies gate and weight (from a table of F_k mod
+    p^b over one period) once per occurring residue tuple and returns
+    the sum mod p^b; exact mode convolves histograms of exact values
+    (``fold_poly_values``) and returns the full sum.  The two agree mod
+    p^b.  An empty constraint list means an always-open gate and weight
+    1, so the sum is the cube size.
     """
-    spec = CubeSpec(system.p, system.n_vars)
     if not exact and not _fits_int64(system):
         # moduli too large for the vectorized engine; exact mode is always safe
         exact = True
     if exact:
-        return fold_poly_values(spec, [c.f for c in system.constraints],
+        return fold_poly_values(CubeSpec(system.p, system.n_vars),
+                                [c.f for c in system.constraints],
                                 _GatedProduct(system), workers=workers,
                                 ceiling=ceiling)
-    cap = ceiling if ceiling is not None else enumeration_ceiling()
-    if spec.size > cap:
-        raise CeilingExceeded(required=spec.size, ceiling=cap)
-    return _modular_sum(system, workers)
+    return _modular_sum(system, workers, ceiling)
+
+
+def _periods(system: CongruenceSystem) -> tuple[list[int], list[int]]:
+    """Periods p^(b + ord_p(l_k!)) and moduli m_k = p^a_k * period_k.
+
+    Arguments of F_k equal mod its period pin F_k mod p^b, so f_k matters
+    only mod m_k.
+    """
+    periods = [system.p ** (system.b + ord_factorial(c.l_eff, system.p))
+               for c in system.constraints]
+    return periods, [system.p ** c.a * period
+                     for c, period in zip(system.constraints, periods)]
 
 
 def _fits_int64(system: CongruenceSystem) -> bool:
     """Whether every intermediate of the vectorized engine fits in int64."""
     p = system.p
-    for c in system.constraints:
-        mk = p ** (c.a + system.b + ord_factorial(c.l_eff, p))
+    _, mods = _periods(system)
+    for c, mk in zip(system.constraints, mods):
         max_exp = max((max(exps) for exps in c.f.terms if any(exps)), default=0)
         if mk * mk * p ** max_exp >= 2 ** 62:
             return False
-    return True
+    return prod(mods) < 2 ** 62  # residue tuples are encoded in one int64 key
 
 
-def _binomial_system(polys, p: int, b: int, a: int, ls) -> CongruenceSystem:
-    """Gate f_k on p^a | f_k(x) and weight it by C(f_k(x) / p^a, l_k)."""
+def _binomial_system(polys, p: int, b: int, a: int, ls,
+                     n_vars: int | None) -> CongruenceSystem:
+    """Gate f_k on p^a | f_k(x) and weight it by C(f_k(x) / p^a, l_k).
+
+    The cube has ``n_vars`` dimensions, by default the polynomials' own;
+    with no polynomials it must be given.
+    """
     if len(polys) != len(ls):
         raise ValueError("need one binomial index per polynomial")
     if any(l < 0 for l in ls):
@@ -244,8 +322,11 @@ def _binomial_system(polys, p: int, b: int, a: int, ls) -> CongruenceSystem:
     constraints = tuple(
         Constraint(f=f, a=a, F=IntegerValuedPoly([0] * l + [1]), l=l)
         for f, l in zip(polys, ls))
-    n = polys[0].n_vars if polys else 0
-    return CongruenceSystem(p=p, b=b, n_vars=n, constraints=constraints)
+    if n_vars is None:
+        if not polys:
+            raise ValueError("n_vars is needed when there are no polynomials")
+        n_vars = polys[0].n_vars
+    return CongruenceSystem(p=p, b=b, n_vars=n_vars, constraints=constraints)
 
 
 def _judge(system: CongruenceSystem, modulus: int, holds: bool, margin: Fraction,
@@ -278,8 +359,8 @@ def verify_theorem12(system: CongruenceSystem, workers: int = 1,
 
 
 def corollary11_verify(polys, a: int, b: int, ls, p: int, workers: int = 1,
-                       exact: bool = False,
-                       ceiling: int | None = None) -> DivisibilityVerdict:
+                       exact: bool = False, ceiling: int | None = None,
+                       n_vars: int | None = None) -> DivisibilityVerdict:
     """Binomial-weight specialization: a_k = a, F_k(x) = C(x, l_k).
 
     The hypothesis used is
@@ -293,7 +374,7 @@ def corollary11_verify(polys, a: int, b: int, ls, p: int, workers: int = 1,
     polys, ls = list(polys), list(ls)
     if a < 1:
         raise ValueError("a must be >= 1")
-    system = _binomial_system(polys, p, b, a, ls)
+    system = _binomial_system(polys, p, b, a, ls, n_vars)
     degrees = [total_degree(f) for f in polys]
     d1 = max(degrees, default=0)
     rhs = Fraction((b - 1) * d1 * p ** (a - 1))
@@ -305,22 +386,24 @@ def corollary11_verify(polys, a: int, b: int, ls, p: int, workers: int = 1,
 
 
 def chevalley_warning_verify(polys, p: int, workers: int = 1,
-                             ceiling: int | None = None) -> DivisibilityVerdict:
+                             ceiling: int | None = None,
+                             n_vars: int | None = None) -> DivisibilityVerdict:
     """Count common zeros mod p over the cube; p divides the count when
     the degree sum is smaller than the number of variables (hypothesis_16
     with b = 1 and every a_k = 1, F_k = 1)."""
     polys = list(polys)
-    system = _binomial_system(polys, p, 1, 1, [0] * len(polys))
+    system = _binomial_system(polys, p, 1, 1, [0] * len(polys), n_vars)
     holds, margin = hypothesis_16(system)
     return _judge(system, p, holds, margin, workers, True, ceiling)
 
 
 def axkatz_prime_verify(polys, b: int, p: int, workers: int = 1,
-                        ceiling: int | None = None) -> DivisibilityVerdict:
+                        ceiling: int | None = None,
+                        n_vars: int | None = None) -> DivisibilityVerdict:
     """p^b divides the common-zero count when n > (b-1) d_1 + sum d_k and
     d_1 >= 1 (with only constants the count is 0 or p^n, whatever b)."""
     polys = list(polys)
-    system = _binomial_system(polys, p, b, 1, [0] * len(polys))
+    system = _binomial_system(polys, p, b, 1, [0] * len(polys), n_vars)
     degrees = [total_degree(f) for f in polys]
     d1 = max(degrees, default=0)
     margin = Fraction(system.n_vars - ((b - 1) * d1 + sum(degrees)))
@@ -329,7 +412,8 @@ def axkatz_prime_verify(polys, b: int, p: int, workers: int = 1,
 
 
 def lemma22_verify(polys, js, c: int, p: int, workers: int = 1,
-                   ceiling: int | None = None) -> DivisibilityVerdict:
+                   ceiling: int | None = None,
+                   n_vars: int | None = None) -> DivisibilityVerdict:
     """Full-cube sum of prod_k C(f_k(x), j_k); p^c divides it when
     sum_k j_k deg f_k < (n - c + 1)(p - 1)."""
     polys, js = list(polys), list(js)
@@ -337,7 +421,7 @@ def lemma22_verify(polys, js, c: int, p: int, workers: int = 1,
         raise ValueError("c must be >= 0")
     # the claimed modulus p^c may be 1; the system's own b only sizes the
     # modular engine, which this exact sum never uses
-    system = _binomial_system(polys, p, max(c, 1), 0, js)
+    system = _binomial_system(polys, p, max(c, 1), 0, js, n_vars)
     degbound = sum(j * total_degree(f) for j, f in zip(js, polys))
     margin = Fraction((system.n_vars - c + 1) * (p - 1) - degbound)
     return _judge(system, p ** c, margin > 0, margin, workers, True, ceiling)

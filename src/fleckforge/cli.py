@@ -203,20 +203,22 @@ def _congruence_system(doc) -> axkatz.CongruenceSystem:
 
 
 # count kind -> verifier call (doc, exact, workers, ceiling); only theorem12
-# and corollary11 have a modular engine for `exact` to switch off
+# and corollary11 have a modular engine for `exact` to switch off.  The
+# polynomial kinds pass n_vars, which an empty polynomial list cannot carry.
 _COUNT_KINDS = {
     "theorem12": lambda doc, exact, **run: axkatz.verify_theorem12(
         _congruence_system(doc), exact=exact, **run),
     "corollary11": lambda doc, exact, **run: axkatz.corollary11_verify(
         _polys(doc), _as_int(doc["a"]), _as_int(doc["b"]), _ints(doc["ls"]),
-        _as_int(doc["p"]), exact=exact, **run),
+        _as_int(doc["p"]), exact=exact, n_vars=_as_int(doc["n_vars"]), **run),
     "chevalley": lambda doc, exact, **run: axkatz.chevalley_warning_verify(
-        _polys(doc), _as_int(doc["p"]), **run),
+        _polys(doc), _as_int(doc["p"]), n_vars=_as_int(doc["n_vars"]), **run),
     "axkatz": lambda doc, exact, **run: axkatz.axkatz_prime_verify(
-        _polys(doc), _as_int(doc["b"]), _as_int(doc["p"]), **run),
+        _polys(doc), _as_int(doc["b"]), _as_int(doc["p"]),
+        n_vars=_as_int(doc["n_vars"]), **run),
     "lemma22": lambda doc, exact, **run: axkatz.lemma22_verify(
         _polys(doc), _ints(doc["js"]), _as_int(doc["c"]), _as_int(doc["p"]),
-        **run),
+        n_vars=_as_int(doc["n_vars"]), **run),
 }
 
 
@@ -239,7 +241,7 @@ def cmd_count(args) -> int:
         code = EXIT_VIOLATION
     except CeilingExceeded as exc:
         _emit({"kind": kind, "instance": doc, "results": {},
-               "error": f"enumeration ceiling exceeded: {exc.required} points needed"},
+               "error": f"enumeration ceiling exceeded: {exc.required} steps needed"},
               None)
         return EXIT_CEILING
     _emit(report, time.monotonic() - t0 if args.timing else None)

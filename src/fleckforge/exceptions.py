@@ -13,10 +13,11 @@ class GuaranteeError(RuntimeError):
 
 
 class CeilingExceeded(Exception):
-    """An enumeration would visit more points than the configured ceiling."""
+    """A cube sum's work bound (points enumerated plus convolution pairs)
+    is above the configured ceiling."""
 
     def __init__(self, required: int, ceiling: int):
         self.required = required
         self.ceiling = ceiling
         super().__init__(
-            f"enumeration needs {required} points, ceiling is {ceiling}")
+            f"enumeration needs {required} steps, ceiling is {ceiling}")

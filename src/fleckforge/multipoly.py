@@ -1,4 +1,4 @@
-"""Sparse multivariate integer polynomials and exhaustive cube enumeration.
+"""Sparse multivariate integer polynomials and factorised cube sums.
 
 Polynomials are stored as dictionaries mapping exponent vectors to
 nonzero integer coefficients, e.g. 17 + 2*x1*x2 - 19*x1^6*x3^12 over
@@ -9,16 +9,24 @@ A small precedence-climbing parser accepts the text grammar
 ``x1 + 3*(x2 - x1)^2`` (variables x1..xN, integer literals, + - * ^,
 parentheses; exponents are nonnegative integer literals).
 
-The enumeration engine, ``fold_poly_values``, walks [0, p-1]^n and folds
-an exact integer per point.  It substitutes variables one at a time so
-that only the terms involving the changed variable are recomputed at
-each step.
+A sum over [0, p-1]^n of a function of (f_1(x), ..., f_m(x)) depends
+only on how often each value tuple occurs.  ``factorise`` splits the
+variables into the connected components of the graph that links two
+variables sharing a term; the value histogram over the cube is then the
+convolution of the per-component histograms, so only sum_C p^|C| points
+are visited.  ``fold_poly_values`` walks each component with exact
+integers, substituting variables one at a time so that only the terms
+involving the changed variable are recomputed at each step.  The
+enumeration ceiling bounds the points visited plus the convolution work.
 """
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import prod
+from operator import add
 
 from .exceptions import CeilingExceeded
 
@@ -26,7 +34,7 @@ DEFAULT_CEILING = 10 ** 8
 
 
 def enumeration_ceiling() -> int:
-    """Point-count guard for cube enumeration; FLECKFORGE_CEILING overrides."""
+    """Work guard for cube sums (see check_ceiling); FLECKFORGE_CEILING overrides."""
     raw = os.environ.get("FLECKFORGE_CEILING")
     return int(raw) if raw else DEFAULT_CEILING
 
@@ -271,6 +279,9 @@ def render_poly(f: MultiPoly) -> str:
 
 # --- cube enumeration -------------------------------------------------------
 
+CHUNK = 1 << 16  # points per enumeration chunk; a component this small runs in-process
+
+
 @dataclass(frozen=True)
 class CubeSpec:
     """The enumeration domain [0, p-1]^n_vars."""
@@ -278,16 +289,97 @@ class CubeSpec:
     p: int
     n_vars: int
 
-    @property
-    def size(self) -> int:
-        return self.p ** self.n_vars
+
+@dataclass(frozen=True)
+class Component:
+    """Variables linked through shared terms, and each polynomial's terms
+    on them, with exponent vectors indexed like ``variables``."""
+
+    variables: tuple[int, ...]
+    terms: tuple[dict, ...]
 
 
-def _check_ceiling(spec: CubeSpec, ceiling: int | None) -> None:
+@dataclass(frozen=True)
+class Factorisation:
+    """f_k(x) = constants[k] + sum over components C of f_k restricted to C.
+
+    The ``free`` variables appear in no term; each multiplies every count
+    by p and is never enumerated.
+    """
+
+    components: tuple[Component, ...]
+    constants: tuple[int, ...]
+    free: int
+
+
+def factorise(n_vars: int, polys) -> Factorisation:
+    """Split the variables into the connected components of the graph that
+    links two variables when some term of some polynomial uses both.
+
+    Components are ordered by their smallest variable.
+    """
+    parent = list(range(n_vars))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    used = set()
+    for f in polys:
+        for exps in f.terms:
+            support = [j for j, e in enumerate(exps) if e]
+            used.update(support)
+            for j in support[1:]:
+                parent[find(j)] = find(support[0])
+    groups: dict[int, list[int]] = {}
+    for j in sorted(used):
+        groups.setdefault(find(j), []).append(j)
+    slot = {root: i for i, root in enumerate(groups)}
+    variables = list(groups.values())
+    terms = [[{} for _ in polys] for _ in variables]
+    for k, f in enumerate(polys):
+        for exps, c in f.terms.items():
+            first = next((j for j, e in enumerate(exps) if e), None)
+            if first is not None:
+                i = slot[find(first)]
+                terms[i][k][tuple(exps[j] for j in variables[i])] = c
+    return Factorisation(
+        components=tuple(Component(tuple(v), tuple(t))
+                         for v, t in zip(variables, terms)),
+        constants=tuple(f.terms.get((0,) * n_vars, 0) for f in polys),
+        free=n_vars - len(used))
+
+
+def check_ceiling(points, value_counts, caps, ceiling: int | None,
+                  tables: int = 0) -> None:
+    """Refuse a factorised sum whose work bound exceeds the ceiling.
+
+    The bound is the number of points enumerated, ``sum(points)``, plus
+    the entry pairs formed by each convolution, plus the entries of any
+    lookup ``tables`` built beforehand.  Component i's histogram has at
+    most min(points[i], value_counts[i]) entries; the histogram
+    accumulated over components 0..i has at most the product of those
+    sizes and at most ``caps[i]`` entries.
+    """
+    required, acc = sum(points) + tables, 1
+    for size, cap in zip(map(min, points, value_counts), caps):
+        required += acc * size
+        acc = min(acc * size, cap)
     if ceiling is None:
         ceiling = enumeration_ceiling()
-    if spec.size > ceiling:
-        raise CeilingExceeded(required=spec.size, ceiling=ceiling)
+    if required > ceiling:
+        raise CeilingExceeded(required=required, ceiling=ceiling)
+
+
+def _value_range(terms: dict, p: int) -> tuple[int, int]:
+    """Bounds on a polynomial's values over [0, p-1]^n."""
+    lo = hi = 0
+    for exps, c in terms.items():
+        extreme = c * (p - 1) ** sum(exps)
+        lo, hi = lo + min(extreme, 0), hi + max(extreme, 0)
+    return lo, hi
 
 
 def _partition(values, blocks: int):
@@ -322,60 +414,81 @@ def _substitute_first(terms: dict, value: int) -> dict:
     return out
 
 
-def _fold_values_block(p: int, n_vars: int, term_dicts, leaf, first_values) -> int:
-    if n_vars == 0:
-        return leaf(tuple(d.get((), 0) for d in term_dicts))
+def _histogram_block(p: int, n_vars: int, term_dicts, first_values) -> Counter:
+    """Counts of the value tuples over the points whose first coordinate
+    lies in ``first_values`` (n_vars >= 1)."""
+    hist: Counter = Counter()
 
-    def rec(dicts, vars_left) -> int:
+    def rec(dicts, vars_left) -> None:
         if vars_left == 1:
             # univariate tail: evaluate each remaining polynomial directly
             flats = [[(e[0], c) for e, c in d.items()] for d in dicts]
-            subtotal = 0
-            for x in range(p):
-                subtotal += leaf(tuple(
-                    sum(c * x ** e if e else c for e, c in flat)
-                    for flat in flats))
-            return subtotal
-        subtotal = 0
+            hist.update(tuple(sum(c * x ** e if e else c for e, c in flat)
+                              for flat in flats) for x in range(p))
+            return
         for v in range(p):
-            subtotal += rec([_substitute_first(d, v) for d in dicts],
-                            vars_left - 1)
-        return subtotal
+            rec([_substitute_first(d, v) for d in dicts], vars_left - 1)
 
-    total = 0
     for v0 in first_values:
+        dicts = [_substitute_first(d, v0) for d in term_dicts]
         if n_vars == 1:
-            total += leaf(tuple(
-                sum(c * v0 ** e[0] if e[0] else c for e, c in d.items())
-                for d in term_dicts))
+            hist[tuple(d.get((), 0) for d in dicts)] += 1
         else:
-            total += rec([_substitute_first(d, v0) for d in term_dicts],
-                         n_vars - 1)
-    return total
+            rec(dicts, n_vars - 1)
+    return hist
+
+
+def _value_histogram(p: int, comp: Component, workers: int) -> Counter:
+    n = len(comp.variables)
+    if workers <= 1 or p ** n <= CHUNK:
+        return _histogram_block(p, n, comp.terms, range(p))
+    blocks = _partition(list(range(p)), workers)
+    hist: Counter = Counter()
+    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+        futures = [pool.submit(_histogram_block, p, n, comp.terms, blk)
+                   for blk in blocks]
+        for f in futures:
+            hist.update(f.result())
+    return hist
+
+
+def _convolve(left: Counter, right: Counter) -> Counter:
+    """Histogram of u + v for u, v drawn from independent histograms."""
+    out: Counter = Counter()
+    for u, cu in left.items():
+        for v, cv in right.items():
+            out[tuple(map(add, u, v))] += cu * cv
+    return out
 
 
 def fold_poly_values(spec: CubeSpec, polys, leaf, workers: int = 1,
                      ceiling: int | None = None) -> int:
     """Exact sum of leaf((f_1(x), ..., f_m(x))) over the cube.
 
-    The polynomials are evaluated by incremental substitution: walking
-    the cube with the last variable fastest, each step recomputes only
-    the terms involving the changed variable.  ``leaf`` maps the tuple
-    of exact polynomial values at a point to an integer contribution.
-    With workers > 1 the first variable's range is split into contiguous
-    blocks handed to a process pool, so ``leaf`` must be picklable and
-    free of shared mutable state; the sum does not depend on the split.
+    The sum depends only on how often each tuple of exact values occurs.
+    Each connected component of the variables (see ``factorise``) is
+    walked alone by incremental substitution into a histogram of value
+    tuples, and the histograms are combined by convolution: values add,
+    counts multiply.  ``leaf`` maps a value tuple to an integer; it is
+    called in this process, once per distinct tuple.  A component larger
+    than one chunk is split over ``workers`` processes by the range of
+    its first variable; the sum does not depend on the split.
     """
-    _check_ceiling(spec, ceiling)
     for f in polys:
         if f.n_vars != spec.n_vars:
             raise ValueError("polynomial variable count does not match cube")
-    dicts = [dict(f.terms) for f in polys]
-    if workers <= 1 or spec.n_vars == 0 or spec.p == 1:
-        return _fold_values_block(spec.p, spec.n_vars, dicts, leaf,
-                                  range(spec.p))
-    blocks = _partition(list(range(spec.p)), workers)
-    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-        futures = [pool.submit(_fold_values_block, spec.p, spec.n_vars,
-                               dicts, leaf, blk) for blk in blocks]
-        return sum(f.result() for f in futures)
+    p = spec.p
+    fact = factorise(spec.n_vars, polys)
+    ranges = [[_value_range(t, p) for t in comp.terms] for comp in fact.components]
+    # value tuples over components 0..i lie in a box with these side widths
+    caps, widths = [], [0] * len(polys)
+    for r in ranges:
+        widths = [w + hi - lo for w, (lo, hi) in zip(widths, r)]
+        caps.append(prod(w + 1 for w in widths))
+    check_ceiling([p ** len(comp.variables) for comp in fact.components],
+                  [prod(hi - lo + 1 for lo, hi in r) for r in ranges], caps,
+                  ceiling)
+    hist = Counter({fact.constants: p ** fact.free})
+    for comp in fact.components:
+        hist = _convolve(hist, _value_histogram(p, comp, workers))
+    return sum(count * leaf(values) for values, count in hist.items())

@@ -262,12 +262,17 @@ def test_lemma22_matches_brute_force():
 
 
 def test_ceiling_refusal():
-    system = _system(2, 1, 30, [("x1", 1, ONE)])
+    # one connected component: 2^30 points plus one histogram of at most
+    # 4 residues mod p^(a+b) and a 2-entry F table (modular), or of the
+    # 2 exact values 0 and 1
+    product_text = "*".join(f"x{i}" for i in range(1, 31))
+    system = _system(2, 1, 30, [(product_text, 1, ONE)])
     with pytest.raises(CeilingExceeded) as err:
         theorem12_sum(system, ceiling=10 ** 6)
-    assert err.value.required == 2 ** 30
-    with pytest.raises(CeilingExceeded):
+    assert err.value.required == 2 ** 30 + 4 + 2
+    with pytest.raises(CeilingExceeded) as err:
         theorem12_sum(system, exact=True, ceiling=10 ** 6)
+    assert err.value.required == 2 ** 30 + 2
 
 
 def test_constraint_validation():
@@ -304,3 +309,52 @@ def test_all_constant_polynomials_never_raise():
     two = [parse_poly("2", 2)]
     for v in (corollary11_verify(two, 1, 3, [0], 2), axkatz_prime_verify(two, 3, 2)):
         assert v.hypothesis_holds and not v.divisible and v.sum == 4
+
+
+def test_empty_polynomial_list_needs_n_vars():
+    assert chevalley_warning_verify([], 3, n_vars=3).sum == 27
+    assert lemma22_verify([], [], 2, 3, n_vars=3).sum == 27
+    with pytest.raises(ValueError):
+        chevalley_warning_verify([], 3)
+
+
+def test_chevalley_count_on_3_to_the_200_points(monkeypatch):
+    # 200 singleton components under the default ceiling
+    monkeypatch.delenv("FLECKFORGE_CEILING", raising=False)
+    f = parse_poly(" + ".join(f"x{i}" for i in range(1, 201)), 200)
+    assert chevalley_warning_verify([f], 3).sum == 3 ** 199
+
+
+def test_high_b_modular_table_is_charged_to_the_ceiling():
+    # f matters mod 2^30, so the modular engine's F table has 2^30 entries:
+    # it is refused before the table is built, and the exact engine answers
+    system = CongruenceSystem(p=2, b=30, n_vars=2, constraints=(
+        Constraint(f=parse_poly("x1 - 3*x2 - 1", 2), a=0,
+                   F=IntegerValuedPoly([3, 7])),))
+    with pytest.raises(CeilingExceeded) as err:
+        theorem12_sum(system, ceiling=10 ** 8)
+    assert err.value.required == 2 ** 30 + 4 + 2 + 4  # table, points, pairs
+    exact = theorem12_sum(system, exact=True, ceiling=10 ** 8)
+    assert exact == 4 * 3 + 7 * (-1 + 0 - 4 - 3)
+    low = CongruenceSystem(p=2, b=12, n_vars=2, constraints=system.constraints)
+    assert theorem12_sum(low) == exact % 2 ** 12
+
+
+def test_theorem12_where_its_hypothesis_has_slack():
+    # p=5, a=2, l=1 and degree 2 need n >= 25 for b=1 (5^26 points here);
+    # thirteen disjoint products factorise the cube into 25-point blocks
+    rng = random.Random(5)
+    n = 26
+    terms = {}
+    for i in range(0, n, 2):
+        exps = [0] * n
+        exps[i] = exps[i + 1] = 1
+        terms[tuple(exps)] = rng.choice([1, 2, 3, 4])
+    terms[(0,) * n] = rng.randint(1, 24)
+    system = CongruenceSystem(p=5, b=1, n_vars=n, constraints=(
+        Constraint(f=MultiPoly(n, terms), a=2, F=IntegerValuedPoly([3, 2]), l=1),))
+    holds, margin = hypothesis_16(system)
+    assert holds and margin == Fraction(3, 2)
+    verdict = verify_theorem12(system)  # raises on a violation
+    assert verdict.divisible
+    assert theorem12_sum(system, exact=True) % 5 == verdict.sum == 0

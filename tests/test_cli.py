@@ -120,15 +120,41 @@ def test_count_lemma22(tmp_path, capsys):
 
 
 def test_count_ceiling_exit_code(tmp_path, capsys):
+    # one connected component: 2^40 points plus the exact values 0 and 1
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "kind": "axkatz", "p": 2, "b": 1, "n_vars": 40,
+        "polynomials": ["*".join(f"x{i}" for i in range(1, 41))],
+    }))
+    code, doc = run(capsys, ["count", str(inst), "--workers", "1",
+                             "--ceiling", "1000"])
+    assert code == 3
+    assert doc["error"] == \
+        f"enumeration ceiling exceeded: {2 ** 40 + 2} steps needed"
+
+
+def test_count_separable_instance_beyond_brute_force(tmp_path, capsys):
+    # 40 singleton components: 80 points and 1640 convolution pairs,
+    # where walking the cube would take 2^40 points
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({
         "kind": "axkatz", "p": 2, "b": 1, "n_vars": 40,
         "polynomials": [" + ".join(f"x{i}" for i in range(1, 41))],
     }))
-    code, doc = run(capsys, ["count", str(inst), "--workers", "1",
-                             "--ceiling", "1000"])
-    assert code == 3
-    assert "ceiling" in doc["error"]
+    code, doc = run(capsys, ["count", str(inst), "--workers", "2",
+                             "--ceiling", "1720"])
+    assert code == 0
+    assert doc["verdict"]["sum"] == str(2 ** 39)
+
+
+def test_count_empty_polynomial_list_uses_n_vars(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "kind": "chevalley", "p": 3, "n_vars": 3, "polynomials": [],
+    }))
+    code, doc = run(capsys, ["count", str(inst), "--workers", "1"])
+    assert code == 0
+    assert doc["verdict"]["sum"] == "27"
 
 
 def test_invalid_instance_rejected(tmp_path, capsys):

@@ -107,17 +107,23 @@ def _count_point(values):
 
 
 def test_fold_poly_values_ceiling():
+    # one component: 81 points plus a histogram of the values 0..16
+    f = parse_poly("x1*x2*x3*x4", 4)
     with pytest.raises(CeilingExceeded) as err:
-        fold_poly_values(CubeSpec(3, 4), [], _count_point, ceiling=80)
-    assert err.value.required == 81
+        fold_poly_values(CubeSpec(3, 4), [f], _count_point, ceiling=97)
+    assert err.value.required == 81 + 17
+    assert fold_poly_values(CubeSpec(3, 4), [f], _count_point, ceiling=98) == 81
 
 
 def test_ceiling_env_override(monkeypatch):
+    # 16 points plus a histogram of the values 0 and 1
+    f = parse_poly("x1*x2*x3*x4", 4)
     monkeypatch.setenv("FLECKFORGE_CEILING", "10")
-    with pytest.raises(CeilingExceeded):
-        fold_poly_values(CubeSpec(2, 4), [], _count_point)
+    with pytest.raises(CeilingExceeded) as err:
+        fold_poly_values(CubeSpec(2, 4), [f], _count_point)
+    assert err.value.required == 18
     monkeypatch.setenv("FLECKFORGE_CEILING", "100")
-    assert fold_poly_values(CubeSpec(2, 4), [], _count_point) == 16
+    assert fold_poly_values(CubeSpec(2, 4), [f], _count_point) == 16
 
 
 def _pair_product(values):

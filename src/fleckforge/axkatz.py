@@ -168,7 +168,9 @@ def _chunk_histogram(start, stop, p, n, prepared, mods):
             for j, e in ve:
                 dp = powers.get((j, e))
                 if dp is None:
-                    dp = powers[(j, e)] = (digits[j] ** e) % mk
+                    table = np.array([pow(x, e, mk) for x in range(p)],
+                                     dtype=np.int64)
+                    dp = powers[(j, e)] = table[digits[j]]
                 if t is None:
                     t = dp * coeff
                 else:
@@ -239,8 +241,6 @@ def _gate_and_weight(system, keys, counts, mods, tables, pb) -> int:
 def _modular_sum(system: CongruenceSystem, workers: int,
                  ceiling: int | None) -> int:
     p, pb = system.p, system.p ** system.b
-    if not system.constraints:
-        return pow(p, system.n_vars, pb)
     periods, mods = _periods(system)
     fact = factorise(system.n_vars, [c.f for c in system.constraints])
     states = [prod(mods)] * len(fact.components)
@@ -299,13 +299,9 @@ def _periods(system: CongruenceSystem) -> tuple[list[int], list[int]]:
 
 def _fits_int64(system: CongruenceSystem) -> bool:
     """Whether every intermediate of the vectorized engine fits in int64."""
-    p = system.p
     _, mods = _periods(system)
-    for c, mk in zip(system.constraints, mods):
-        max_exp = max((max(exps) for exps in c.f.terms if any(exps)), default=0)
-        if mk * mk * p ** max_exp >= 2 ** 62:
-            return False
-    return prod(mods) < 2 ** 62  # residue tuples are encoded in one int64 key
+    # products of two residues mod m_k, and residue tuples as one int64 key
+    return max(mods, default=1) ** 2 < 2 ** 62 and prod(mods) < 2 ** 62
 
 
 def _binomial_system(polys, p: int, b: int, a: int, ls,

@@ -4,6 +4,8 @@ Subcommands: fleck | synthesize | count | sweep | bounds.  Reports are
 JSON on stdout with every big integer serialized as a decimal string;
 output key order is fixed, so reports are byte-stable for a given
 instance (timing is opt-in via --timing precisely to keep them so).
+Each subcommand maps its arguments to a (report, exit code) pair;
+``main`` alone times it and prints the report.
 
 Exit codes: 0 success, 1 usage or validation error, 2 theorem
 violation, 3 enumeration ceiling exceeded.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -73,9 +76,7 @@ def _encode(obj):
     return obj
 
 
-def _emit(report: dict, timing: float | None) -> None:
-    if timing is not None:
-        report["timing"] = {"wall_seconds": timing}
+def _emit(report: dict) -> None:
     print(json.dumps(_encode(report), indent=2, sort_keys=True))
 
 
@@ -103,13 +104,11 @@ def _parse_coeff_list(text: str) -> list[int]:
 
 # --- subcommands ------------------------------------------------------------
 
-def cmd_fleck(args) -> int:
+def cmd_fleck(args) -> tuple[dict, int]:
     pp = PrimePower(args.p, args.a)
     f = IntegerValuedPoly(_parse_coeff_list(args.f) if args.f else [1])
-    t0 = time.monotonic()
     report = check_lemma21(args.n, args.r, pp, f)
-    elapsed = time.monotonic() - t0
-    _emit({
+    return {
         "kind": "fleck",
         "instance": {"p": args.p, "a": args.a, "n": args.n, "r": args.r,
                      "f": list(f.coeffs)},
@@ -119,11 +118,10 @@ def cmd_fleck(args) -> int:
             "bounds": dict(sorted(report.bounds.items())),
             "satisfied": dict(sorted(report.satisfied.items())),
         },
-    }, elapsed if args.timing else None)
-    return EXIT_OK if report.all_satisfied else EXIT_VIOLATION
+    }, EXIT_OK if report.all_satisfied else EXIT_VIOLATION
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[dict, int]:
     pp = PrimePower(args.p, args.a)
     results = {
         "wan": wan_bound(args.n, pp, args.l),
@@ -136,16 +134,15 @@ def cmd_bounds(args) -> int:
             results["fleck"] = fleck_bound(args.n, pp.p)
     if args.b is not None:
         results["max_degree"] = max_degree(pp, args.l, args.b)
-    _emit({
+    return {
         "kind": "bounds",
         "instance": {"p": args.p, "a": args.a, "n": args.n, "l": args.l,
                      "b": args.b},
         "results": dict(sorted(results.items())),
-    }, None)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_synthesize(args) -> int:
+def cmd_synthesize(args) -> tuple[dict, int]:
     doc = _load_instance(args.instance, {"synthesize"})
     pp = PrimePower(_as_int(doc["p"]), _as_int(doc["a"]))
     b = _as_int(doc["b"])
@@ -157,16 +154,13 @@ def cmd_synthesize(args) -> int:
         lo, hi = (_as_int(x) for x in doc["q_range"])
     else:
         lo, hi = -25, 25
-    t0 = time.monotonic()
     try:
         P = synthesize(pp, b, f, g)
     except GuaranteeError as exc:
-        _emit({"kind": "synthesize", "instance": doc, "results": {},
-               "error": str(exc)}, None)
-        return EXIT_VIOLATION
+        return {"kind": "synthesize", "instance": doc, "results": {},
+                "error": str(exc)}, EXIT_VIOLATION
     check = verify_theorem11(P, f, g, q_range=(lo, hi))
-    elapsed = time.monotonic() - t0
-    _emit({
+    return {
         "kind": "synthesize",
         "instance": doc,
         "results": {
@@ -178,8 +172,7 @@ def cmd_synthesize(args) -> int:
             "q_range": [lo, hi],
             "counterexample": check.counterexample,
         },
-    }, elapsed if args.timing else None)
-    return EXIT_OK if check.ok else EXIT_VIOLATION
+    }, EXIT_OK if check.ok else EXIT_VIOLATION
 
 
 def _ints(values) -> list[int]:
@@ -222,7 +215,7 @@ _COUNT_KINDS = {
 }
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> tuple[dict, int]:
     doc = _load_instance(args.instance, _COUNT_KINDS)
     kind = doc["kind"]
     ceiling = args.ceiling if args.ceiling is not None else (
@@ -230,30 +223,24 @@ def cmd_count(args) -> int:
     exact = args.exact or doc.get("exact_mode", False)
     report = {"kind": kind, "instance": doc, "workers": args.workers,
               "results": {}}
-    t0 = time.monotonic()
     try:
         verdict = _COUNT_KINDS[kind](doc, exact, workers=args.workers,
                                      ceiling=ceiling)
-        report["verdict"] = asdict(verdict)
-        code = EXIT_OK
     except TheoremViolation as exc:
         report["error"] = str(exc)
-        code = EXIT_VIOLATION
+        return report, EXIT_VIOLATION
     except CeilingExceeded as exc:
-        _emit({"kind": kind, "instance": doc, "results": {},
-               "error": f"enumeration ceiling exceeded: {exc.required} steps needed"},
-              None)
-        return EXIT_CEILING
-    _emit(report, time.monotonic() - t0 if args.timing else None)
-    return code
+        error = f"enumeration ceiling exceeded: {exc.required} steps needed"
+        return {"kind": kind, "instance": doc, "results": {},
+                "error": error}, EXIT_CEILING
+    report["verdict"] = asdict(verdict)
+    return report, EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[dict, int]:
     rng = random.Random(args.seed)
-    t0 = time.monotonic()
     result = sweeps.run_sweeps(rng, rounds=args.rounds, budget=args.budget)
-    elapsed = time.monotonic() - t0
-    _emit({
+    return {
         "kind": "sweep",
         "instance": {"seed": args.seed, "rounds": args.rounds,
                      "budget": args.budget},
@@ -263,8 +250,7 @@ def cmd_sweep(args) -> int:
             "truncated": result.truncated,
             "ok": result.ok,
         },
-    }, elapsed if args.timing else None)
-    return EXIT_OK if result.ok else EXIT_VIOLATION
+    }, EXIT_OK if result.ok else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,14 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Exact congruence sums, polynomial synthesis "
                                  "and divisibility verification over prime fields")
     sub = parser.add_subparsers(dest="command", required=True)
+    timed = argparse.ArgumentParser(add_help=False)
+    timed.add_argument("--timing", action="store_true",
+                       help="add timing.wall_seconds: the whole subcommand's "
+                            "wall-clock time")
 
-    p_fleck = sub.add_parser("fleck", help="restricted alternating sum and bounds")
+    p_fleck = sub.add_parser("fleck", parents=[timed],
+                             help="restricted alternating sum and bounds")
     p_fleck.add_argument("-p", type=int, required=True)
     p_fleck.add_argument("-a", type=int, required=True)
     p_fleck.add_argument("-n", type=int, required=True)
     p_fleck.add_argument("-r", type=int, required=True)
     p_fleck.add_argument("--f", help="comma-separated binomial-basis coefficients")
-    p_fleck.add_argument("--timing", action="store_true")
     p_fleck.set_defaults(func=cmd_fleck)
 
     p_bounds = sub.add_parser("bounds", help="print valuation bounds at one degree")
@@ -291,45 +281,45 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also report the maximal degree for this target")
     p_bounds.set_defaults(func=cmd_bounds)
 
-    p_synth = sub.add_parser("synthesize",
+    p_synth = sub.add_parser("synthesize", parents=[timed],
                              help="build and verify the matching polynomial")
     p_synth.add_argument("instance")
     p_synth.add_argument("--q-range", help="lo:hi, inclusive")
-    p_synth.add_argument("--timing", action="store_true")
     p_synth.set_defaults(func=cmd_synthesize)
 
-    p_count = sub.add_parser("count", help="divisibility verifiers over the cube")
+    p_count = sub.add_parser("count", parents=[timed],
+                             help="divisibility verifiers over the cube")
     p_count.add_argument("instance")
-    p_count.add_argument("--workers", type=int, default=None)
+    p_count.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_count.add_argument("--exact", action="store_true",
                          help="full big-integer per-point arithmetic")
     p_count.add_argument("--ceiling", type=int, default=None)
-    p_count.add_argument("--timing", action="store_true")
     p_count.set_defaults(func=cmd_count)
 
-    p_sweep = sub.add_parser("sweep", help="seeded randomized property sweeps")
+    p_sweep = sub.add_parser("sweep", parents=[timed],
+                             help="seeded randomized property sweeps")
     p_sweep.add_argument("--seed", type=int, required=True)
     p_sweep.add_argument("--budget", type=float, default=None,
                          help="wall-clock budget in seconds")
     p_sweep.add_argument("--rounds", type=int, default=1)
-    p_sweep.add_argument("--timing", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None and args.command == "count":
-        import os
-        args.workers = os.cpu_count() or 1
+    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        report, code = args.func(args)
     except (ValueError, OSError, json.JSONDecodeError,
             jsonschema.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if getattr(args, "timing", False):
+        report["timing"] = {"wall_seconds": time.monotonic() - t0}
+    _emit(report)
+    return code
 
 
 if __name__ == "__main__":

@@ -59,11 +59,18 @@ def _random_multipoly(rng, n_vars: int, max_deg: int, max_abs: int = 5) -> Multi
             return f
 
 
-def sweep_lemma21(rng, iterations: int, result: SweepResult, deadline=None):
-    for _ in range(iterations):
+def _draws(iterations: int, result: SweepResult, deadline):
+    """Up to ``iterations`` draws; once the deadline has passed, none more,
+    and the result is marked truncated."""
+    for i in range(iterations):
         if deadline is not None and time.monotonic() > deadline:
             result.truncated = True
             return
+        yield i
+
+
+def sweep_lemma21(rng, iterations: int, result: SweepResult, deadline=None):
+    for _ in _draws(iterations, result, deadline):
         p = rng.choice([2, 3, 5, 7])
         a = rng.randint(0, 2)
         n = rng.randint(0, 60)
@@ -80,10 +87,7 @@ def sweep_lemma21(rng, iterations: int, result: SweepResult, deadline=None):
 
 
 def sweep_gkp(rng, iterations: int, result: SweepResult, deadline=None):
-    for _ in range(iterations):
-        if deadline is not None and time.monotonic() > deadline:
-            result.truncated = True
-            return
+    for _ in _draws(iterations, result, deadline):
         n = rng.randint(0, 25)
         r = rng.randint(-25, 25)
         l = rng.randint(0, 10)
@@ -95,10 +99,7 @@ def sweep_gkp(rng, iterations: int, result: SweepResult, deadline=None):
 
 def sweep_partition(rng, iterations: int, result: SweepResult, deadline=None):
     one = IntegerValuedPoly([1])
-    for _ in range(iterations):
-        if deadline is not None and time.monotonic() > deadline:
-            result.truncated = True
-            return
+    for _ in _draws(iterations, result, deadline):
         p = rng.choice([2, 3, 5])
         a = rng.randint(0, 2)
         n = rng.randint(0, 40)
@@ -113,10 +114,7 @@ def sweep_partition(rng, iterations: int, result: SweepResult, deadline=None):
 
 def sweep_theorem11(rng, iterations: int, result: SweepResult, deadline=None,
                     q_range=(-8, 8)):
-    for _ in range(iterations):
-        if deadline is not None and time.monotonic() > deadline:
-            result.truncated = True
-            return
+    for _ in _draws(iterations, result, deadline):
         p = rng.choice([2, 3, 5])
         a = rng.randint(0, 2)
         b = rng.randint(1, 3)
@@ -140,10 +138,7 @@ def sweep_theorem11(rng, iterations: int, result: SweepResult, deadline=None,
 
 def sweep_theorem12(rng, iterations: int, result: SweepResult, deadline=None,
                     max_n: int = 12):
-    for _ in range(iterations):
-        if deadline is not None and time.monotonic() > deadline:
-            result.truncated = True
-            return
+    for _ in _draws(iterations, result, deadline):
         p = rng.choice([2, 3])
         b = rng.randint(1, 3)
         m = rng.randint(1, 2)
@@ -173,10 +168,7 @@ def sweep_theorem12(rng, iterations: int, result: SweepResult, deadline=None,
 
 
 def sweep_lemma22(rng, iterations: int, result: SweepResult, deadline=None):
-    for _ in range(iterations):
-        if deadline is not None and time.monotonic() > deadline:
-            result.truncated = True
-            return
+    for _ in _draws(iterations, result, deadline):
         p = rng.choice([2, 3])
         n = rng.randint(1, 6)
         m = rng.randint(1, 2)
@@ -187,13 +179,15 @@ def sweep_lemma22(rng, iterations: int, result: SweepResult, deadline=None):
         entry = {"sweep": "lemma22", "p": p, "n": n,
                  "polys": [str(f.terms) for f in polys], "js": js}
         result.log.append(entry)
-        for c in range(0, n + 1):
-            if degbound < (n - c + 1) * (p - 1):
-                try:
-                    lemma22_verify(polys, js, c, p)
-                except TheoremViolation as exc:
-                    result.violations.append({**entry, "c": c,
-                                              "error": str(exc)})
+        # the largest c with degbound < (n - c + 1)(p - 1); the sum does not
+        # depend on c, and p^c | S implies it for every smaller c
+        c = n - degbound // (p - 1)
+        if c < 0:
+            continue
+        try:
+            lemma22_verify(polys, js, c, p)
+        except TheoremViolation as exc:
+            result.violations.append({**entry, "c": c, "error": str(exc)})
 
 
 DEFAULT_PLAN = (

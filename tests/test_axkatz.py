@@ -112,7 +112,21 @@ def _random_nonzero(rng, n_vars, max_deg=2):
 def test_empty_system_counts_cube():
     system = CongruenceSystem(p=3, b=1, n_vars=4, constraints=())
     assert theorem12_sum(system, exact=True) == 81
-    assert theorem12_sum(system) == 81 % 3
+    for p, b, n in [(3, 1, 4), (2, 10, 3), (3, 5, 2), (5, 4, 1), (7, 3, 0)]:
+        system = CongruenceSystem(p=p, b=b, n_vars=n, constraints=())
+        assert theorem12_sum(system) == p ** n % p ** b
+
+
+def test_high_degree_term_stays_on_the_modular_engine(monkeypatch):
+    # 3^45 does not fit in int64, but x^45 mod m_k of a digit x does
+    system = _system(3, 3, 3, [("x1^45 + x1*x2 + x2*x3", 1, X)])
+    exact = theorem12_sum(system, exact=True)
+
+    def no_exact_walk(*args, **kwargs):
+        raise AssertionError("fell back to the exact engine")
+
+    monkeypatch.setattr(axkatz, "fold_poly_values", no_exact_walk)
+    assert theorem12_sum(system) == exact % 3 ** 3 == 13
 
 
 def test_verify_theorem12_examples():

@@ -236,3 +236,28 @@ def test_count_non_prime_p_exit_code(tmp_path, capsys, kind):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == "" and "prime" in captured.err
+
+
+SYNTHESIZE = {"kind": "synthesize", "p": 2, "a": 1, "b": 1,
+              "f": {"basis": "binomial", "coeffs": ["1"]}, "g": ["1", "0"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fleck", "-p", "2", "-a", "1", "-n", "3", "-r", "0"],
+    ["synthesize", "{synthesize}"],
+    ["count", "{theorem12}", "--workers", "1"],
+    ["count", "{theorem12}", "--workers", "1", "--ceiling", "1"],
+    ["sweep", "--seed", "1"],
+])
+def test_timing_adds_only_wall_seconds(tmp_path, capsys, argv):
+    files = {}
+    for name, doc in [("synthesize", SYNTHESIZE), ("theorem12", HOLDING["theorem12"])]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    argv = [arg.format(**files) for arg in argv]
+    code, plain = run(capsys, argv)
+    timed_code, timed = run(capsys, argv + ["--timing"])
+    validate_report(timed)
+    assert timed_code == code
+    assert timed.pop("timing")["wall_seconds"] >= 0
+    assert timed == plain

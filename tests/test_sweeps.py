@@ -1,0 +1,30 @@
+import itertools
+import random
+from types import SimpleNamespace
+
+import pytest
+
+from fleckforge import sweeps
+
+
+def test_zero_budget_truncates():
+    result = sweeps.run_sweeps(random.Random(1), budget=0)
+    assert result.truncated and result.ok
+
+
+# halfway through each sweep of the plan, counted in instances drawn
+MIDPOINTS = [sum(i for _, i in sweeps.DEFAULT_PLAN[:j]) + iterations // 2
+             for j, (_, iterations) in enumerate(sweeps.DEFAULT_PLAN)]
+
+
+@pytest.mark.parametrize("k", MIDPOINTS)
+def test_budget_stops_every_sweep(monkeypatch, k):
+    # the clock reads 0 when the deadline is set and advances by 1 at every
+    # later reading, so a budget of k + 1/2 admits exactly k draws; every
+    # draw of seed 1 logs one instance
+    ticks = itertools.count()
+    monkeypatch.setattr(sweeps, "time",
+                        SimpleNamespace(monotonic=lambda: next(ticks)))
+    result = sweeps.run_sweeps(random.Random(1), budget=k + 0.5)
+    assert result.truncated and result.ok
+    assert len(result.log) == k

@@ -14,16 +14,16 @@ CongruenceSystem and its own hypothesis, and one helper computes the sum
 and the verdict.  The sum depends only on the histogram of
 (f_1(x), ..., f_m(x)) over the cube, which is the convolution of the
 histograms of the connected components of the variables
-(``multipoly.factorise``), so each component is enumerated alone.  Two
-engines build and combine the histograms: a vectorized modular one over
-residues mod p^(a_k + b + ord_p(l_k!)), which pin every weight mod p^b,
-and a fully exact big-integer one used as an independent cross-check.
+(``multipoly.factorise``), so each component is enumerated alone.  One
+enumerator, ``multipoly.residue_histogram``, serves both engines: the
+modular one counts residues mod p^(a_k + b + ord_p(l_k!)), which pin
+every weight mod p^b; the exact one counts residues modulo one more
+than the width of f_k's value range, which recover every exact value.
 The zero counts and Lemma 2.2 report exact sums, so they always take
 the exact engine.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -33,12 +33,13 @@ import numpy as np
 from .exceptions import TheoremViolation
 from .ivpoly import IntegerValuedPoly, eval_ivp
 from .multipoly import (
-    CHUNK,
     CubeSpec,
     MultiPoly,
     check_ceiling,
     factorise,
+    fits_int64,
     fold_poly_values,
+    residue_histogram,
     total_degree,
 )
 from .padic import PrimePower, is_prime, ord_factorial, phi_prime_power
@@ -152,79 +153,6 @@ class _GatedProduct:
         return prod
 
 
-def _chunk_histogram(start, stop, p, n, prepared, mods):
-    """Residue tuples of one chunk of a component, encoded as mixed-radix
-    keys (first constraint most significant), and their counts."""
-    rest = np.arange(start, stop, dtype=np.int64)
-    digits = [None] * n
-    for j in reversed(range(n)):
-        rest, digits[j] = np.divmod(rest, p)
-    key = np.zeros(stop - start, dtype=np.int64)
-    for terms, mk in zip(prepared, mods):
-        val = np.zeros(stop - start, dtype=np.int64)
-        powers: dict = {}
-        for coeff, ve in terms:
-            t = None
-            for j, e in ve:
-                dp = powers.get((j, e))
-                if dp is None:
-                    table = np.array([pow(x, e, mk) for x in range(p)],
-                                     dtype=np.int64)
-                    dp = powers[(j, e)] = table[digits[j]]
-                if t is None:
-                    t = dp * coeff
-                else:
-                    t *= dp
-                t %= mk
-            val += t  # each t < mk < 2^31, so the sum cannot overflow
-        val %= mk
-        key *= mk
-        key += val
-    return np.unique(key, return_counts=True)
-
-
-def _merge(keys, counts, pb):
-    """Sum the counts of equal keys, mod pb."""
-    order = np.argsort(keys, kind="stable")
-    keys, counts = keys[order], counts[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[starts], np.add.reduceat(counts, starts) % pb
-
-
-def _residue_histogram(p, comp, mods, pb, workers):
-    """Counts mod pb of (f_1 mod m_1, ...) over one component's points."""
-    n = len(comp.variables)
-    size = p ** n
-    prepared = [[(coeff % mk, [(j, e) for j, e in enumerate(exps) if e])
-                 for exps, coeff in terms.items()]
-                for terms, mk in zip(comp.terms, mods)]
-    starts = range(0, size, CHUNK)
-    if workers <= 1 or len(starts) <= 1:
-        parts = [_chunk_histogram(s, min(s + CHUNK, size), p, n, prepared, mods)
-                 for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_chunk_histogram, s, min(s + CHUNK, size), p,
-                                   n, prepared, mods) for s in starts]
-            parts = [f.result() for f in futures]
-    return _merge(np.concatenate([k for k, _ in parts]),
-                  np.concatenate([c for _, c in parts]), pb)
-
-
-def _convolve(keys_a, counts_a, keys_b, counts_b, mods, pb):
-    """Cyclic convolution of two sparse histograms over Z_m1 x ... x Z_mK."""
-    sums = []
-    for mk in reversed(mods):
-        keys_a, da = np.divmod(keys_a, mk)
-        keys_b, db = np.divmod(keys_b, mk)
-        sums.append((da[:, None] + db[None, :]) % mk)
-    key = np.zeros((len(counts_a), len(counts_b)), dtype=np.int64)
-    for mk, digit in zip(mods, reversed(sums)):
-        key = key * mk + digit
-    counts = counts_a[:, None] * counts_b[None, :] % pb
-    return _merge(key.ravel(), counts.ravel(), pb)
-
-
 def _gate_and_weight(system, keys, counts, mods, tables, pb) -> int:
     """sum of count * prod_k [p^(a_k) | v_k] F_k(v_k / p^(a_k)) mod pb,
     once per occurring residue tuple v."""
@@ -249,15 +177,7 @@ def _modular_sum(system: CongruenceSystem, workers: int,
     tables = [np.array([eval_ivp(c.F, t) % pb for t in range(period)],
                        dtype=np.int64)
               for c, period in zip(system.constraints, periods)]
-    key = 0
-    for const, mk in zip(fact.constants, mods):
-        key = key * mk + const % mk
-    keys = np.array([key], dtype=np.int64)
-    counts = np.array([pow(p, fact.free, pb)], dtype=np.int64)
-    for comp in fact.components:
-        keys, counts = _convolve(keys, counts,
-                                 *_residue_histogram(p, comp, mods, pb, workers),
-                                 mods, pb)
+    keys, counts = residue_histogram(p, fact, mods, pb, workers)
     return _gate_and_weight(system, keys, counts, mods, tables, pb)
 
 
@@ -269,13 +189,13 @@ def theorem12_sum(system: CongruenceSystem, workers: int = 1,
     (f_k mod p^(a_k + b + ord_p(l_k!)))_k, combines the histograms by
     cyclic convolution, applies gate and weight (from a table of F_k mod
     p^b over one period) once per occurring residue tuple and returns
-    the sum mod p^b; exact mode convolves histograms of exact values
+    the sum mod p^b; exact mode counts exact value tuples
     (``fold_poly_values``) and returns the full sum.  The two agree mod
     p^b.  An empty constraint list means an always-open gate and weight
     1, so the sum is the cube size.
     """
-    if not exact and not _fits_int64(system):
-        # moduli too large for the vectorized engine; exact mode is always safe
+    if not exact and not fits_int64(_periods(system)[1]):
+        # moduli too large for int64 residues; exact mode is always safe
         exact = True
     if exact:
         return fold_poly_values(CubeSpec(system.p, system.n_vars),
@@ -295,13 +215,6 @@ def _periods(system: CongruenceSystem) -> tuple[list[int], list[int]]:
                for c in system.constraints]
     return periods, [system.p ** c.a * period
                      for c, period in zip(system.constraints, periods)]
-
-
-def _fits_int64(system: CongruenceSystem) -> bool:
-    """Whether every intermediate of the vectorized engine fits in int64."""
-    _, mods = _periods(system)
-    # products of two residues mod m_k, and residue tuples as one int64 key
-    return max(mods, default=1) ** 2 < 2 ** 62 and prod(mods) < 2 ** 62
 
 
 def _binomial_system(polys, p: int, b: int, a: int, ls,

@@ -216,6 +216,8 @@ _COUNT_KINDS = {
 
 
 def cmd_count(args) -> tuple[dict, int]:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     doc = _load_instance(args.instance, _COUNT_KINDS)
     kind = doc["kind"]
     ceiling = args.ceiling if args.ceiling is not None else (

@@ -14,19 +14,21 @@ only on how often each value tuple occurs.  ``factorise`` splits the
 variables into the connected components of the graph that links two
 variables sharing a term; the value histogram over the cube is then the
 convolution of the per-component histograms, so only sum_C p^|C| points
-are visited.  ``fold_poly_values`` walks each component with exact
-integers, substituting variables one at a time so that only the terms
-involving the changed variable are recomputed at each step.  The
-enumeration ceiling bounds the points visited plus the convolution work.
+are visited.  ``residue_histogram`` is the one enumerator: it evaluates
+each component in numpy chunks, counting the tuples (f_k(x) mod m_k)_k,
+and convolves the component histograms.  ``fold_poly_values`` takes each
+m_k one more than the width of f_k's range over the cube, so the
+residues recover the exact values.  The enumeration ceiling bounds the points visited
+plus the convolution work.
 """
 from __future__ import annotations
 
 import os
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod
-from operator import add
+
+import numpy as np
 
 from .exceptions import CeilingExceeded
 
@@ -279,7 +281,7 @@ def render_poly(f: MultiPoly) -> str:
 
 # --- cube enumeration -------------------------------------------------------
 
-CHUNK = 1 << 16  # points per enumeration chunk; a component this small runs in-process
+CHUNK = 1 << 16  # points per enumeration chunk; a component this small uses no pool
 
 
 @dataclass(frozen=True)
@@ -382,83 +384,115 @@ def _value_range(terms: dict, p: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _partition(values, blocks: int):
-    """Split a list into <= blocks contiguous chunks of near-equal size."""
-    n = len(values)
-    blocks = max(1, min(blocks, n))
-    out = []
-    start = 0
-    for i in range(blocks):
-        stop = start + n // blocks + (1 if i < n % blocks else 0)
-        out.append(values[start:stop])
-        start = stop
-    return out
+def fits_int64(mods, count_modulus: int = 1) -> bool:
+    """Whether every intermediate of ``residue_histogram`` fits in int64:
+    products of two residues or two counts, and residue tuples as one key."""
+    return max([*mods, count_modulus]) ** 2 < 2 ** 62 and prod(mods) < 2 ** 62
 
 
-def _substitute_first(terms: dict, value: int) -> dict:
-    """Substitute the first variable; exponent keys shrink by one entry.
+def _chunk_histogram(start, stop, p, n, prepared, mods, dtype):
+    """Residue tuples of one chunk of a component, encoded as mixed-radix
+    keys (first polynomial most significant), and their counts."""
+    rest = np.arange(start, stop, dtype=np.int64)
+    digits = [None] * n
+    for j in reversed(range(n)):
+        rest, digits[j] = np.divmod(rest, p)
+    key = np.zeros(stop - start, dtype=dtype)
+    for terms, mk in zip(prepared, mods):
+        val = np.zeros(stop - start, dtype=dtype)
+        powers: dict = {}
+        for coeff, ve in terms:
+            t = None
+            for j, e in ve:
+                dp = powers.get((j, e))
+                if dp is None:
+                    table = np.array([pow(x, e, mk) for x in range(p)], dtype=dtype)
+                    dp = powers[(j, e)] = table[digits[j]]
+                if t is None:
+                    t = dp * coeff
+                else:
+                    t *= dp
+                t %= mk
+            val += t  # on int64 each t < mk < 2^31, so the sum cannot overflow
+        val %= mk
+        key *= mk
+        key += val
+    keys, counts = np.unique(key, return_counts=True)
+    return keys, counts.astype(dtype, copy=False)
 
-    Terms not involving the variable are carried over in one dict copy;
-    only the dependent terms are recomputed.
+
+def _merge(keys, counts, count_modulus):
+    """Sum the counts of equal keys, mod count_modulus."""
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(counts, starts) % count_modulus
+
+
+def _component_histogram(p, comp, mods, count_modulus, workers, dtype):
+    """Counts of (f_1 mod m_1, ...) over one component's points.
+
+    A component larger than one chunk is split into chunks over at most
+    ``workers`` threads (never more threads than chunks); the histogram
+    does not depend on the split.
     """
-    base = {}
-    dependent = []
-    for exps, c in terms.items():
-        if exps[0]:
-            dependent.append((exps[0], exps[1:], c))
-        else:
-            base[exps[1:]] = c
-    out = dict(base)
-    for e0, rest, c in dependent:
-        out[rest] = out.get(rest, 0) + c * value ** e0
-    return out
-
-
-def _histogram_block(p: int, n_vars: int, term_dicts, first_values) -> Counter:
-    """Counts of the value tuples over the points whose first coordinate
-    lies in ``first_values`` (n_vars >= 1)."""
-    hist: Counter = Counter()
-
-    def rec(dicts, vars_left) -> None:
-        if vars_left == 1:
-            # univariate tail: evaluate each remaining polynomial directly
-            flats = [[(e[0], c) for e, c in d.items()] for d in dicts]
-            hist.update(tuple(sum(c * x ** e if e else c for e, c in flat)
-                              for flat in flats) for x in range(p))
-            return
-        for v in range(p):
-            rec([_substitute_first(d, v) for d in dicts], vars_left - 1)
-
-    for v0 in first_values:
-        dicts = [_substitute_first(d, v0) for d in term_dicts]
-        if n_vars == 1:
-            hist[tuple(d.get((), 0) for d in dicts)] += 1
-        else:
-            rec(dicts, n_vars - 1)
-    return hist
-
-
-def _value_histogram(p: int, comp: Component, workers: int) -> Counter:
     n = len(comp.variables)
-    if workers <= 1 or p ** n <= CHUNK:
-        return _histogram_block(p, n, comp.terms, range(p))
-    blocks = _partition(list(range(p)), workers)
-    hist: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-        futures = [pool.submit(_histogram_block, p, n, comp.terms, blk)
-                   for blk in blocks]
-        for f in futures:
-            hist.update(f.result())
-    return hist
+    size = p ** n
+    prepared = [[(coeff % mk, [(j, e) for j, e in enumerate(exps) if e])
+                 for exps, coeff in terms.items()]
+                for terms, mk in zip(comp.terms, mods)]
+
+    def chunk(start):
+        return _chunk_histogram(start, min(start + CHUNK, size), p, n,
+                                prepared, mods, dtype)
+
+    starts = range(0, size, CHUNK)
+    if workers <= 1 or len(starts) <= 1:
+        parts = [chunk(s) for s in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            parts = list(pool.map(chunk, starts))
+    return _merge(np.concatenate([k for k, _ in parts]),
+                  np.concatenate([c for _, c in parts]), count_modulus)
 
 
-def _convolve(left: Counter, right: Counter) -> Counter:
-    """Histogram of u + v for u, v drawn from independent histograms."""
-    out: Counter = Counter()
-    for u, cu in left.items():
-        for v, cv in right.items():
-            out[tuple(map(add, u, v))] += cu * cv
-    return out
+def _convolve(keys_a, counts_a, keys_b, counts_b, mods, count_modulus):
+    """Cyclic convolution of two sparse histograms over Z_m1 x ... x Z_mK."""
+    sums = []
+    for mk in reversed(mods):
+        keys_a, da = keys_a // mk, keys_a % mk
+        keys_b, db = keys_b // mk, keys_b % mk
+        sums.append((da[:, None] + db[None, :]) % mk)
+    key = np.zeros((len(counts_a), len(counts_b)), dtype=keys_a.dtype)
+    for mk, digit in zip(mods, reversed(sums)):
+        key = key * mk + digit
+    counts = counts_a[:, None] * counts_b[None, :] % count_modulus
+    return _merge(key.ravel(), counts.ravel(), count_modulus)
+
+
+def residue_histogram(p: int, fact: Factorisation, mods, count_modulus: int,
+                      workers: int = 1):
+    """Counts mod ``count_modulus`` of (f_1 mod m_1, ..., f_K mod m_K) over
+    the cube, as two arrays: the occurring residue tuples, encoded as
+    mixed-radix keys (first polynomial most significant), and their counts.
+
+    Each component of ``fact`` is enumerated alone in numpy chunks and the
+    histograms are combined by cyclic convolution.  The arrays are int64
+    when every intermediate fits (``fits_int64``) and hold Python integers
+    otherwise.
+    """
+    dtype = np.int64 if fits_int64(mods, count_modulus) else object
+    key = 0
+    for const, mk in zip(fact.constants, mods):
+        key = key * mk + const % mk
+    keys = np.array([key], dtype=dtype)
+    counts = np.array([pow(p, fact.free, count_modulus)], dtype=dtype)
+    for comp in fact.components:
+        keys, counts = _convolve(
+            keys, counts,
+            *_component_histogram(p, comp, mods, count_modulus, workers, dtype),
+            mods, count_modulus)
+    return keys, counts
 
 
 def fold_poly_values(spec: CubeSpec, polys, leaf, workers: int = 1,
@@ -466,13 +500,11 @@ def fold_poly_values(spec: CubeSpec, polys, leaf, workers: int = 1,
     """Exact sum of leaf((f_1(x), ..., f_m(x))) over the cube.
 
     The sum depends only on how often each tuple of exact values occurs.
-    Each connected component of the variables (see ``factorise``) is
-    walked alone by incremental substitution into a histogram of value
-    tuples, and the histograms are combined by convolution: values add,
-    counts multiply.  ``leaf`` maps a value tuple to an integer; it is
-    called in this process, once per distinct tuple.  A component larger
-    than one chunk is split over ``workers`` processes by the range of
-    its first variable; the sum does not depend on the split.
+    Over the cube f_k takes values in a box [lo_k, lo_k + w_k], so its
+    residue mod m_k = w_k + 1 recovers it; ``residue_histogram`` counts
+    those residues with the count modulus p^n + 1, which leaves every
+    count exact.  ``leaf`` maps a value tuple to an integer; it is called
+    in this process, once per distinct tuple.
     """
     for f in polys:
         if f.n_vars != spec.n_vars:
@@ -480,15 +512,22 @@ def fold_poly_values(spec: CubeSpec, polys, leaf, workers: int = 1,
     p = spec.p
     fact = factorise(spec.n_vars, polys)
     ranges = [[_value_range(t, p) for t in comp.terms] for comp in fact.components]
-    # value tuples over components 0..i lie in a box with these side widths
-    caps, widths = [], [0] * len(polys)
+    # value tuples over components 0..i lie in a box with these corners and widths
+    caps, lows, widths = [], list(fact.constants), [0] * len(polys)
     for r in ranges:
+        lows = [low + lo for low, (lo, _) in zip(lows, r)]
         widths = [w + hi - lo for w, (lo, hi) in zip(widths, r)]
         caps.append(prod(w + 1 for w in widths))
     check_ceiling([p ** len(comp.variables) for comp in fact.components],
                   [prod(hi - lo + 1 for lo, hi in r) for r in ranges], caps,
                   ceiling)
-    hist = Counter({fact.constants: p ** fact.free})
-    for comp in fact.components:
-        hist = _convolve(hist, _value_histogram(p, comp, workers))
-    return sum(count * leaf(values) for values, count in hist.items())
+    mods = [w + 1 for w in widths]
+    keys, counts = residue_histogram(p, fact, mods, p ** spec.n_vars + 1, workers)
+    total = 0
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        values = []
+        for low, mk in zip(reversed(lows), reversed(mods)):
+            key, r = divmod(key, mk)
+            values.append(low + (r - low) % mk)
+        total += count * leaf(tuple(reversed(values)))
+    return total

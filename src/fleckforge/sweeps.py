@@ -155,7 +155,13 @@ def sweep_theorem12(rng, iterations: int, result: SweepResult, deadline=None,
             if hypothesis_16(system)[0]:
                 break
         else:
-            continue  # hypothesis unreachable within the variable budget
+            # logged so that the dropped draw shows; the random stream is unchanged
+            result.log.append({
+                "sweep": "theorem12", "p": p, "b": b,
+                "constraints": [{"deg": deg, "a": a_k, "l": l_k}
+                                for deg, a_k, l_k in specs],
+                "skipped": f"hypothesis fails for every n <= {max_n}"})
+            continue
         entry = {"sweep": "theorem12", "p": p, "b": b, "n": n,
                  "constraints": [{"f": str(c.f.terms), "a": c.a,
                                   "F": list(c.F.coeffs), "l": c.l}

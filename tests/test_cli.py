@@ -172,6 +172,12 @@ def test_usage_error_exit_code(capsys):
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_count_workers_below_one_is_a_usage_error(capsys, workers):
+    assert cli.main(["count", "missing.json", "--workers", workers]) == 1
+    assert "--workers must be >= 1" in capsys.readouterr().err
+
+
 def test_report_determinism(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleckforge import axkatz, multipoly
+from fleckforge import multipoly
 from fleckforge.axkatz import CongruenceSystem, Constraint, theorem12_sum
 from fleckforge.ivpoly import IntegerValuedPoly, eval_ivp
 from fleckforge.multipoly import MultiPoly, eval_poly, factorise, parse_poly, render_poly
@@ -135,8 +135,7 @@ class _NoPool:
 
 
 def test_no_pool_for_components_of_one_chunk(monkeypatch):
-    monkeypatch.setattr(axkatz, "ThreadPoolExecutor", _NoPool)
-    monkeypatch.setattr(multipoly, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(multipoly, "ThreadPoolExecutor", _NoPool)
     system = _chain_system(10)  # 3^10 = 59049 points, one chunk
     exact = theorem12_sum(system, exact=True, workers=2)
     assert theorem12_sum(system, workers=2) == exact % 9
@@ -159,3 +158,58 @@ def test_free_variables_scale_the_sum(text):
         Constraint(f=parse_poly(text, 6), a=1, F=IntegerValuedPoly([1, 1])),))
     assert theorem12_sum(wide, exact=True) == 27 * theorem12_sum(narrow, exact=True)
     assert theorem12_sum(wide) == 27 * theorem12_sum(narrow, exact=True) % 81
+
+
+def test_values_beyond_int64_match_cube_walk():
+    # two components, a free variable and a constant; values reach ~2^80
+    text = ["2^70*x1*x2 - 3^45*x3^2 + x1*x3 + 2^80",
+            "x4^3*x5 - 5^30*x4 + 7*x5^2 - 1"]
+    polys = [parse_poly(t, 6) for t in text]
+    assert max(abs(eval_poly(f, (2,) * 6)) for f in polys) > 2 ** 62
+    spec = multipoly.CubeSpec(3, 6)
+    assert multipoly.fold_poly_values(spec, polys, _weighted) == \
+        _cube_sum(3, polys, _weighted)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_values_beyond_int64_in_a_large_component(workers):
+    # 3^11 points, three chunks: scaling every coefficient by 2^70 and
+    # dividing it out in the leaf gives the unscaled sum
+    f = _chain_system(11).constraints[0].f
+    scaled = MultiPoly(11, {e: c << 70 for e, c in f.terms.items()})
+
+    def unscale(values):
+        assert all(v % (1 << 70) == 0 for v in values)
+        return _weighted([v >> 70 for v in values])
+
+    spec = multipoly.CubeSpec(3, 11)
+    assert multipoly.fold_poly_values(spec, [scaled], unscale, workers=workers) == \
+        multipoly.fold_poly_values(spec, [f], _weighted)
+
+
+class _RecordingPool:
+    """Runs the chunks in this thread and records the pool sizes asked for."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_never_exceeds_the_chunk_count(monkeypatch):
+    monkeypatch.setattr(multipoly, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    system = _chain_system(11)  # 3^11 points, three chunks
+    exact = theorem12_sum(system, exact=True, workers=10 ** 6)
+    assert theorem12_sum(system, workers=10 ** 6) == exact % 9
+    assert _RecordingPool.sizes == [3, 3]
+    assert exact == theorem12_sum(system, exact=True, workers=1)

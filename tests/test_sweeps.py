@@ -28,3 +28,13 @@ def test_budget_stops_every_sweep(monkeypatch, k):
     result = sweeps.run_sweeps(random.Random(1), budget=k + 0.5)
     assert result.truncated and result.ok
     assert len(result.log) == k
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_every_theorem12_draw_is_logged(seed):
+    # a draw whose hypothesis needs more than max_n variables is logged as
+    # skipped; seeds 1, 3, 4, 6 and 8 draw such a system within two rounds
+    result = sweeps.run_sweeps(random.Random(seed), rounds=2)
+    entries = [e for e in result.log if e["sweep"] == "theorem12"]
+    assert len(entries) == 20
+    assert all("n" in e or "skipped" in e for e in entries)

@@ -14,11 +14,13 @@ CongruenceSystem and its own hypothesis, and one helper computes the sum
 and the verdict.  The sum depends only on the histogram of
 (f_1(x), ..., f_m(x)) over the cube, which is the convolution of the
 histograms of the connected components of the variables
-(``multipoly.factorise``), so each component is enumerated alone.  One
-enumerator, ``multipoly.residue_histogram``, serves both engines: the
-modular one counts residues mod p^(a_k + b + ord_p(l_k!)), which pin
-every weight mod p^b; the exact one counts residues modulo one more
-than the width of f_k's value range, which recover every exact value.
+(``multipoly.factorise``), so each component is enumerated alone, as
+a matrix product of the polynomials' low-rank factors on two half
+sub-cubes.  One enumerator, ``multipoly.residue_histogram``, serves
+both engines: the modular one counts residues mod
+p^(a_k + b + ord_p(l_k!)), which pin every weight mod p^b; the exact
+one counts residues modulo one more than the width of f_k's value
+range, which recover every exact value.
 The zero counts and Lemma 2.2 report exact sums, so they always take
 the exact engine.
 """

@@ -13,6 +13,7 @@ violation, 3 enumeration ceiling exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -80,10 +81,19 @@ def _emit(report: dict) -> None:
     print(json.dumps(_encode(report), indent=2, sort_keys=True))
 
 
+@functools.cache
+def _instance_validator() -> jsonschema.Draft202012Validator:
+    """Built once per process; the schema itself is checked against the
+    metaschema by the test suite, not on every load."""
+    return jsonschema.Draft202012Validator(_load_schema("instance.schema.json"))
+
+
 def _load_instance(path: str, expected_kinds=None) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
-    jsonschema.validate(doc, _load_schema("instance.schema.json"))
+    error = jsonschema.exceptions.best_match(_instance_validator().iter_errors(doc))
+    if error is not None:
+        raise error
     if expected_kinds and doc["kind"] not in expected_kinds:
         raise ValueError(f"instance kind {doc['kind']!r} not usable here")
     return doc

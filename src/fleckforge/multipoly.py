@@ -14,12 +14,16 @@ only on how often each value tuple occurs.  ``factorise`` splits the
 variables into the connected components of the graph that links two
 variables sharing a term; the value histogram over the cube is then the
 convolution of the per-component histograms, so only sum_C p^|C| points
-are visited.  ``residue_histogram`` is the one enumerator: it evaluates
-each component in numpy chunks, counting the tuples (f_k(x) mod m_k)_k,
-and convolves the component histograms.  ``fold_poly_values`` takes each
-m_k one more than the width of f_k's range over the cube, so the
-residues recover the exact values.  The enumeration ceiling bounds the points visited
-plus the convolution work.
+are visited.  ``residue_histogram`` is the one enumerator: it counts the
+tuples (f_k(x) mod m_k)_k over each component and convolves the
+component histograms.  Within a component the variables split into two
+halves A and B, and f_k is a sum of r_k products u_j(A) v_j(B), r_k at
+most its number of terms; its values are then the matrix product of the
+u_j on A's sub-cube with the v_j on B's, taken mod m_k in blocks of rows
+of at most ``CHUNK`` points.  ``fold_poly_values`` takes each m_k one
+more than the width of f_k's range over the cube, so the residues
+recover the exact values.  The enumeration ceiling bounds the points
+visited plus the convolution work.
 """
 from __future__ import annotations
 
@@ -281,7 +285,7 @@ def render_poly(f: MultiPoly) -> str:
 
 # --- cube enumeration -------------------------------------------------------
 
-CHUNK = 1 << 16  # points per enumeration chunk; a component this small uses no pool
+CHUNK = 1 << 16  # most points per row block; a component this small uses no pool
 
 
 @dataclass(frozen=True)
@@ -390,35 +394,59 @@ def fits_int64(mods, count_modulus: int = 1) -> bool:
     return max([*mods, count_modulus]) ** 2 < 2 ** 62 and prod(mods) < 2 ** 62
 
 
-def _chunk_histogram(start, stop, p, n, prepared, mods, dtype):
-    """Residue tuples of one chunk of a component, encoded as mixed-radix
-    keys (first polynomial most significant), and their counts."""
-    rest = np.arange(start, stop, dtype=np.int64)
+def _subcube_values(polys, p, n, mk, dtype):
+    """Values mod mk of each polynomial (a dict over n-variable exponent
+    vectors) at every point of [0, p-1]^n, one row per polynomial; the
+    last variable varies fastest."""
+    size = p ** n
+    rest = np.arange(size, dtype=np.int64)
     digits = [None] * n
     for j in reversed(range(n)):
         rest, digits[j] = np.divmod(rest, p)
-    key = np.zeros(stop - start, dtype=dtype)
-    for terms, mk in zip(prepared, mods):
-        val = np.zeros(stop - start, dtype=dtype)
-        powers: dict = {}
-        for coeff, ve in terms:
-            t = None
-            for j, e in ve:
-                dp = powers.get((j, e))
-                if dp is None:
-                    table = np.array([pow(x, e, mk) for x in range(p)], dtype=dtype)
-                    dp = powers[(j, e)] = table[digits[j]]
-                if t is None:
-                    t = dp * coeff
-                else:
+    powers: dict = {}
+    out = np.zeros((len(polys), size), dtype=dtype)
+    for row, terms in zip(out, polys):
+        for exps, coeff in terms.items():
+            t = np.full(size, coeff % mk, dtype=dtype)
+            for j, e in enumerate(exps):
+                if e:
+                    dp = powers.get((j, e))
+                    if dp is None:
+                        table = np.array([pow(x, e, mk) for x in range(p)], dtype=dtype)
+                        dp = powers[(j, e)] = table[digits[j]]
                     t *= dp
-                t %= mk
-            val += t  # on int64 each t < mk < 2^31, so the sum cannot overflow
-        val %= mk
-        key *= mk
-        key += val
-    keys, counts = np.unique(key, return_counts=True)
-    return keys, counts.astype(dtype, copy=False)
+                    t %= mk
+            row += t  # on int64 each t < mk < 2^31, so the sum cannot overflow
+        row %= mk
+    return out
+
+
+def _low_rank(terms, na, nb):
+    """Pairs (u_j, v_j) of polynomials in the first na and the last nb
+    variables with sum_j u_j * v_j equal to ``terms``.
+
+    The pure-A terms form one pair and the pure-B terms another; the
+    mixed terms are grouped by their A-monomial or by their B-monomial,
+    whichever side has fewer distinct ones.  So there are never more
+    pairs than terms.
+    """
+    one_a, one_b = (0,) * na, (0,) * nb
+    pure_a, pure_b, by_a, by_b = {}, {}, {}, {}
+    for exps, c in terms.items():
+        ea, eb = exps[:na], exps[na:]
+        if eb == one_b:
+            pure_a[ea] = c
+        elif ea == one_a:
+            pure_b[eb] = c
+        else:
+            by_a.setdefault(ea, {})[eb] = c
+            by_b.setdefault(eb, {})[ea] = c
+    pairs = [(pure_a, {one_b: 1})] if pure_a else []
+    if pure_b:
+        pairs.append(({one_a: 1}, pure_b))
+    if len(by_a) <= len(by_b):
+        return pairs + [({ea: 1}, v) for ea, v in by_a.items()]
+    return pairs + [(u, {eb: 1}) for eb, u in by_b.items()]
 
 
 def _merge(keys, counts, count_modulus):
@@ -432,26 +460,50 @@ def _merge(keys, counts, count_modulus):
 def _component_histogram(p, comp, mods, count_modulus, workers, dtype):
     """Counts of (f_1 mod m_1, ...) over one component's points.
 
-    A component larger than one chunk is split into chunks over at most
-    ``workers`` threads (never more threads than chunks); the histogram
-    does not depend on the split.
+    The variables split into A and B, B the last half capped at
+    ``CHUNK`` points.  Each f_k is a sum of r_k products u_j(A) v_j(B)
+    (``_low_rank``), so its values on the component form the matrix
+    U_k V_k mod m_k, where U_k (p^|A| x r_k) and V_k (r_k x p^|B|) hold
+    the factors on the two sub-cubes.  A work unit is a block of U rows
+    covering at most ``CHUNK`` points; on int64 the product is summed
+    in column groups small enough that no sum of products overflows, and
+    reduced mod m_k after each.  Blocks run over at most ``workers``
+    threads (never more threads than blocks); the histogram does not
+    depend on the split.
     """
-    n = len(comp.variables)
-    size = p ** n
-    prepared = [[(coeff % mk, [(j, e) for j, e in enumerate(exps) if e])
-                 for exps, coeff in terms.items()]
-                for terms, mk in zip(comp.terms, mods)]
+    nb = (len(comp.variables) + 1) // 2
+    while p ** nb > CHUNK:
+        nb -= 1
+    na = len(comp.variables) - nb
+    factors = []
+    for terms, mk in zip(comp.terms, mods):
+        pairs = _low_rank(terms, na, nb)
+        U = _subcube_values([u for u, _ in pairs], p, na, mk, dtype).T
+        V = _subcube_values([v for _, v in pairs], p, nb, mk, dtype)
+        # a group's products of two residues sum to at most 2^63 - 1
+        group = max(len(pairs), 1) if dtype is object else \
+            (2 ** 63 - 1) // max((mk - 1) ** 2, 1)
+        factors.append((U, V, mk, group))
+    rows = CHUNK // p ** nb
 
-    def chunk(start):
-        return _chunk_histogram(start, min(start + CHUNK, size), p, n,
-                                prepared, mods, dtype)
+    def block(start):
+        key = 0
+        for U, V, mk, group in factors:
+            part = U[start:start + rows]
+            val = part[:, :group] @ V[:group] % mk
+            for s in range(group, len(V), group):
+                val += part[:, s:s + group] @ V[s:s + group] % mk
+                val %= mk
+            key = key * mk + val
+        keys, counts = np.unique(key, return_counts=True)
+        return keys, counts.astype(dtype, copy=False)
 
-    starts = range(0, size, CHUNK)
+    starts = range(0, p ** na, rows)
     if workers <= 1 or len(starts) <= 1:
-        parts = [chunk(s) for s in starts]
+        parts = [block(s) for s in starts]
     else:
         with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            parts = list(pool.map(chunk, starts))
+            parts = list(pool.map(block, starts))
     return _merge(np.concatenate([k for k, _ in parts]),
                   np.concatenate([c for _, c in parts]), count_modulus)
 
@@ -476,8 +528,9 @@ def residue_histogram(p: int, fact: Factorisation, mods, count_modulus: int,
     the cube, as two arrays: the occurring residue tuples, encoded as
     mixed-radix keys (first polynomial most significant), and their counts.
 
-    Each component of ``fact`` is enumerated alone in numpy chunks and the
-    histograms are combined by cyclic convolution.  The arrays are int64
+    Each component of ``fact`` is enumerated alone, as row blocks of a
+    matrix product (``_component_histogram``), and the histograms are
+    combined by cyclic convolution.  The arrays are int64
     when every intermediate fits (``fits_int64``) and hold Python integers
     otherwise.
     """

@@ -137,12 +137,13 @@ def verify_theorem11(P: NewtonPoly, f: IntegerValuedPoly, g: ResidueTable,
     pp = P.pp
     mod = pp.p ** b
     lo, hi = q_range
+    poly = IntegerValuedPoly(P.coeffs)
     checked = 0
     for q in range(lo, hi + 1):
         fq = eval_ivp(f, q)
         for r in range(pp.modulus):
             checked += 1
-            if (eval_newton(P, pp.modulus * q + r) - fq * g.values[r]) % mod != 0:
+            if (eval_ivp(poly, pp.modulus * q + r) - fq * g.values[r]) % mod != 0:
                 return CongruenceReport(ok=False, checked=checked,
                                         counterexample=(q, r))
     return CongruenceReport(ok=True, checked=checked, counterexample=None)

@@ -165,6 +165,26 @@ def test_invalid_instance_rejected(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "theorem12", "p": 2},
+    {"kind": "chevalley", "p": 3, "n_vars": 2, "polynomials": [7]},
+    {"kind": "nonsense"},
+    [],
+])
+def test_invalid_instance_message_is_jsonschemas(tmp_path, capsys, doc):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    assert cli.main(["count", str(inst)]) == 1
+    with pytest.raises(jsonschema.ValidationError) as err:
+        jsonschema.validate(doc, cli._load_schema("instance.schema.json"))
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+@pytest.mark.parametrize("name", ["instance.schema.json", "report.schema.json"])
+def test_shipped_schemas_pass_the_metaschema(name):
+    jsonschema.Draft202012Validator.check_schema(cli._load_schema(name))
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["fleck", "-p", "2"])

@@ -1,13 +1,18 @@
-"""Engine agreement on random factorisable systems.
+"""Engine agreement on random factorisable and coupled systems.
 
-Each system is built from a chosen split of the variables into blocks:
-the terms of every polynomial stay inside one block, and a chain of
-product terms links the variables of each block, so the factorisation
-is known in advance.  The factorised exact sum is compared with a plain
-walk over the cube, and the modular sum with the exact one mod p^b.
+Each factorisable system is built from a chosen split of the variables
+into blocks: the terms of every polynomial stay inside one block, and a
+chain of product terms links the variables of each block, so the
+factorisation is known in advance.  Each coupled system links all its
+variables but the free ones into one component: a chain, a dense
+quadratic form, or cubic terms across the component's halves, shared by
+several polynomials.  The sums of both engines are compared with a plain
+walk over the cube.
 """
+from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,10 +59,15 @@ def factorisable(draw):
     return p, [MultiPoly(n, t) for t in terms], sorted(components)
 
 
+def _value_counts(p, polys):
+    """How often each tuple of exact values occurs over the cube."""
+    return Counter(tuple(eval_poly(f, pt) for f in polys)
+                   for pt in product(range(p), repeat=polys[0].n_vars))
+
+
 def _cube_sum(p, polys, leaf):
-    n = polys[0].n_vars
-    return sum(leaf(tuple(eval_poly(f, pt) for f in polys))
-               for pt in product(range(p), repeat=n))
+    return sum(count * leaf(values)
+               for values, count in _value_counts(p, polys).items())
 
 
 def _weighted(values):
@@ -80,18 +90,15 @@ def test_factorised_exact_matches_cube_walk(case, workers):
         _cube_sum(p, polys, _weighted)
 
 
-@settings(max_examples=80, deadline=None)
-@given(factorisable(), st.data())
-def test_factorised_modular_matches_exact(case, data):
-    p, polys, _ = case
+def _random_system(data, p, n, polys):
+    """A theorem12 system on ``polys`` with drawn a_k, F_k and b, and its
+    exact leaf."""
     b = data.draw(st.integers(1, 3))
     constraints = tuple(
         Constraint(f=f, a=data.draw(st.integers(0, 2)),
                    F=IntegerValuedPoly(data.draw(
                        st.lists(st.integers(-9, 9), min_size=1, max_size=3))))
-        for f in polys if not f.is_zero)
-    system = CongruenceSystem(p=p, b=b, n_vars=polys[0].n_vars,
-                              constraints=constraints)
+        for f in polys)
 
     def leaf(values):
         out = 1
@@ -101,13 +108,173 @@ def test_factorised_modular_matches_exact(case, data):
             out *= eval_ivp(c.F, v // p ** c.a)
         return out
 
+    return CongruenceSystem(p=p, b=b, n_vars=n, constraints=constraints), leaf
+
+
+@settings(max_examples=80, deadline=None)
+@given(factorisable(), st.data())
+def test_factorised_modular_matches_exact(case, data):
+    p, polys, _ = case
+    system, leaf = _random_system(data, p, polys[0].n_vars,
+                                  [f for f in polys if not f.is_zero])
     exact = theorem12_sum(system, exact=True)
-    if constraints:
-        assert exact == _cube_sum(p, [c.f for c in constraints], leaf)
+    if system.constraints:
+        assert exact == _cube_sum(p, [c.f for c in system.constraints], leaf)
     else:
         assert exact == p ** system.n_vars
     for workers in (1, 2):
-        assert theorem12_sum(system, workers=workers) == exact % p ** b
+        assert theorem12_sum(system, workers=workers) == exact % p ** system.b
+
+
+@st.composite
+def coupled(draw):
+    """(p, polynomials, the variables of their one component).
+
+    Link terms join the component's variables as a chain, a dense
+    quadratic form, or cubic terms whose third variable may fall on
+    either half of the component; each link goes to a drawn polynomial,
+    so several polynomials share the component.  Every polynomial also
+    gets one more term on the component, and variables outside it are
+    free.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    size = draw(st.integers(2, 8 if p == 2 else 5))
+    n = size + draw(st.integers(0, 2))
+    variables = sorted(draw(st.permutations(range(n)))[:size])
+    m = draw(st.integers(1, 3))
+    terms = [{} for _ in range(m)]
+
+    def add(k, chosen, low):
+        exps = [0] * n
+        for var in chosen:
+            exps[var] += draw(st.integers(low, 3))
+        if any(exps):
+            # a key is never reused, so no coefficient cancels a link
+            terms[k].setdefault(tuple(exps), draw(coefficients))
+
+    shape = draw(st.sampled_from(["chain", "dense", "cubic"]))
+    if shape == "dense":
+        links = [(u, v) for i, u in enumerate(variables) for v in variables[i:]]
+    else:
+        links = list(zip(variables, variables[1:]))
+        if shape == "cubic":
+            links = [(u, v, draw(st.sampled_from(variables))) for u, v in links]
+            links.append((variables[0], variables[size // 2], variables[-1]))
+    for link in links:
+        exps = [0] * n
+        for var in link:
+            exps[var] += 1
+        terms[draw(st.integers(0, m - 1))].setdefault(tuple(exps), draw(coefficients))
+    for k in range(m):
+        add(k, draw(st.lists(st.sampled_from(variables), min_size=1, max_size=3)), 1)
+        for _ in range(draw(st.integers(0, 2))):
+            add(k, variables, 0)
+        if draw(st.booleans()):
+            terms[k].setdefault((0,) * n, draw(coefficients))
+    return p, [MultiPoly(n, t) for t in terms], tuple(variables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupled(), st.data())
+def test_coupled_components_match_cube_walk(case, data):
+    p, polys, variables = case
+    n = polys[0].n_vars
+    fact = factorise(n, polys)
+    assert [c.variables for c in fact.components] == [variables]
+    assert fact.free == n - len(variables)
+    system, leaf = _random_system(data, p, n, polys)
+    counts = _value_counts(p, polys)
+    weighted = sum(c * _weighted(v) for v, c in counts.items())
+    gated = sum(c * leaf(v) for v, c in counts.items())
+    spec = multipoly.CubeSpec(p, n)
+    for workers in (1, 2):
+        assert multipoly.fold_poly_values(spec, polys, _weighted,
+                                          workers=workers) == weighted
+        assert theorem12_sum(system, exact=True, workers=workers) == gated
+        assert theorem12_sum(system, workers=workers) == gated % p ** system.b
+
+
+@settings(max_examples=200)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any), st.data())
+def test_low_rank_pairs_multiply_back_to_the_terms(split, data):
+    na, nb = split
+    n = na + nb
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * n).filter(any), coefficients, max_size=8))
+    pairs = multipoly._low_rank(terms, na, nb)
+    assert len(pairs) <= len(terms)
+    total = MultiPoly(n)
+    for u, v in pairs:
+        total = total + MultiPoly(n, {ea + (0,) * nb: c for ea, c in u.items()}) * \
+            MultiPoly(n, {(0,) * na + eb: c for eb, c in v.items()})
+    assert total == MultiPoly(n, terms)
+
+
+def _grid_counts(p, polys):
+    """``_value_counts`` with the values computed in numpy, for larger cubes."""
+    grid = np.array(list(product(range(p), repeat=polys[0].n_vars)), dtype=np.int64)
+    columns = []
+    for f in polys:
+        value = np.zeros(len(grid), dtype=np.int64)
+        for exps, c in f.terms.items():
+            term = np.full(len(grid), c, dtype=np.int64)
+            for j, e in enumerate(exps):
+                if e:
+                    term *= grid[:, j] ** e
+            value += term
+        columns.append(value)
+    tuples, counts = np.unique(np.stack(columns, axis=1), axis=0, return_counts=True)
+    return dict(zip(map(tuple, tuples.tolist()), counts.tolist()))
+
+
+def test_dense_component_of_several_row_blocks_matches_cube_walk():
+    # 3^11 points: B is x6..x11 (729 points), so blocks of 89 U rows
+    # cover the 243 points of A in three blocks
+    n = 11
+    quadratic = " + ".join(f"{(i * j) % 7 - 3}*x{i}*x{j}"
+                           for i in range(1, n + 1) for j in range(i, n + 1))
+    polys = [parse_poly(quadratic, n),
+             parse_poly("x1*x6*x11 - 2*x5*x6^2 + x3^2*x9 + x2 - 1", n)]
+    assert [len(c.variables) for c in factorise(n, polys).components] == [n]
+    system = CongruenceSystem(p=3, b=3, n_vars=n, constraints=(
+        Constraint(f=polys[0], a=1, F=IntegerValuedPoly([3, -2, 1])),
+        Constraint(f=polys[1], a=0, F=IntegerValuedPoly([1, 4]))))
+
+    def leaf(values):
+        v, w = values
+        return 0 if v % 3 else eval_ivp(system.constraints[0].F, v // 3) * \
+            eval_ivp(system.constraints[1].F, w)
+
+    counts = _grid_counts(3, polys)
+    weighted = sum(c * _weighted(v) for v, c in counts.items())
+    gated = sum(c * leaf(v) for v, c in counts.items())
+    spec = multipoly.CubeSpec(3, n)
+    for workers in (1, 2):
+        assert multipoly.fold_poly_values(spec, polys, _weighted,
+                                          workers=workers) == weighted
+        assert theorem12_sum(system, exact=True, workers=workers) == gated
+        assert theorem12_sum(system, workers=workers) == gated % 27
+
+
+def test_products_summed_in_column_groups_do_not_overflow():
+    # f = 3^16 * (sum of ten x1^e*x3^e + x1*x2 - x3*x4) with a = 16 and
+    # b = 3, so the modular engine counts f mod m = 3^19 on int64 and
+    # every point passes the gate.  At x1 = x3 = 2 both factors of each
+    # mixed term are residues above 0.9*m, so the ten products sum past
+    # 2^63 unless the matrix product is reduced in column groups.
+    m, scale = 3 ** 19, 3 ** 16
+    exps = [e for e in range(31, 2000)
+            if pow(2, e, m) > 0.9 * m and scale * pow(2, e, m) % m > 0.9 * m][:10]
+    assert sum(pow(2, e, m) * (scale * pow(2, e, m) % m) for e in exps) > 2 ** 63
+    terms = {(e, 0, e, 0): scale for e in exps}
+    terms.update({(1, 1, 0, 0): scale, (0, 0, 1, 1): -scale})
+    f = MultiPoly(4, terms)
+    assert len(multipoly._low_rank(factorise(4, [f]).components[0].terms[0], 2, 2)) == 12
+    system = CongruenceSystem(p=3, b=3, n_vars=4, constraints=(
+        Constraint(f=f, a=16, F=IntegerValuedPoly([1, 1])),))
+    exact = theorem12_sum(system, exact=True)
+    assert exact == _cube_sum(3, [f], lambda v: 0 if v[0] % scale else 1 + v[0] // scale)
+    assert theorem12_sum(system) == exact % 27
 
 
 @st.composite
@@ -131,18 +298,18 @@ def _chain_system(n, b=2):
 
 class _NoPool:
     def __init__(self, *args, **kwargs):
-        raise AssertionError("a pool was started for a component of one chunk")
+        raise AssertionError("a pool was started for a component of one row block")
 
 
 def test_no_pool_for_components_of_one_chunk(monkeypatch):
     monkeypatch.setattr(multipoly, "ThreadPoolExecutor", _NoPool)
-    system = _chain_system(10)  # 3^10 = 59049 points, one chunk
+    system = _chain_system(10)  # 3^10 = 59049 points, one row block
     exact = theorem12_sum(system, exact=True, workers=2)
     assert theorem12_sum(system, workers=2) == exact % 9
 
 
 def test_large_component_worker_independence():
-    system = _chain_system(11)  # 3^11 points, three chunks
+    system = _chain_system(11)  # 3^11 points, three row blocks
     exact = theorem12_sum(system, exact=True, workers=1)
     assert theorem12_sum(system, exact=True, workers=2) == exact
     residue = theorem12_sum(system, workers=1)
@@ -173,7 +340,7 @@ def test_values_beyond_int64_match_cube_walk():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_values_beyond_int64_in_a_large_component(workers):
-    # 3^11 points, three chunks: scaling every coefficient by 2^70 and
+    # 3^11 points, three row blocks: scaling every coefficient by 2^70 and
     # dividing it out in the leaf gives the unscaled sum
     f = _chain_system(11).constraints[0].f
     scaled = MultiPoly(11, {e: c << 70 for e, c in f.terms.items()})
@@ -188,7 +355,7 @@ def test_values_beyond_int64_in_a_large_component(workers):
 
 
 class _RecordingPool:
-    """Runs the chunks in this thread and records the pool sizes asked for."""
+    """Runs the row blocks in this thread and records the pool sizes asked for."""
 
     sizes: list = []
 
@@ -208,7 +375,7 @@ class _RecordingPool:
 def test_pool_never_exceeds_the_chunk_count(monkeypatch):
     monkeypatch.setattr(multipoly, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    system = _chain_system(11)  # 3^11 points, three chunks
+    system = _chain_system(11)  # 3^11 points, three row blocks
     exact = theorem12_sum(system, exact=True, workers=10 ** 6)
     assert theorem12_sum(system, workers=10 ** 6) == exact % 9
     assert _RecordingPool.sizes == [3, 3]

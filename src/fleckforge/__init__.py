@@ -46,7 +46,6 @@ from .padic import (
     INFINITE,
     PrimePower,
     binom_int,
-    floor_div_rational,
     is_prime,
     ord_factorial,
     ord_int,

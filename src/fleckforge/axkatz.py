@@ -20,7 +20,11 @@ sub-cubes.  One enumerator, ``multipoly.residue_histogram``, serves
 both engines: the modular one counts residues mod
 p^(a_k + b + ord_p(l_k!)), which pin every weight mod p^b; the exact
 one counts residues modulo one more than the width of f_k's value
-range, which recover every exact value.
+range, which recover every exact value.  One step then gates and
+weights either histogram: it keeps the tuples with p^(a_k) | v_k for
+every k and multiplies their counts by F_k(v_k / p^(a_k)), read from a
+table of F_k mod p^b on the modular engine and evaluated exactly at
+each distinct argument on the exact one.
 The zero counts and Lemma 2.2 report exact sums, so they always take
 the exact engine.
 """
@@ -129,82 +133,68 @@ def hypothesis_16(sys: CongruenceSystem) -> tuple[bool, Fraction]:
     return margin > 0, margin
 
 
-class _GatedProduct:
-    """Exact leaf: gate on p^(a_k) | v_k, weight by prod F_k(v_k / p^(a_k)).
-
-    F evaluations are memoized across value tuples; the memo never
-    changes the value, only the cost.
+def _gate_and_weight(system: CongruenceSystem, values, counts, weigh,
+                     modulus: int | None) -> int:
+    """sum of count * prod_k [p^(a_k) | v_k] F_k(v_k / p^(a_k)) over the
+    histogram: ``values`` holds one column per constraint, ``weigh(k, t)``
+    maps an array of arguments of F_k to their weights.  Reduced mod
+    ``modulus`` after every product, unless it is None.
     """
-
-    def __init__(self, system: CongruenceSystem):
-        self.pas = [system.p ** c.a for c in system.constraints]
-        self.Fs = [c.F for c in system.constraints]
-        self.memos: list[dict] = [{} for _ in system.constraints]
-
-    def __call__(self, values) -> int:
-        prod = 1
-        for v, pa, F, memo in zip(values, self.pas, self.Fs, self.memos):
-            if v % pa:
-                return 0
-            t = v // pa
-            w = memo.get(t)
-            if w is None:
-                w = eval_ivp(F, t)
-                memo[t] = w
-            prod *= w
-        return prod
+    pas = [system.p ** c.a for c in system.constraints]
+    keep = np.ones(len(counts), dtype=bool)
+    for v, pa in zip(values, pas):
+        keep &= v % pa == 0
+    counts = counts[keep]
+    for k, (v, pa) in enumerate(zip(values, pas)):
+        counts = counts * weigh(k, v[keep] // pa)
+        if modulus is not None:
+            counts %= modulus
+    total = int(counts.sum())
+    return total if modulus is None else total % modulus
 
 
-def _gate_and_weight(system, keys, counts, mods, tables, pb) -> int:
-    """sum of count * prod_k [p^(a_k) | v_k] F_k(v_k / p^(a_k)) mod pb,
-    once per occurring residue tuple v."""
-    for c, mk, table in zip(reversed(system.constraints), reversed(mods),
-                            reversed(tables)):
-        keys, v = np.divmod(keys, mk)
-        pa = system.p ** c.a
-        gate = v % pa == 0
-        keys, v, counts = keys[gate], v[gate], counts[gate]
-        counts = counts * table[v // pa] % pb
-    return int(counts.sum()) % pb
-
-
-def _modular_sum(system: CongruenceSystem, workers: int,
-                 ceiling: int | None) -> int:
-    p, pb = system.p, system.p ** system.b
-    periods, mods = _periods(system)
-    fact = factorise(system.n_vars, [c.f for c in system.constraints])
-    states = [prod(mods)] * len(fact.components)
-    check_ceiling([p ** len(comp.variables) for comp in fact.components],
-                  states, states, ceiling, tables=sum(periods))
-    tables = [np.array([eval_ivp(c.F, t) % pb for t in range(period)],
-                       dtype=np.int64)
-              for c, period in zip(system.constraints, periods)]
-    keys, counts = residue_histogram(p, fact, mods, pb, workers)
-    return _gate_and_weight(system, keys, counts, mods, tables, pb)
+def _weights_at(F: IntegerValuedPoly, arguments):
+    """F at each entry of an object array, evaluated once per distinct one."""
+    distinct, inverse = np.unique(arguments, return_inverse=True)
+    weights = np.array([eval_ivp(F, t) for t in distinct.tolist()], dtype=object)
+    return weights[inverse]
 
 
 def theorem12_sum(system: CongruenceSystem, workers: int = 1,
                   exact: bool = False, ceiling: int | None = None) -> int:
     """The gated weighted sum over the cube, factorised by variable components.
 
-    Modular mode (default) builds each component's histogram of
-    (f_k mod p^(a_k + b + ord_p(l_k!)))_k, combines the histograms by
-    cyclic convolution, applies gate and weight (from a table of F_k mod
-    p^b over one period) once per occurring residue tuple and returns
-    the sum mod p^b; exact mode counts exact value tuples
-    (``fold_poly_values``) and returns the full sum.  The two agree mod
-    p^b.  An empty constraint list means an always-open gate and weight
-    1, so the sum is the cube size.
+    Modular mode (default) builds the histogram of
+    (f_k mod p^(a_k + b + ord_p(l_k!)))_k, weights each occurring residue
+    tuple from a table of F_k mod p^b over one period and returns the
+    sum mod p^b; exact mode builds the histogram of exact value tuples
+    (``fold_poly_values``), evaluates F_k once at each distinct argument
+    and returns the full sum.  The two agree mod p^b.  An empty
+    constraint list means an always-open gate and weight 1, so the sum
+    is the cube size.
     """
-    if not exact and not fits_int64(_periods(system)[1]):
+    p, pb = system.p, system.p ** system.b
+    polys = [c.f for c in system.constraints]
+    periods, mods = _periods(system)
+    if not exact and not fits_int64(mods):
         # moduli too large for int64 residues; exact mode is always safe
         exact = True
     if exact:
-        return fold_poly_values(CubeSpec(system.p, system.n_vars),
-                                [c.f for c in system.constraints],
-                                _GatedProduct(system), workers=workers,
-                                ceiling=ceiling)
-    return _modular_sum(system, workers, ceiling)
+        values, counts = fold_poly_values(CubeSpec(p, system.n_vars), polys,
+                                          workers=workers, ceiling=ceiling)
+        return _gate_and_weight(
+            system, values, counts,
+            lambda k, t: _weights_at(system.constraints[k].F, t), None)
+    fact = factorise(system.n_vars, polys)
+    states = [prod(mods)] * len(fact.components)
+    check_ceiling([p ** len(comp.variables) for comp in fact.components],
+                  states, states, ceiling, tables=sum(periods))
+    tables = [np.array([eval_ivp(c.F, t) % pb for t in range(period)],
+                       dtype=np.int64)
+              for c, period in zip(system.constraints, periods)]
+    values, counts = residue_histogram(p, fact, mods, pb, workers)
+    return _gate_and_weight(system, values, counts,
+                            lambda k, t: tables[k][t], pb)
 
 
 def _periods(system: CongruenceSystem) -> tuple[list[int], list[int]]:

@@ -304,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("instance")
     p_count.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_count.add_argument("--exact", action="store_true",
-                         help="full big-integer per-point arithmetic")
+                         help="theorem12/corollary11: count exact value tuples "
+                              "and report the full sum, not the residue mod p^b "
+                              "(the other kinds always do)")
     p_count.add_argument("--ceiling", type=int, default=None)
     p_count.set_defaults(func=cmd_count)
 

@@ -15,15 +15,16 @@ variables into the connected components of the graph that links two
 variables sharing a term; the value histogram over the cube is then the
 convolution of the per-component histograms, so only sum_C p^|C| points
 are visited.  ``residue_histogram`` is the one enumerator: it counts the
-tuples (f_k(x) mod m_k)_k over each component and convolves the
-component histograms.  Within a component the variables split into two
-halves A and B, and f_k is a sum of r_k products u_j(A) v_j(B), r_k at
-most its number of terms; its values are then the matrix product of the
-u_j on A's sub-cube with the v_j on B's, taken mod m_k in blocks of rows
-of at most ``CHUNK`` points.  ``fold_poly_values`` takes each m_k one
-more than the width of f_k's range over the cube, so the residues
-recover the exact values.  The enumeration ceiling bounds the points
-visited plus the convolution work.
+tuples (f_k(x) mod m_k)_k over each component, convolves the component
+histograms and returns the residue tuples column by column with their
+counts.  Within a component the variables split into two halves A and
+B, and f_k is a sum of r_k products u_j(A) v_j(B), r_k at most its
+number of terms; its values are then the matrix product of the u_j on
+A's sub-cube with the v_j on B's, taken mod m_k in blocks of rows of at
+most ``CHUNK`` points.  ``fold_poly_values`` takes each m_k one more
+than the width of f_k's range over the cube, so the residues recover
+the exact values, and returns that exact value histogram.  The
+enumeration ceiling bounds the points visited plus the convolution work.
 """
 from __future__ import annotations
 
@@ -525,12 +526,13 @@ def _convolve(keys_a, counts_a, keys_b, counts_b, mods, count_modulus):
 def residue_histogram(p: int, fact: Factorisation, mods, count_modulus: int,
                       workers: int = 1):
     """Counts mod ``count_modulus`` of (f_1 mod m_1, ..., f_K mod m_K) over
-    the cube, as two arrays: the occurring residue tuples, encoded as
-    mixed-radix keys (first polynomial most significant), and their counts.
+    the cube, as one array of residues per polynomial, each occurring
+    residue tuple once, and one array of their counts.
 
     Each component of ``fact`` is enumerated alone, as row blocks of a
     matrix product (``_component_histogram``), and the histograms are
-    combined by cyclic convolution.  The arrays are int64
+    combined by cyclic convolution over mixed-radix keys (first
+    polynomial most significant), decoded here.  The arrays are int64
     when every intermediate fits (``fits_int64``) and hold Python integers
     otherwise.
     """
@@ -545,19 +547,22 @@ def residue_histogram(p: int, fact: Factorisation, mods, count_modulus: int,
             keys, counts,
             *_component_histogram(p, comp, mods, count_modulus, workers, dtype),
             mods, count_modulus)
-    return keys, counts
+    residues = []
+    for mk in reversed(mods):
+        residues.append(keys % mk)
+        keys = keys // mk
+    return residues[::-1], counts
 
 
-def fold_poly_values(spec: CubeSpec, polys, leaf, workers: int = 1,
-                     ceiling: int | None = None) -> int:
-    """Exact sum of leaf((f_1(x), ..., f_m(x))) over the cube.
+def fold_poly_values(spec: CubeSpec, polys, workers: int = 1,
+                     ceiling: int | None = None):
+    """Exact histogram of (f_1(x), ..., f_m(x)) over the cube.
 
-    The sum depends only on how often each tuple of exact values occurs.
-    Over the cube f_k takes values in a box [lo_k, lo_k + w_k], so its
-    residue mod m_k = w_k + 1 recovers it; ``residue_histogram`` counts
-    those residues with the count modulus p^n + 1, which leaves every
-    count exact.  ``leaf`` maps a value tuple to an integer; it is called
-    in this process, once per distinct tuple.
+    Returns the occurring value tuples as one array of Python integers
+    per polynomial, and their exact counts.  Over the cube f_k takes
+    values in a box [lo_k, lo_k + w_k], so its residue mod m_k = w_k + 1
+    recovers it; ``residue_histogram`` counts those residues with the
+    count modulus p^n + 1, which leaves every count exact.
     """
     for f in polys:
         if f.n_vars != spec.n_vars:
@@ -575,12 +580,9 @@ def fold_poly_values(spec: CubeSpec, polys, leaf, workers: int = 1,
                   [prod(hi - lo + 1 for lo, hi in r) for r in ranges], caps,
                   ceiling)
     mods = [w + 1 for w in widths]
-    keys, counts = residue_histogram(p, fact, mods, p ** spec.n_vars + 1, workers)
-    total = 0
-    for key, count in zip(keys.tolist(), counts.tolist()):
-        values = []
-        for low, mk in zip(reversed(lows), reversed(mods)):
-            key, r = divmod(key, mk)
-            values.append(low + (r - low) % mk)
-        total += count * leaf(tuple(reversed(values)))
-    return total
+    residues, counts = residue_histogram(p, fact, mods, p ** spec.n_vars + 1,
+                                         workers)
+    # object first: a corner such as 2^80 does not fit beside int64 residues
+    values = [(r.astype(object) - low) % mk + low
+              for r, low, mk in zip(residues, lows, mods)]
+    return values, counts.astype(object)

@@ -109,10 +109,3 @@ def phi_prime_power(pp: PrimePower) -> int:
     if pp.a == 0:
         return 1
     return pp.p ** pp.a - pp.p ** (pp.a - 1)
-
-
-def floor_div_rational(numerator: int, denominator: int) -> int:
-    """Floor of numerator/denominator toward -infinity; denominator > 0."""
-    if denominator <= 0:
-        raise ValueError(f"denominator must be > 0, got {denominator}")
-    return numerator // denominator

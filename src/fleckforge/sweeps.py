@@ -20,7 +20,7 @@ from .axkatz import (
 from .exceptions import TheoremViolation, GuaranteeError
 from .fleck import check_lemma21, gkp_identity_check, restricted_sum
 from .ivpoly import IntegerValuedPoly
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, render_poly, total_degree
 from .padic import PrimePower
 from .wilson import ResidueTable, synthesize, verify_theorem11
 
@@ -163,7 +163,7 @@ def sweep_theorem12(rng, iterations: int, result: SweepResult, deadline=None,
                 "skipped": f"hypothesis fails for every n <= {max_n}"})
             continue
         entry = {"sweep": "theorem12", "p": p, "b": b, "n": n,
-                 "constraints": [{"f": str(c.f.terms), "a": c.a,
+                 "constraints": [{"f": render_poly(c.f), "a": c.a,
                                   "F": list(c.F.coeffs), "l": c.l}
                                  for c in system.constraints]}
         result.log.append(entry)
@@ -180,10 +180,9 @@ def sweep_lemma22(rng, iterations: int, result: SweepResult, deadline=None):
         m = rng.randint(1, 2)
         polys = [_random_multipoly(rng, n, 2) for _ in range(m)]
         js = [rng.randint(0, 2) for _ in range(m)]
-        degbound = sum(j * max(sum(e) for e in f.terms)
-                       for j, f in zip(js, polys))
+        degbound = sum(j * total_degree(f) for j, f in zip(js, polys))
         entry = {"sweep": "lemma22", "p": p, "n": n,
-                 "polys": [str(f.terms) for f in polys], "js": js}
+                 "polys": [render_poly(f) for f in polys], "js": js}
         result.log.append(entry)
         # the largest c with degbound < (n - c + 1)(p - 1); the sum does not
         # depend on c, and p^c | S implies it for every smaller c

@@ -6,8 +6,8 @@ chain of product terms links the variables of each block, so the
 factorisation is known in advance.  Each coupled system links all its
 variables but the free ones into one component: a chain, a dense
 quadratic form, or cubic terms across the component's halves, shared by
-several polynomials.  The sums of both engines are compared with a plain
-walk over the cube.
+several polynomials.  The exact value histogram and the sums of both
+engines are compared with a plain walk over the cube.
 """
 from collections import Counter
 from itertools import product
@@ -65,16 +65,30 @@ def _value_counts(p, polys):
                    for pt in product(range(p), repeat=polys[0].n_vars))
 
 
+def _histogram(values, counts):
+    """``fold_poly_values``' arrays as a Counter of value tuples; no tuple
+    may occur twice."""
+    tuples = list(zip(*(v.tolist() for v in values))) or [()] * len(counts)
+    hist = Counter(dict(zip(tuples, counts.tolist())))
+    assert len(hist) == len(counts)
+    return hist
+
+
 def _cube_sum(p, polys, leaf):
     return sum(count * leaf(values)
                for values, count in _value_counts(p, polys).items())
 
 
-def _weighted(values):
-    out = 1
-    for v in values:
-        out *= v * v - 3 * v + 1
-    return out
+def _leaf(system):
+    """The gated product of one value tuple, by the definition."""
+    def leaf(values):
+        out = 1
+        for v, c in zip(values, system.constraints):
+            if v % system.p ** c.a:
+                return 0
+            out *= eval_ivp(c.F, v // system.p ** c.a)
+        return out
+    return leaf
 
 
 @settings(max_examples=80, deadline=None)
@@ -86,29 +100,21 @@ def test_factorised_exact_matches_cube_walk(case, workers):
     assert [c.variables for c in fact.components] == components
     assert fact.free == n - sum(map(len, components))
     spec = multipoly.CubeSpec(p, n)
-    assert multipoly.fold_poly_values(spec, polys, _weighted, workers=workers) == \
-        _cube_sum(p, polys, _weighted)
+    assert _histogram(*multipoly.fold_poly_values(spec, polys, workers=workers)) \
+        == _value_counts(p, polys)
 
 
 def _random_system(data, p, n, polys):
     """A theorem12 system on ``polys`` with drawn a_k, F_k and b, and its
-    exact leaf."""
+    gated product."""
     b = data.draw(st.integers(1, 3))
     constraints = tuple(
         Constraint(f=f, a=data.draw(st.integers(0, 2)),
                    F=IntegerValuedPoly(data.draw(
                        st.lists(st.integers(-9, 9), min_size=1, max_size=3))))
         for f in polys)
-
-    def leaf(values):
-        out = 1
-        for v, c in zip(values, constraints):
-            if v % p ** c.a:
-                return 0
-            out *= eval_ivp(c.F, v // p ** c.a)
-        return out
-
-    return CongruenceSystem(p=p, b=b, n_vars=n, constraints=constraints), leaf
+    system = CongruenceSystem(p=p, b=b, n_vars=n, constraints=constraints)
+    return system, _leaf(system)
 
 
 @settings(max_examples=80, deadline=None)
@@ -184,12 +190,11 @@ def test_coupled_components_match_cube_walk(case, data):
     assert fact.free == n - len(variables)
     system, leaf = _random_system(data, p, n, polys)
     counts = _value_counts(p, polys)
-    weighted = sum(c * _weighted(v) for v, c in counts.items())
     gated = sum(c * leaf(v) for v, c in counts.items())
     spec = multipoly.CubeSpec(p, n)
     for workers in (1, 2):
-        assert multipoly.fold_poly_values(spec, polys, _weighted,
-                                          workers=workers) == weighted
+        assert _histogram(*multipoly.fold_poly_values(spec, polys,
+                                                      workers=workers)) == counts
         assert theorem12_sum(system, exact=True, workers=workers) == gated
         assert theorem12_sum(system, workers=workers) == gated % p ** system.b
 
@@ -224,7 +229,7 @@ def _grid_counts(p, polys):
             value += term
         columns.append(value)
     tuples, counts = np.unique(np.stack(columns, axis=1), axis=0, return_counts=True)
-    return dict(zip(map(tuple, tuples.tolist()), counts.tolist()))
+    return Counter(dict(zip(map(tuple, tuples.tolist()), counts.tolist())))
 
 
 def test_dense_component_of_several_row_blocks_matches_cube_walk():
@@ -239,19 +244,12 @@ def test_dense_component_of_several_row_blocks_matches_cube_walk():
     system = CongruenceSystem(p=3, b=3, n_vars=n, constraints=(
         Constraint(f=polys[0], a=1, F=IntegerValuedPoly([3, -2, 1])),
         Constraint(f=polys[1], a=0, F=IntegerValuedPoly([1, 4]))))
-
-    def leaf(values):
-        v, w = values
-        return 0 if v % 3 else eval_ivp(system.constraints[0].F, v // 3) * \
-            eval_ivp(system.constraints[1].F, w)
-
     counts = _grid_counts(3, polys)
-    weighted = sum(c * _weighted(v) for v, c in counts.items())
-    gated = sum(c * leaf(v) for v, c in counts.items())
+    gated = sum(c * _leaf(system)(v) for v, c in counts.items())
     spec = multipoly.CubeSpec(3, n)
     for workers in (1, 2):
-        assert multipoly.fold_poly_values(spec, polys, _weighted,
-                                          workers=workers) == weighted
+        assert _histogram(*multipoly.fold_poly_values(spec, polys,
+                                                      workers=workers)) == counts
         assert theorem12_sum(system, exact=True, workers=workers) == gated
         assert theorem12_sum(system, workers=workers) == gated % 27
 
@@ -334,24 +332,47 @@ def test_values_beyond_int64_match_cube_walk():
     polys = [parse_poly(t, 6) for t in text]
     assert max(abs(eval_poly(f, (2,) * 6)) for f in polys) > 2 ** 62
     spec = multipoly.CubeSpec(3, 6)
-    assert multipoly.fold_poly_values(spec, polys, _weighted) == \
-        _cube_sum(3, polys, _weighted)
+    assert _histogram(*multipoly.fold_poly_values(spec, polys)) == \
+        _value_counts(3, polys)
+
+
+def test_large_constants_of_narrow_range_match_cube_walk():
+    # each value range is narrow, so the residues are int64, while the
+    # corners of the value box lie beyond int64
+    polys = [parse_poly("x1*x2 - x3^2 + 2^80", 4), parse_poly("x4 - 3^50", 4)]
+    spec = multipoly.CubeSpec(3, 4)
+    assert _histogram(*multipoly.fold_poly_values(spec, polys)) == \
+        _value_counts(3, polys)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_values_beyond_int64_in_a_large_component(workers):
-    # 3^11 points, three row blocks: scaling every coefficient by 2^70 and
-    # dividing it out in the leaf gives the unscaled sum
+    # 3^11 points, three row blocks: scaling every coefficient by 2^70
+    # scales every value and keeps every count
     f = _chain_system(11).constraints[0].f
     scaled = MultiPoly(11, {e: c << 70 for e, c in f.terms.items()})
-
-    def unscale(values):
-        assert all(v % (1 << 70) == 0 for v in values)
-        return _weighted([v >> 70 for v in values])
-
     spec = multipoly.CubeSpec(3, 11)
-    assert multipoly.fold_poly_values(spec, [scaled], unscale, workers=workers) == \
-        multipoly.fold_poly_values(spec, [f], _weighted)
+    hist = _histogram(*multipoly.fold_poly_values(spec, [scaled], workers=workers))
+    assert all(v % (1 << 70) == 0 for (v,) in hist)
+    assert Counter({(v >> 70,): c for (v,), c in hist.items()}) == \
+        _grid_counts(3, [f])
+
+
+def test_exact_weights_beyond_int64_match_cube_walk():
+    # F_k coefficients of 2^70 and more, weighting value tuples that occur
+    # many times; the modular engine reduces the same F_k mod p^b
+    polys = [parse_poly("x1*x2 + x3 - 1", 5), parse_poly("x4^2 + x5", 5)]
+    system = CongruenceSystem(p=3, b=3, n_vars=5, constraints=(
+        Constraint(f=polys[0], a=1,
+                   F=IntegerValuedPoly([2 ** 70 + 1, -3 ** 50, 2 ** 75])),
+        Constraint(f=polys[1], a=0, F=IntegerValuedPoly([5 ** 40, 2 ** 71]))))
+    counts = _value_counts(3, polys)
+    leaf = _leaf(system)
+    assert any(c > 1 and abs(leaf(v)) > 2 ** 140 for v, c in counts.items())
+    expected = sum(c * leaf(v) for v, c in counts.items())
+    for workers in (1, 2):
+        assert theorem12_sum(system, exact=True, workers=workers) == expected
+        assert theorem12_sum(system, workers=workers) == expected % 27
 
 
 class _RecordingPool:

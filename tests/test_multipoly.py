@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -102,17 +103,27 @@ def test_total_degree():
         total_degree(MultiPoly(2))
 
 
-def _count_point(values):
-    return 1
+def _histogram(values, counts):
+    """``fold_poly_values``' arrays as a Counter of value tuples; no tuple
+    may occur twice."""
+    hist = Counter(dict(zip(zip(*(v.tolist() for v in values)), counts.tolist())))
+    assert len(hist) == len(counts)
+    return hist
+
+
+def _direct_counts(p, polys):
+    return Counter(tuple(eval_poly(f, pt) for f in polys)
+                   for pt in product(range(p), repeat=polys[0].n_vars))
 
 
 def test_fold_poly_values_ceiling():
     # one component: 81 points plus a histogram of the values 0..16
     f = parse_poly("x1*x2*x3*x4", 4)
     with pytest.raises(CeilingExceeded) as err:
-        fold_poly_values(CubeSpec(3, 4), [f], _count_point, ceiling=97)
+        fold_poly_values(CubeSpec(3, 4), [f], ceiling=97)
     assert err.value.required == 81 + 17
-    assert fold_poly_values(CubeSpec(3, 4), [f], _count_point, ceiling=98) == 81
+    assert _histogram(*fold_poly_values(CubeSpec(3, 4), [f], ceiling=98)) == \
+        _direct_counts(3, [f])
 
 
 def test_ceiling_env_override(monkeypatch):
@@ -120,15 +131,11 @@ def test_ceiling_env_override(monkeypatch):
     f = parse_poly("x1*x2*x3*x4", 4)
     monkeypatch.setenv("FLECKFORGE_CEILING", "10")
     with pytest.raises(CeilingExceeded) as err:
-        fold_poly_values(CubeSpec(2, 4), [f], _count_point)
+        fold_poly_values(CubeSpec(2, 4), [f])
     assert err.value.required == 18
     monkeypatch.setenv("FLECKFORGE_CEILING", "100")
-    assert fold_poly_values(CubeSpec(2, 4), [f], _count_point) == 16
-
-
-def _pair_product(values):
-    a, b = values
-    return a * b
+    assert _histogram(*fold_poly_values(CubeSpec(2, 4), [f])) == \
+        Counter({(0,): 15, (1,): 1})
 
 
 def test_fold_poly_values_matches_direct():
@@ -137,10 +144,8 @@ def test_fold_poly_values_matches_direct():
         for n in range(1, 5):
             f = _random_poly(rng, n, max_deg=3, max_abs=9)
             g = _random_poly(rng, n, max_deg=2, max_abs=9)
-            direct = sum(eval_poly(f, pt) * eval_poly(g, pt)
-                         for pt in product(range(p), repeat=n))
-            got = fold_poly_values(CubeSpec(p, n), [f, g], _pair_product)
-            assert got == direct
+            got = fold_poly_values(CubeSpec(p, n), [f, g])
+            assert _histogram(*got) == _direct_counts(p, [f, g])
 
 
 def test_fold_poly_values_worker_independence():
@@ -148,7 +153,7 @@ def test_fold_poly_values_worker_independence():
     f = _random_poly(rng, 5, max_deg=2, max_abs=9)
     g = _random_poly(rng, 5, max_deg=2, max_abs=9)
     spec = CubeSpec(3, 5)
-    expected = fold_poly_values(spec, [f, g], _pair_product, workers=1)
-    for workers in (2, 8):
-        assert fold_poly_values(spec, [f, g], _pair_product,
-                                workers=workers) == expected
+    expected = _direct_counts(3, [f, g])
+    for workers in (1, 2, 8):
+        assert _histogram(*fold_poly_values(spec, [f, g], workers=workers)) == \
+            expected

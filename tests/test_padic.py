@@ -6,7 +6,6 @@ from fleckforge.padic import (
     INFINITE,
     PrimePower,
     binom_int,
-    floor_div_rational,
     is_prime,
     ord_factorial,
     ord_int,
@@ -107,11 +106,3 @@ def test_phi_prime_power():
     assert phi_prime_power(PrimePower(2, 3)) == 4
     assert phi_prime_power(PrimePower(5, 1)) == 4
     assert phi_prime_power(PrimePower(3, 0)) == 1
-
-
-def test_floor_div_rational():
-    assert floor_div_rational(7, 2) == 3
-    assert floor_div_rational(-7, 2) == -4
-    assert floor_div_rational(-1, 4) == -1
-    with pytest.raises(ValueError):
-        floor_div_rational(1, 0)

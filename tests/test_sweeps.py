@@ -1,10 +1,11 @@
 import itertools
+import json
 import random
 from types import SimpleNamespace
 
 import pytest
 
-from fleckforge import sweeps
+from fleckforge import cli, sweeps
 
 
 def test_zero_budget_truncates():
@@ -38,3 +39,23 @@ def test_every_theorem12_draw_is_logged(seed):
     entries = [e for e in result.log if e["sweep"] == "theorem12"]
     assert len(entries) == 20
     assert all("n" in e or "skipped" in e for e in entries)
+
+
+def test_logged_theorem12_instance_replays_through_count(tmp_path, capsys):
+    # every drawn instance of seed 1 rebuilt as an instance document from
+    # its log entry alone
+    result = sweeps.SweepResult()
+    sweeps.sweep_theorem12(random.Random(1), 10, result)
+    entries = [e for e in result.log if "n" in e]
+    assert entries
+    for i, entry in enumerate(entries):
+        doc = {"kind": "theorem12", "p": entry["p"], "b": entry["b"],
+               "n_vars": entry["n"],
+               "constraints": [{"f": c["f"], "a": c["a"], "l": c["l"],
+                                "F": {"basis": "binomial", "coeffs": c["F"]}}
+                               for c in entry["constraints"]]}
+        path = tmp_path / f"t12-{i}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["count", str(path), "--workers", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"]["hypothesis_holds"] is True

@@ -181,18 +181,18 @@ def sweep_lemma22(rng, iterations: int, result: SweepResult, deadline=None):
         polys = [_random_multipoly(rng, n, 2) for _ in range(m)]
         js = [rng.randint(0, 2) for _ in range(m)]
         degbound = sum(j * total_degree(f) for j, f in zip(js, polys))
-        entry = {"sweep": "lemma22", "p": p, "n": n,
-                 "polys": [render_poly(f) for f in polys], "js": js}
-        result.log.append(entry)
         # the largest c with degbound < (n - c + 1)(p - 1); the sum does not
         # depend on c, and p^c | S implies it for every smaller c
         c = n - degbound // (p - 1)
+        entry = {"sweep": "lemma22", "p": p, "n": n,
+                 "polys": [render_poly(f) for f in polys], "js": js, "c": c}
+        result.log.append(entry)
         if c < 0:
             continue
         try:
             lemma22_verify(polys, js, c, p)
         except TheoremViolation as exc:
-            result.violations.append({**entry, "c": c, "error": str(exc)})
+            result.violations.append({**entry, "error": str(exc)})
 
 
 DEFAULT_PLAN = (

@@ -59,3 +59,22 @@ def test_logged_theorem12_instance_replays_through_count(tmp_path, capsys):
         assert cli.main(["count", str(path), "--workers", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"]["hypothesis_holds"] is True
+
+
+def test_logged_lemma22_instance_replays_through_count(tmp_path, capsys):
+    # every lemma22 draw of seed 1 logs its c; those with c >= 0 were
+    # checked and rebuild as count instances from the log entry alone
+    result = sweeps.SweepResult()
+    sweeps.sweep_lemma22(random.Random(1), 15, result)
+    assert len(result.log) == 15 and all("c" in e for e in result.log)
+    entries = [e for e in result.log if e["c"] >= 0]
+    assert entries
+    for i, entry in enumerate(entries):
+        doc = {"kind": "lemma22", "p": entry["p"], "c": entry["c"],
+               "n_vars": entry["n"], "polynomials": entry["polys"],
+               "js": entry["js"]}
+        path = tmp_path / f"l22-{i}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["count", str(path), "--workers", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"]["hypothesis_holds"] is True

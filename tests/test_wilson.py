@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -105,6 +106,27 @@ def test_congruence_on_random_instances():
         for n, c in enumerate(P.coeffs):
             assert ord_int(c, pp.p) >= P.bound_records[n]
         assert verify_theorem11(P, f, g, q_range=(-25, 25)).ok
+
+
+def test_verify_theorem11_catches_a_wrong_coefficient():
+    rng = random.Random(7)
+    for _ in range(20):
+        pp, b, f, g = _random_instance(rng)
+        P = synthesize(pp, b, f, g)
+        k = rng.randrange(len(P.coeffs))
+        coeffs = list(P.coeffs)
+        coeffs[k] += 1
+        wrong = dataclasses.replace(P, coeffs=tuple(coeffs))
+        # the first failing (q, r) of a direct scan, counting checked points
+        lo, hi = -5, 5
+        scan = [(q, r) for q in range(lo, hi + 1) for r in range(pp.modulus)]
+        checked, first = next(
+            (i, qr) for i, qr in enumerate(scan, 1)
+            if (eval_newton(wrong, pp.modulus * qr[0] + qr[1])
+                - eval_ivp(f, qr[0]) * g.values[qr[1]]) % pp.p ** b)
+        report = verify_theorem11(wrong, f, g, q_range=(lo, hi))
+        assert (report.ok, report.counterexample, report.checked) == (
+            False, first, checked)
 
 
 def test_truncated_tail_differences_have_high_valuation():

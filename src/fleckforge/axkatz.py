@@ -14,27 +14,28 @@ CongruenceSystem and its own hypothesis, and one helper computes the sum
 and the verdict.  The sum depends only on the histogram of
 (f_1(x), ..., f_m(x)) over the cube, which is the convolution of the
 histograms of the connected components of the variables
-(``multipoly.factorise``), so each component is enumerated alone, as
-a matrix product of the polynomials' low-rank factors on two half
-sub-cubes.  One enumerator, ``multipoly.residue_histogram``, serves
-both engines: the modular one counts residues mod
-p^(a_k + b + ord_p(l_k!)), which pin every weight mod p^b; the exact
-one counts residues modulo one more than the width of f_k's value
-range, which recover every exact value.  One step then gates and
-weights either histogram: it keeps the tuples with p^(a_k) | v_k for
-every k and multiplies their counts by F_k(v_k / p^(a_k)), read from a
-table of F_k mod p^b on the modular engine and evaluated exactly at
-each distinct argument on the exact one.
+(``multipoly.factorise``), so each component is enumerated alone: by a
+frontier DP over its variables in pure Python, or, for a dense
+component, as a numpy matrix product of the polynomials' low-rank
+factors on two half sub-cubes.  One enumerator,
+``multipoly.residue_histogram``, serves both engines: the modular one
+counts residues mod p^(a_k + b + ord_p(l_k!)), which pin every weight
+mod p^b; the exact one counts residues modulo one more than the width
+of f_k's value range, which recover every exact value.  One step then
+gates and weights either histogram (a dict from value tuples to
+counts): it keeps the tuples with p^(a_k) | v_k for every k and
+multiplies their counts by F_k(v_k / p^(a_k)), read from a table of
+F_k mod p^b on the modular engine and evaluated exactly once per
+distinct argument on the exact one.
 The zero counts and Lemma 2.2 report exact sums, so they always take
 the exact engine.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-
-import numpy as np
 
 from .exceptions import TheoremViolation
 from .ivpoly import IntegerValuedPoly, eval_ivp
@@ -133,31 +134,24 @@ def hypothesis_16(sys: CongruenceSystem) -> tuple[bool, Fraction]:
     return margin > 0, margin
 
 
-def _gate_and_weight(system: CongruenceSystem, values, counts, weigh,
+def _gate_and_weight(system: CongruenceSystem, hist: dict, weigh,
                      modulus: int | None) -> int:
     """sum of count * prod_k [p^(a_k) | v_k] F_k(v_k / p^(a_k)) over the
-    histogram: ``values`` holds one column per constraint, ``weigh(k, t)``
-    maps an array of arguments of F_k to their weights.  Reduced mod
-    ``modulus`` after every product, unless it is None.
+    histogram ``hist`` (value tuple -> count); ``weigh(k, t)`` is the
+    weight F_k(t).  Reduced mod ``modulus`` after every product, unless
+    it is None.
     """
     pas = [system.p ** c.a for c in system.constraints]
-    keep = np.ones(len(counts), dtype=bool)
-    for v, pa in zip(values, pas):
-        keep &= v % pa == 0
-    counts = counts[keep]
-    for k, (v, pa) in enumerate(zip(values, pas)):
-        counts = counts * weigh(k, v[keep] // pa)
-        if modulus is not None:
-            counts %= modulus
-    total = int(counts.sum())
+    total = 0
+    for values, count in hist.items():
+        if any(v % pa for v, pa in zip(values, pas)):
+            continue
+        for k, (v, pa) in enumerate(zip(values, pas)):
+            count *= weigh(k, v // pa)
+            if modulus is not None:
+                count %= modulus
+        total += count
     return total if modulus is None else total % modulus
-
-
-def _weights_at(F: IntegerValuedPoly, arguments):
-    """F at each entry of an object array, evaluated once per distinct one."""
-    distinct, inverse = np.unique(arguments, return_inverse=True)
-    weights = np.array([eval_ivp(F, t) for t in distinct.tolist()], dtype=object)
-    return weights[inverse]
 
 
 def theorem12_sum(system: CongruenceSystem, workers: int = 1,
@@ -180,21 +174,22 @@ def theorem12_sum(system: CongruenceSystem, workers: int = 1,
         # moduli too large for int64 residues; exact mode is always safe
         exact = True
     if exact:
-        values, counts = fold_poly_values(CubeSpec(p, system.n_vars), polys,
-                                          workers=workers, ceiling=ceiling)
-        return _gate_and_weight(
-            system, values, counts,
-            lambda k, t: _weights_at(system.constraints[k].F, t), None)
+        hist = fold_poly_values(CubeSpec(p, system.n_vars), polys,
+                                workers=workers, ceiling=ceiling)
+
+        @functools.cache
+        def weigh(k, t):
+            return eval_ivp(system.constraints[k].F, t)
+
+        return _gate_and_weight(system, hist, weigh, None)
     fact = factorise(system.n_vars, polys)
     states = [prod(mods)] * len(fact.components)
     check_ceiling([p ** len(comp.variables) for comp in fact.components],
                   states, states, ceiling, tables=sum(periods))
-    tables = [np.array([eval_ivp(c.F, t) % pb for t in range(period)],
-                       dtype=np.int64)
+    tables = [[eval_ivp(c.F, t) % pb for t in range(period)]
               for c, period in zip(system.constraints, periods)]
-    values, counts = residue_histogram(p, fact, mods, pb, workers)
-    return _gate_and_weight(system, values, counts,
-                            lambda k, t: tables[k][t], pb)
+    hist = residue_histogram(p, fact, mods, pb, workers)
+    return _gate_and_weight(system, hist, lambda k, t: tables[k][t], pb)
 
 
 def _periods(system: CongruenceSystem) -> tuple[list[int], list[int]]:

@@ -27,6 +27,7 @@ import re
 import sys
 import time
 from dataclasses import asdict
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 
@@ -165,9 +166,27 @@ def _conforms(node, x, root) -> bool:
         return False
 
 
+def _json_number(text: str):
+    """A JSON number written with a fraction or an exponent: an exact int
+    when its value is integral (``3.0``, ``1e23``), else a float, which
+    the schema rejects where it wants an integer.
+
+    An integral value with more digits than the interpreter turns into an
+    int from a string stays a float (``inf`` for ``1e99999``); a value
+    that would round to an integral float (``1e-400`` to ``0.0``) stays
+    the exact Decimal, which the schema rejects too.
+    """
+    exact = Decimal(text)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if exact == exact.to_integral_value() and (not limit or exact.adjusted() < limit):
+        return int(exact)
+    x = float(text)
+    return exact if x.is_integer() else x
+
+
 def _load_instance(path: str, expected_kinds=None) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_float=_json_number)
     schema = _load_schema("instance.schema.json")
     if not _conforms(schema, doc, schema):
         # jsonschema decides every rejection and words its message

@@ -13,27 +13,32 @@ A sum over [0, p-1]^n of a function of (f_1(x), ..., f_m(x)) depends
 only on how often each value tuple occurs.  ``factorise`` splits the
 variables into the connected components of the graph that links two
 variables sharing a term; the value histogram over the cube is then the
-convolution of the per-component histograms, so only sum_C p^|C| points
-are visited.  ``residue_histogram`` is the one enumerator: it counts the
-tuples (f_k(x) mod m_k)_k over each component, convolves the component
-histograms and returns the residue tuples column by column with their
-counts.  Within a component the variables split into two halves A and
-B, and f_k is a sum of r_k products u_j(A) v_j(B), r_k at most its
-number of terms; its values are then the matrix product of the u_j on
-A's sub-cube with the v_j on B's, taken mod m_k in blocks of rows of at
-most ``CHUNK`` points.  ``fold_poly_values`` takes each m_k one more
-than the width of f_k's range over the cube, so the residues recover
-the exact values, and returns that exact value histogram.  The
-enumeration ceiling bounds the points visited plus the convolution work.
+convolution of the per-component histograms.  ``residue_histogram`` is
+the one enumerator: it counts the tuples (f_k(x) mod m_k)_k over each
+component, convolves the component histograms (dicts from residue
+tuples to counts) and returns the result.  Each component takes one of
+two plans, chosen from bounds computed before any work.  The frontier
+DP, in pure Python, assigns the variables in order and keeps as its
+state the values of the assigned variables that a later term still
+uses, with the residues of the partial sums; a chain costs a few
+thousand state steps where its cube has millions of points.  Only a
+dense component, whose DP bound exceeds both ``CHUNK`` and its p^|C|
+points, is enumerated point by point: f_k is a sum of r_k products
+u_j(A) v_j(B) over two halves A and B of the variables, and its values
+are the matrix product of the u_j on A's sub-cube with the v_j on B's,
+taken mod m_k in blocks of rows of at most ``CHUNK`` points.  That
+row-block product is the only code that imports numpy, on first use.
+``fold_poly_values`` takes each m_k one more than the width of f_k's
+range over the cube, so the residues recover the exact values, and
+returns that exact value histogram.  The enumeration ceiling bounds the
+points of every component plus the convolution work.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod
-
-import numpy as np
+from operator import add, mod
 
 from .exceptions import CeilingExceeded
 
@@ -286,7 +291,7 @@ def render_poly(f: MultiPoly) -> str:
 
 # --- cube enumeration -------------------------------------------------------
 
-CHUNK = 1 << 16  # most points per row block; a component this small uses no pool
+CHUNK = 1 << 16  # most points handled as one unit
 
 
 @dataclass(frozen=True)
@@ -389,16 +394,90 @@ def _value_range(terms: dict, p: int) -> tuple[int, int]:
     return lo, hi
 
 
-def fits_int64(mods, count_modulus: int = 1) -> bool:
-    """Whether every intermediate of ``residue_histogram`` fits in int64:
-    products of two residues or two counts, and residue tuples as one key."""
-    return max([*mods, count_modulus]) ** 2 < 2 ** 62 and prod(mods) < 2 ** 62
+def fits_int64(mods) -> bool:
+    """Whether the row-block product can run on int64: products of two
+    residues, and residue tuples as one mixed-radix key, fit."""
+    return max(mods, default=1) ** 2 < 2 ** 62 and prod(mods) < 2 ** 62
+
+
+def _elimination(p, comp, mods):
+    """The frontier DP over one component, planned, and a bound on its work.
+
+    Variable i (in the component's order) is assigned at step i, and each
+    term is added at the step of its last variable.  Before step i a state
+    is the values of the frontier F_i, the variables before i that a term
+    added at step i or later uses, plus the residues mod m_k of the partial
+    sums; step i extends each state by p values of variable i.  So the work
+    is at most D = sum_i p * min(p^i, p^|F_i| * prod_k r_k), where r_k is
+    the number of residues f_k's partial sum can take: at most m_k, and
+    at most the width of its value range plus one.
+
+    Returns (D, steps).  Step i sees the assignment F_i + (x_i,) and holds
+    the positions in it that form F_(i+1), and for each polynomial the
+    terms added at step i as (coefficient, ((position, exponent), ...)).
+    """
+    n = len(comp.variables)
+    last_use = list(range(n))  # the last step of a term that uses variable j
+    added = [[{} for _ in mods] for _ in range(n)]
+    for k, terms in enumerate(comp.terms):
+        for exps, c in terms.items():
+            support = [j for j, e in enumerate(exps) if e]
+            added[support[-1]][k][exps] = c
+            for j in support:
+                last_use[j] = max(last_use[j], support[-1])
+    work, steps, frontier = 0, [], ()
+    lows, highs = [0] * len(mods), [0] * len(mods)
+    for i in range(n):
+        reach = prod(min(mk, hi - lo + 1) for mk, lo, hi in zip(mods, lows, highs))
+        work += p * min(p ** i, p ** len(frontier) * reach)
+        slot = {j: s for s, j in enumerate(frontier + (i,))}
+        terms = []
+        for k, group in enumerate(added[i]):
+            terms.append(tuple((c, tuple((slot[j], e) for j, e in enumerate(exps) if e))
+                               for exps, c in group.items()))
+            lo, hi = _value_range(group, p)
+            lows[k], highs[k] = lows[k] + lo, highs[k] + hi
+        frontier = tuple(j for j in slot if last_use[j] > i)
+        steps.append((tuple(slot[j] for j in frontier), terms))
+    return work, steps
+
+
+def _frontier_histogram(p, steps, mods, count_modulus):
+    """Counts mod count_modulus of (f_1 mod m_1, ...) over one component,
+    by the frontier DP that ``_elimination`` planned as ``steps``.
+
+    The states are a dict from frontier values to a dict from residue
+    tuples to counts; the terms added at a step depend on the frontier
+    values and the new variable only, so they are evaluated once per
+    frontier value and shift all of its residue tuples alike.
+    """
+    states = {(): {(0,) * len(mods): 1}}
+    for keep, terms in steps:
+        out = {}
+        for frontier, hist in states.items():
+            for x in range(p):
+                a = frontier + (x,)
+                shift = [sum(c * prod(a[s] ** e for s, e in factors)
+                             for c, factors in group) % mk
+                         for group, mk in zip(terms, mods)]
+                target = out.setdefault(tuple([a[s] for s in keep]), {})
+                if not any(shift):
+                    for r, count in hist.items():
+                        target[r] = target.get(r, 0) + count
+                    continue
+                for r, count in hist.items():
+                    r = tuple(map(mod, map(add, r, shift), mods))
+                    target[r] = target.get(r, 0) + count
+        states = out
+    return {r: count % count_modulus for r, count in states[()].items()}
 
 
 def _subcube_values(polys, p, n, mk, dtype):
     """Values mod mk of each polynomial (a dict over n-variable exponent
     vectors) at every point of [0, p-1]^n, one row per polynomial; the
     last variable varies fastest."""
+    import numpy as np
+
     size = p ** n
     rest = np.arange(size, dtype=np.int64)
     digits = [None] * n
@@ -450,16 +529,19 @@ def _low_rank(terms, na, nb):
     return pairs + [(u, {eb: 1}) for eb, u in by_b.items()]
 
 
-def _merge(keys, counts, count_modulus):
-    """Sum the counts of equal keys, mod count_modulus."""
-    order = np.argsort(keys, kind="stable")
-    keys, counts = keys[order], counts[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[starts], np.add.reduceat(counts, starts) % count_modulus
+def ThreadPoolExecutor(max_workers):
+    """A concurrent.futures thread pool, imported on first use: that
+    package loads logging, and only the row-block product runs a pool.
+    The function keeps the class's name, under which tests substitute a
+    fake pool."""
+    from concurrent.futures import ThreadPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
-def _component_histogram(p, comp, mods, count_modulus, workers, dtype):
-    """Counts of (f_1 mod m_1, ...) over one component's points.
+def _component_histogram(p, comp, mods, count_modulus, workers):
+    """Counts mod count_modulus of (f_1 mod m_1, ...) over one component's
+    points, as row blocks of a matrix product on numpy.
 
     The variables split into A and B, B the last half capped at
     ``CHUNK`` points.  Each f_k is a sum of r_k products u_j(A) v_j(B)
@@ -468,10 +550,14 @@ def _component_histogram(p, comp, mods, count_modulus, workers, dtype):
     the factors on the two sub-cubes.  A work unit is a block of U rows
     covering at most ``CHUNK`` points; on int64 the product is summed
     in column groups small enough that no sum of products overflows, and
-    reduced mod m_k after each.  Blocks run over at most ``workers``
-    threads (never more threads than blocks); the histogram does not
-    depend on the split.
+    reduced mod m_k after each, and where int64 cannot hold a product or
+    a key (``fits_int64``) the arrays hold Python integers.  Blocks run
+    over at most ``workers`` threads (never more threads than blocks);
+    the histogram does not depend on the split.
     """
+    import numpy as np
+
+    dtype = np.int64 if fits_int64(mods) else object
     nb = (len(comp.variables) + 1) // 2
     while p ** nb > CHUNK:
         nb -= 1
@@ -497,7 +583,7 @@ def _component_histogram(p, comp, mods, count_modulus, workers, dtype):
                 val %= mk
             key = key * mk + val
         keys, counts = np.unique(key, return_counts=True)
-        return keys, counts.astype(dtype, copy=False)
+        return keys.tolist(), counts.tolist()
 
     starts = range(0, p ** na, rows)
     if workers <= 1 or len(starts) <= 1:
@@ -505,64 +591,66 @@ def _component_histogram(p, comp, mods, count_modulus, workers, dtype):
     else:
         with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             parts = list(pool.map(block, starts))
-    return _merge(np.concatenate([k for k, _ in parts]),
-                  np.concatenate([c for _, c in parts]), count_modulus)
+    merged: dict = {}
+    for keys, counts in parts:
+        for key, count in zip(keys, counts):
+            merged[key] = merged.get(key, 0) + count
+    hist = {}
+    for key, count in merged.items():
+        residues = []
+        for mk in reversed(mods):
+            key, r = divmod(key, mk)
+            residues.append(r)
+        hist[tuple(residues[::-1])] = count % count_modulus
+    return hist
 
 
-def _convolve(keys_a, counts_a, keys_b, counts_b, mods, count_modulus):
-    """Cyclic convolution of two sparse histograms over Z_m1 x ... x Z_mK."""
-    sums = []
-    for mk in reversed(mods):
-        keys_a, da = keys_a // mk, keys_a % mk
-        keys_b, db = keys_b // mk, keys_b % mk
-        sums.append((da[:, None] + db[None, :]) % mk)
-    key = np.zeros((len(counts_a), len(counts_b)), dtype=keys_a.dtype)
-    for mk, digit in zip(mods, reversed(sums)):
-        key = key * mk + digit
-    counts = counts_a[:, None] * counts_b[None, :] % count_modulus
-    return _merge(key.ravel(), counts.ravel(), count_modulus)
+def _convolve(hist_a, hist_b, mods, count_modulus):
+    """Cyclic convolution of two histograms over Z_m1 x ... x Z_mK; tuples
+    whose count vanishes mod count_modulus are dropped."""
+    out: dict = {}
+    for rb, cb in hist_b.items():
+        for ra, ca in hist_a.items():
+            r = tuple(map(mod, map(add, ra, rb), mods))
+            out[r] = out.get(r, 0) + ca * cb
+    return {r: c % count_modulus for r, c in out.items() if c % count_modulus}
 
 
 def residue_histogram(p: int, fact: Factorisation, mods, count_modulus: int,
-                      workers: int = 1):
+                      workers: int = 1) -> dict:
     """Counts mod ``count_modulus`` of (f_1 mod m_1, ..., f_K mod m_K) over
-    the cube, as one array of residues per polynomial, each occurring
-    residue tuple once, and one array of their counts.
+    the cube, as a dict from each residue tuple to its count (tuples with
+    count 0 may be left out).
 
-    Each component of ``fact`` is enumerated alone, as row blocks of a
-    matrix product (``_component_histogram``), and the histograms are
-    combined by cyclic convolution over mixed-radix keys (first
-    polynomial most significant), decoded here.  The arrays are int64
-    when every intermediate fits (``fits_int64``) and hold Python integers
-    otherwise.
+    Each component of ``fact`` is enumerated alone, by one of two plans
+    chosen from bounds computed before any work: the frontier DP
+    (``_frontier_histogram``), unless its bound D (``_elimination``)
+    exceeds both ``CHUNK`` and the p^|C| points of the component, in
+    which case the row-block product (``_component_histogram``, the only
+    code that runs numpy) enumerates the points.  The component
+    histograms are combined by cyclic convolution.
     """
-    dtype = np.int64 if fits_int64(mods, count_modulus) else object
-    key = 0
-    for const, mk in zip(fact.constants, mods):
-        key = key * mk + const % mk
-    keys = np.array([key], dtype=dtype)
-    counts = np.array([pow(p, fact.free, count_modulus)], dtype=dtype)
+    hist = {tuple(c % mk for c, mk in zip(fact.constants, mods)):
+            pow(p, fact.free, count_modulus)}
     for comp in fact.components:
-        keys, counts = _convolve(
-            keys, counts,
-            *_component_histogram(p, comp, mods, count_modulus, workers, dtype),
-            mods, count_modulus)
-    residues = []
-    for mk in reversed(mods):
-        residues.append(keys % mk)
-        keys = keys // mk
-    return residues[::-1], counts
+        work, steps = _elimination(p, comp, mods)
+        if work > max(CHUNK, p ** len(comp.variables)):
+            part = _component_histogram(p, comp, mods, count_modulus, workers)
+        else:
+            part = _frontier_histogram(p, steps, mods, count_modulus)
+        hist = _convolve(hist, part, mods, count_modulus)
+    return hist
 
 
 def fold_poly_values(spec: CubeSpec, polys, workers: int = 1,
-                     ceiling: int | None = None):
-    """Exact histogram of (f_1(x), ..., f_m(x)) over the cube.
+                     ceiling: int | None = None) -> dict:
+    """Exact histogram of (f_1(x), ..., f_m(x)) over the cube: a dict from
+    each occurring value tuple to its exact count.
 
-    Returns the occurring value tuples as one array of Python integers
-    per polynomial, and their exact counts.  Over the cube f_k takes
-    values in a box [lo_k, lo_k + w_k], so its residue mod m_k = w_k + 1
-    recovers it; ``residue_histogram`` counts those residues with the
-    count modulus p^n + 1, which leaves every count exact.
+    Over the cube f_k takes values in a box [lo_k, lo_k + w_k], so its
+    residue mod m_k = w_k + 1 recovers it; ``residue_histogram`` counts
+    those residues with the count modulus p^n + 1, which leaves every
+    count exact.
     """
     for f in polys:
         if f.n_vars != spec.n_vars:
@@ -580,9 +668,6 @@ def fold_poly_values(spec: CubeSpec, polys, workers: int = 1,
                   [prod(hi - lo + 1 for lo, hi in r) for r in ranges], caps,
                   ceiling)
     mods = [w + 1 for w in widths]
-    residues, counts = residue_histogram(p, fact, mods, p ** spec.n_vars + 1,
-                                         workers)
-    # object first: a corner such as 2^80 does not fit beside int64 residues
-    values = [(r.astype(object) - low) % mk + low
-              for r, low, mk in zip(residues, lows, mods)]
-    return values, counts.astype(object)
+    hist = residue_histogram(p, fact, mods, p ** spec.n_vars + 1, workers)
+    return {tuple((r - low) % mk + low for r, low, mk in zip(residues, lows, mods)):
+            count for residues, count in hist.items()}

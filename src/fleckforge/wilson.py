@@ -131,6 +131,12 @@ def verify_theorem11(P: NewtonPoly, f: IntegerValuedPoly, g: ResidueTable,
     ``q_range`` is inclusive and should straddle 0; every residue r in
     [0, p^a - 1] is checked for each q.  The congruence is a theorem, so
     failure means a bug; the first counterexample is reported.
+
+    The points x = p^a q + r are consecutive, so P is stepped through its
+    difference table mod p^b: d + 1 direct evaluations give the
+    differences at the first x, and each later x costs d additions.  At
+    r = 0 of every q, P is also evaluated directly, and a value that
+    differs from the stepped one fails the check there.
     """
     if b is None:
         b = P.b
@@ -138,14 +144,21 @@ def verify_theorem11(P: NewtonPoly, f: IntegerValuedPoly, g: ResidueTable,
     mod = pp.p ** b
     lo, hi = q_range
     poly = IntegerValuedPoly(P.coeffs)
+    start = pp.modulus * lo
+    diffs = [v % mod for v in forward_differences(
+        [eval_ivp(poly, start + i) for i in range(max(len(P.coeffs), 1))])]
     checked = 0
     for q in range(lo, hi + 1):
         fq = eval_ivp(f, q)
         for r in range(pp.modulus):
             checked += 1
-            if (eval_ivp(poly, pp.modulus * q + r) - fq * g.values[r]) % mod != 0:
+            value = diffs[0]
+            if ((value - fq * g.values[r]) % mod
+                    or r == 0 and eval_ivp(poly, pp.modulus * q) % mod != value):
                 return CongruenceReport(ok=False, checked=checked,
                                         counterexample=(q, r))
+            for j in range(len(diffs) - 1):
+                diffs[j] = (diffs[j] + diffs[j + 1]) % mod
     return CongruenceReport(ok=True, checked=checked, counterexample=None)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -178,6 +182,79 @@ def test_invalid_instance_message_is_jsonschemas(tmp_path, capsys, doc):
     with pytest.raises(jsonschema.ValidationError) as err:
         jsonschema.validate(doc, cli._load_schema("instance.schema.json"))
     assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_integral_float_is_echoed_as_an_integer(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"kind": "lemma22", "p": 3.0, "c": 1, "n_vars": 2, '
+                    '"polynomials": ["x1"], "js": [1]}')
+    code, doc = run(capsys, ["count", str(inst), "--workers", "1"])
+    assert code == 0
+    assert doc["instance"]["p"] == "3"
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1e20", 10 ** 20), ("1e23", 10 ** 23), ("1.5e3", 1500), ("-0.0", 0),
+    ("12345678901234567890123.0", 12345678901234567890123),
+])
+def test_integral_number_literal_is_read_exactly(tmp_path, text, value):
+    # a float cannot hold 10^23: json.load would read 99999999999999991611392.0
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"kind": "chevalley", "p": 3, "n_vars": 2, '
+                    '"polynomials": ["x1"], "ceiling": %s}' % text)
+    ceiling = cli._load_instance(str(inst))["ceiling"]
+    assert type(ceiling) is int and ceiling == value
+
+
+def test_exact_literal_is_echoed_exactly(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"kind": "chevalley", "p": 3, "n_vars": 2, '
+                    '"polynomials": ["x1"], "ceiling": 1e23}')
+    code, doc = run(capsys, ["count", str(inst), "--workers", "1"])
+    assert code == 0
+    assert doc["instance"]["ceiling"] == str(10 ** 23)
+
+
+@pytest.mark.parametrize("text", ["2.5", "1e-400", "1e99999", "0.1e1000000000"])
+def test_non_integral_number_is_rejected(tmp_path, capsys, text):
+    # 1e-400 rounds to the float 0.0 and 1e99999 to inf; neither is an integer
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"kind": "lemma22", "p": 3, "c": %s, "n_vars": 2, '
+                    '"polynomials": ["x1"], "js": [1]}' % text)
+    assert cli.main(["count", str(inst)]) == 1
+    assert "is not of type 'integer', 'string'" in capsys.readouterr().err
+
+
+def test_numpy_is_imported_only_for_a_dense_component(tmp_path):
+    # the frontier DP takes every narrow component in pure Python; only a
+    # dense quadratic form (n = 12, p = 3) runs the row-block product
+    golden = sorted((Path(__file__).resolve().parent / "golden").glob("*.json"))
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({"kind": "synthesize", "p": 3, "a": 1, "b": 2,
+                                 "f": [1, 2], "g": [4, -1, 7]}))
+    dense = tmp_path / "dense.json"
+    form = " + ".join(f"{(i * j) % 5 - 2}*x{i}*x{j}"
+                      for i in range(1, 13) for j in range(i, 13))
+    dense.write_text(json.dumps({"kind": "corollary11", "p": 3, "a": 1, "b": 2,
+                                 "n_vars": 12, "ls": [1],
+                                 "polynomials": [form + " + 1"]}))
+    narrow = [["count", str(golden[0]), "--workers", "1"],
+              ["sweep", "--seed", "1", "--rounds", "1"],
+              ["fleck", "-p", "3", "-a", "1", "-n", "40", "-r", "2", "--f", "1,2"],
+              ["bounds", "-p", "5", "-a", "2", "-n", "90", "-l", "2", "-b", "3"],
+              ["synthesize", str(synth)]]
+    script = ("import contextlib, io, sys\n"
+              "from fleckforge import cli\n"
+              "def run(argv):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        return cli.main(argv)\n"
+              f"print([run(argv) for argv in {narrow!r}], 'numpy' in sys.modules)\n"
+              f"print(run(['count', {str(dense)!r}]), 'numpy' in sys.modules)\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0] False", "0 True"]
 
 
 @pytest.mark.parametrize("name", ["instance.schema.json", "report.schema.json"])

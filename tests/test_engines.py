@@ -4,10 +4,12 @@ Each factorisable system is built from a chosen split of the variables
 into blocks: the terms of every polynomial stay inside one block, and a
 chain of product terms links the variables of each block, so the
 factorisation is known in advance.  Each coupled system links all its
-variables but the free ones into one component: a chain, a dense
-quadratic form, or cubic terms across the component's halves, shared by
-several polynomials.  The exact value histogram and the sums of both
-engines are compared with a plain walk over the cube.
+variables but the free ones into one component: a chain, a band, a
+dense quadratic form, or cubic terms across the component's halves,
+shared by several polynomials.  The exact value histogram and the sums
+of both engines are compared with a plain walk over the cube, and so
+are the histograms of both plans that enumerate a component, the
+frontier DP and the row-block product.
 """
 from collections import Counter
 from itertools import product
@@ -65,13 +67,11 @@ def _value_counts(p, polys):
                    for pt in product(range(p), repeat=polys[0].n_vars))
 
 
-def _histogram(values, counts):
-    """``fold_poly_values``' arrays as a Counter of value tuples; no tuple
-    may occur twice."""
-    tuples = list(zip(*(v.tolist() for v in values))) or [()] * len(counts)
-    hist = Counter(dict(zip(tuples, counts.tolist())))
-    assert len(hist) == len(counts)
-    return hist
+def _histogram(hist):
+    """``fold_poly_values``' dict as a Counter of value tuples; every count
+    is positive."""
+    assert all(count > 0 for count in hist.values())
+    return Counter(hist)
 
 
 def _cube_sum(p, polys, leaf):
@@ -100,7 +100,7 @@ def test_factorised_exact_matches_cube_walk(case, workers):
     assert [c.variables for c in fact.components] == components
     assert fact.free == n - sum(map(len, components))
     spec = multipoly.CubeSpec(p, n)
-    assert _histogram(*multipoly.fold_poly_values(spec, polys, workers=workers)) \
+    assert _histogram(multipoly.fold_poly_values(spec, polys, workers=workers)) \
         == _value_counts(p, polys)
 
 
@@ -136,12 +136,12 @@ def test_factorised_modular_matches_exact(case, data):
 def coupled(draw):
     """(p, polynomials, the variables of their one component).
 
-    Link terms join the component's variables as a chain, a dense
-    quadratic form, or cubic terms whose third variable may fall on
-    either half of the component; each link goes to a drawn polynomial,
-    so several polynomials share the component.  Every polynomial also
-    gets one more term on the component, and variables outside it are
-    free.
+    Link terms join the component's variables as a chain, a band of
+    width 2 or 3, a dense quadratic form, or cubic terms whose third
+    variable may fall on either half of the component; each link goes to
+    a drawn polynomial, so several polynomials share the component.
+    Every polynomial also gets one more term on the component, and
+    variables outside it are free.
     """
     p = draw(st.sampled_from([2, 3]))
     size = draw(st.integers(2, 8 if p == 2 else 5))
@@ -158,9 +158,13 @@ def coupled(draw):
             # a key is never reused, so no coefficient cancels a link
             terms[k].setdefault(tuple(exps), draw(coefficients))
 
-    shape = draw(st.sampled_from(["chain", "dense", "cubic"]))
+    shape = draw(st.sampled_from(["chain", "banded", "dense", "cubic"]))
     if shape == "dense":
         links = [(u, v) for i, u in enumerate(variables) for v in variables[i:]]
+    elif shape == "banded":
+        width = draw(st.integers(2, 3))
+        links = [(u, v) for i, u in enumerate(variables)
+                 for v in variables[i + 1:i + 1 + width]]
     else:
         links = list(zip(variables, variables[1:]))
         if shape == "cubic":
@@ -193,10 +197,43 @@ def test_coupled_components_match_cube_walk(case, data):
     gated = sum(c * leaf(v) for v, c in counts.items())
     spec = multipoly.CubeSpec(p, n)
     for workers in (1, 2):
-        assert _histogram(*multipoly.fold_poly_values(spec, polys,
+        assert _histogram(multipoly.fold_poly_values(spec, polys,
                                                       workers=workers)) == counts
         assert theorem12_sum(system, exact=True, workers=workers) == gated
         assert theorem12_sum(system, workers=workers) == gated % p ** system.b
+
+
+def _nonzero(hist):
+    return {r: count for r, count in hist.items() if count}
+
+
+@settings(max_examples=80, deadline=None)
+@given(coupled(), st.booleans(), st.data())
+def test_both_plans_match_cube_walk(case, box, data):
+    # the frontier DP and the row-block product on the same component,
+    # with the modular engine's prime-power moduli (3^45 and 2^70 exceed
+    # int64) or the exact engine's box moduli
+    p, polys, variables = case
+    n = polys[0].n_vars
+    if box:
+        mods = [hi - lo + 1 for lo, hi in
+                (multipoly._value_range(f.terms, p) for f in polys)]
+    else:
+        mods = [p ** data.draw(st.sampled_from([1, 2, 4, 45 if p == 3 else 70]))
+                for _ in polys]
+    count_modulus = data.draw(st.sampled_from([p ** 2, p ** n + 1]))
+    walk = Counter(tuple(eval_poly(f, x) % mk for f, mk in zip(polys, mods))
+                   for x in product(range(p), repeat=n))
+    fact = factorise(n, polys)
+    (comp,) = fact.components
+    dp = multipoly._frontier_histogram(
+        p, multipoly._elimination(p, comp, mods)[1], mods, count_modulus)
+    rows = multipoly._component_histogram(p, comp, mods, count_modulus, 1)
+    assert _nonzero(dp) == _nonzero(rows)
+    start = {tuple(c % mk for c, mk in zip(fact.constants, mods)):
+             pow(p, fact.free, count_modulus)}
+    assert multipoly._convolve(start, dp, mods, count_modulus) == \
+        _nonzero({r: c % count_modulus for r, c in walk.items()})
 
 
 @settings(max_examples=200)
@@ -248,7 +285,7 @@ def test_dense_component_of_several_row_blocks_matches_cube_walk():
     gated = sum(c * _leaf(system)(v) for v, c in counts.items())
     spec = multipoly.CubeSpec(3, n)
     for workers in (1, 2):
-        assert _histogram(*multipoly.fold_poly_values(spec, polys,
+        assert _histogram(multipoly.fold_poly_values(spec, polys,
                                                       workers=workers)) == counts
         assert theorem12_sum(system, exact=True, workers=workers) == gated
         assert theorem12_sum(system, workers=workers) == gated % 27
@@ -299,15 +336,55 @@ class _NoPool:
         raise AssertionError("a pool was started for a component of one row block")
 
 
+def _dense_system(n, b=2):
+    """A quadratic form in every pair of n variables: the frontier DP's
+    bound, 3 * (3^n - 1) / 2, exceeds the 3^n points, so for n >= 10 the
+    row-block product enumerates it."""
+    text = " + ".join(f"x{i}*x{j}" for i in range(1, n + 1)
+                      for j in range(i, n + 1)) + " + x1 - 1"
+    return CongruenceSystem(p=3, b=b, n_vars=n, constraints=(
+        Constraint(f=parse_poly(text, n), a=1, F=IntegerValuedPoly([2, 1]), l=1),))
+
+
+def _no_kernel(*args, **kwargs):
+    raise AssertionError("the row-block product ran on a narrow component")
+
+
+def test_long_chain_takes_the_frontier_dp(monkeypatch):
+    # the chain's frontier is one variable, so the DP's bound stays far
+    # below the 3^11 points and no row block is formed
+    monkeypatch.setattr(multipoly, "_component_histogram", _no_kernel)
+    system = _chain_system(11)
+    exact = theorem12_sum(system, exact=True, workers=2)
+    assert theorem12_sum(system, workers=2) == exact % 9
+    f = system.constraints[0].f
+    assert _histogram(multipoly.fold_poly_values(multipoly.CubeSpec(3, 11), [f])) \
+        == _grid_counts(3, [f])
+
+
+def test_band_beyond_a_chunk_takes_the_frontier_dp(monkeypatch):
+    # a band of width 5 on 13 variables, mod 27: the DP's bound exceeds
+    # CHUNK but not the 3^13 points, so the DP runs
+    n = 13
+    text = " + ".join(f"{(i + j) % 4 + 1}*x{i}*x{j}" for i in range(1, n + 1)
+                      for j in range(i + 1, min(i + 5, n) + 1))
+    fact = factorise(n, [parse_poly(text + " + x1", n)])
+    (comp,) = fact.components
+    assert multipoly.CHUNK < multipoly._elimination(3, comp, [27])[0] < 3 ** n
+    rows = multipoly._component_histogram(3, comp, [27], 9, 1)
+    monkeypatch.setattr(multipoly, "_component_histogram", _no_kernel)
+    assert multipoly.residue_histogram(3, fact, [27], 9) == _nonzero(rows)
+
+
 def test_no_pool_for_components_of_one_chunk(monkeypatch):
     monkeypatch.setattr(multipoly, "ThreadPoolExecutor", _NoPool)
-    system = _chain_system(10)  # 3^10 = 59049 points, one row block
+    system = _dense_system(10)  # 3^10 = 59049 points, one row block
     exact = theorem12_sum(system, exact=True, workers=2)
     assert theorem12_sum(system, workers=2) == exact % 9
 
 
 def test_large_component_worker_independence():
-    system = _chain_system(11)  # 3^11 points, three row blocks
+    system = _dense_system(11)  # 3^11 points, three row blocks
     exact = theorem12_sum(system, exact=True, workers=1)
     assert theorem12_sum(system, exact=True, workers=2) == exact
     residue = theorem12_sum(system, workers=1)
@@ -332,7 +409,7 @@ def test_values_beyond_int64_match_cube_walk():
     polys = [parse_poly(t, 6) for t in text]
     assert max(abs(eval_poly(f, (2,) * 6)) for f in polys) > 2 ** 62
     spec = multipoly.CubeSpec(3, 6)
-    assert _histogram(*multipoly.fold_poly_values(spec, polys)) == \
+    assert _histogram(multipoly.fold_poly_values(spec, polys)) == \
         _value_counts(3, polys)
 
 
@@ -341,7 +418,7 @@ def test_large_constants_of_narrow_range_match_cube_walk():
     # corners of the value box lie beyond int64
     polys = [parse_poly("x1*x2 - x3^2 + 2^80", 4), parse_poly("x4 - 3^50", 4)]
     spec = multipoly.CubeSpec(3, 4)
-    assert _histogram(*multipoly.fold_poly_values(spec, polys)) == \
+    assert _histogram(multipoly.fold_poly_values(spec, polys)) == \
         _value_counts(3, polys)
 
 
@@ -349,10 +426,10 @@ def test_large_constants_of_narrow_range_match_cube_walk():
 def test_values_beyond_int64_in_a_large_component(workers):
     # 3^11 points, three row blocks: scaling every coefficient by 2^70
     # scales every value and keeps every count
-    f = _chain_system(11).constraints[0].f
+    f = _dense_system(11).constraints[0].f
     scaled = MultiPoly(11, {e: c << 70 for e, c in f.terms.items()})
     spec = multipoly.CubeSpec(3, 11)
-    hist = _histogram(*multipoly.fold_poly_values(spec, [scaled], workers=workers))
+    hist = _histogram(multipoly.fold_poly_values(spec, [scaled], workers=workers))
     assert all(v % (1 << 70) == 0 for (v,) in hist)
     assert Counter({(v >> 70,): c for (v,), c in hist.items()}) == \
         _grid_counts(3, [f])
@@ -396,7 +473,7 @@ class _RecordingPool:
 def test_pool_never_exceeds_the_chunk_count(monkeypatch):
     monkeypatch.setattr(multipoly, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    system = _chain_system(11)  # 3^11 points, three row blocks
+    system = _dense_system(11)  # 3^11 points, three row blocks
     exact = theorem12_sum(system, exact=True, workers=10 ** 6)
     assert theorem12_sum(system, workers=10 ** 6) == exact % 9
     assert _RecordingPool.sizes == [3, 3]

@@ -26,7 +26,9 @@ gates and weights either histogram (a dict from value tuples to
 counts): it keeps the tuples with p^(a_k) | v_k for every k and
 multiplies their counts by F_k(v_k / p^(a_k)), read from a table of
 F_k mod p^b on the modular engine and evaluated exactly once per
-distinct argument on the exact one.
+distinct argument on the exact one.  The enumerator alone bounds the work
+and refuses it above the ceiling; the modular engine passes it the size of
+the F tables, and builds them only once the histogram is in.
 The zero counts and Lemma 2.2 report exact sums, so they always take
 the exact engine.
 """
@@ -35,14 +37,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .exceptions import TheoremViolation
 from .ivpoly import IntegerValuedPoly, eval_ivp
 from .multipoly import (
     CubeSpec,
     MultiPoly,
-    check_ceiling,
     factorise,
     fits_int64,
     fold_poly_values,
@@ -182,13 +182,10 @@ def theorem12_sum(system: CongruenceSystem, workers: int = 1,
             return eval_ivp(system.constraints[k].F, t)
 
         return _gate_and_weight(system, hist, weigh, None)
-    fact = factorise(system.n_vars, polys)
-    states = [prod(mods)] * len(fact.components)
-    check_ceiling([p ** len(comp.variables) for comp in fact.components],
-                  states, states, ceiling, tables=sum(periods))
+    hist = residue_histogram(p, factorise(system.n_vars, polys), mods, pb,
+                             workers, ceiling, tables=sum(periods))
     tables = [[eval_ivp(c.F, t) % pb for t in range(period)]
               for c, period in zip(system.constraints, periods)]
-    hist = residue_histogram(p, fact, mods, pb, workers)
     return _gate_and_weight(system, hist, lambda k, t: tables[k][t], pb)
 
 

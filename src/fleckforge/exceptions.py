@@ -13,8 +13,8 @@ class GuaranteeError(RuntimeError):
 
 
 class CeilingExceeded(Exception):
-    """A cube sum's work bound (points enumerated plus convolution pairs)
-    is above the configured ceiling."""
+    """A cube sum's work bound (the planned enumeration's steps, the
+    convolution pairs and the F-table entries) is above the ceiling."""
 
     def __init__(self, required: int, ceiling: int):
         self.required = required

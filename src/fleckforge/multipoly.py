@@ -30,14 +30,15 @@ taken mod m_k in blocks of rows of at most ``CHUNK`` points.  That
 row-block product is the only code that imports numpy, on first use.
 ``fold_poly_values`` takes each m_k one more than the width of f_k's
 range over the cube, so the residues recover the exact values, and
-returns that exact value histogram.  The enumeration ceiling bounds the
-points of every component plus the convolution work.
+returns that exact value histogram.  ``residue_histogram`` also owns the
+enumeration ceiling: it plans every component, then refuses a sum whose
+plans' steps plus convolution pairs exceed it, before any work.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from operator import add, mod
 
 from .exceptions import CeilingExceeded
@@ -46,7 +47,7 @@ DEFAULT_CEILING = 10 ** 8
 
 
 def enumeration_ceiling() -> int:
-    """Work guard for cube sums (see check_ceiling); FLECKFORGE_CEILING overrides."""
+    """Work guard for cube sums (see residue_histogram); FLECKFORGE_CEILING overrides."""
     raw = os.environ.get("FLECKFORGE_CEILING")
     return int(raw) if raw else DEFAULT_CEILING
 
@@ -364,27 +365,6 @@ def factorise(n_vars: int, polys) -> Factorisation:
         free=n_vars - len(used))
 
 
-def check_ceiling(points, value_counts, caps, ceiling: int | None,
-                  tables: int = 0) -> None:
-    """Refuse a factorised sum whose work bound exceeds the ceiling.
-
-    The bound is the number of points enumerated, ``sum(points)``, plus
-    the entry pairs formed by each convolution, plus the entries of any
-    lookup ``tables`` built beforehand.  Component i's histogram has at
-    most min(points[i], value_counts[i]) entries; the histogram
-    accumulated over components 0..i has at most the product of those
-    sizes and at most ``caps[i]`` entries.
-    """
-    required, acc = sum(points) + tables, 1
-    for size, cap in zip(map(min, points, value_counts), caps):
-        required += acc * size
-        acc = min(acc * size, cap)
-    if ceiling is None:
-        ceiling = enumeration_ceiling()
-    if required > ceiling:
-        raise CeilingExceeded(required=required, ceiling=ceiling)
-
-
 def _value_range(terms: dict, p: int) -> tuple[int, int]:
     """Bounds on a polynomial's values over [0, p-1]^n."""
     lo = hi = 0
@@ -392,6 +372,12 @@ def _value_range(terms: dict, p: int) -> tuple[int, int]:
         extreme = c * (p - 1) ** sum(exps)
         lo, hi = lo + min(extreme, 0), hi + max(extreme, 0)
     return lo, hi
+
+
+def _reach(mods, widths, gcds) -> int:
+    """How many residue tuples sums can reach whose k-th has a value range of
+    width w_k and coefficients of gcd g_k: at most w_k // g_k + 1 and m_k."""
+    return prod(min(mk, w // (g or 1) + 1) for mk, w, g in zip(mods, widths, gcds))
 
 
 def fits_int64(mods) -> bool:
@@ -409,12 +395,13 @@ def _elimination(p, comp, mods):
     added at step i or later uses, plus the residues mod m_k of the partial
     sums; step i extends each state by p values of variable i.  So the work
     is at most D = sum_i p * min(p^i, p^|F_i| * prod_k r_k), where r_k is
-    the number of residues f_k's partial sum can take: at most m_k, and
-    at most the width of its value range plus one.
+    the number of residues f_k's partial sum can take (``_reach``).
 
-    Returns (D, steps).  Step i sees the assignment F_i + (x_i,) and holds
-    the positions in it that form F_(i+1), and for each polynomial the
-    terms added at step i as (coefficient, ((position, exponent), ...)).
+    Returns (D, steps, widths, gcds), the last two the width of f_k's value
+    range and the gcd of its coefficients on the component.  Step i sees
+    the assignment F_i + (x_i,) and holds the positions in it that form
+    F_(i+1), and for each polynomial the terms added at step i as
+    (coefficient, ((position, exponent), ...)).
     """
     n = len(comp.variables)
     last_use = list(range(n))  # the last step of a term that uses variable j
@@ -426,20 +413,20 @@ def _elimination(p, comp, mods):
             for j in support:
                 last_use[j] = max(last_use[j], support[-1])
     work, steps, frontier = 0, [], ()
-    lows, highs = [0] * len(mods), [0] * len(mods)
+    widths, gcds = [0] * len(mods), [0] * len(mods)
     for i in range(n):
-        reach = prod(min(mk, hi - lo + 1) for mk, lo, hi in zip(mods, lows, highs))
-        work += p * min(p ** i, p ** len(frontier) * reach)
+        work += p * min(p ** i, p ** len(frontier) * _reach(mods, widths, gcds))
         slot = {j: s for s, j in enumerate(frontier + (i,))}
         terms = []
         for k, group in enumerate(added[i]):
             terms.append(tuple((c, tuple((slot[j], e) for j, e in enumerate(exps) if e))
                                for exps, c in group.items()))
             lo, hi = _value_range(group, p)
-            lows[k], highs[k] = lows[k] + lo, highs[k] + hi
+            widths[k] += hi - lo
+            gcds[k] = gcd(gcds[k], *group.values())
         frontier = tuple(j for j in slot if last_use[j] > i)
         steps.append((tuple(slot[j] for j in frontier), terms))
-    return work, steps
+    return work, steps, widths, gcds
 
 
 def _frontier_histogram(p, steps, mods, count_modulus):
@@ -617,7 +604,8 @@ def _convolve(hist_a, hist_b, mods, count_modulus):
 
 
 def residue_histogram(p: int, fact: Factorisation, mods, count_modulus: int,
-                      workers: int = 1) -> dict:
+                      workers: int = 1, ceiling: int | None = None,
+                      tables: int = 0) -> dict:
     """Counts mod ``count_modulus`` of (f_1 mod m_1, ..., f_K mod m_K) over
     the cube, as a dict from each residue tuple to its count (tuples with
     count 0 may be left out).
@@ -629,15 +617,35 @@ def residue_histogram(p: int, fact: Factorisation, mods, count_modulus: int,
     which case the row-block product (``_component_histogram``, the only
     code that runs numpy) enumerates the points.  The component
     histograms are combined by cyclic convolution.
+
+    Every component is planned first, and CeilingExceeded refuses the sum
+    before any work if its bound exceeds ``ceiling`` (None: the default):
+    each plan's D steps or p^|C| points, plus the ``tables`` entries the
+    caller builds afterwards, plus the entry pairs of each convolution,
+    with each histogram no larger than its points and the residue tuples
+    its sums can reach (``_reach``).
     """
+    plans, required, acc = [], tables, 1
+    widths, gcds = [0] * len(mods), [0] * len(mods)  # of the components so far
+    for comp in fact.components:
+        work, steps, comp_widths, comp_gcds = _elimination(p, comp, mods)
+        points = p ** len(comp.variables)
+        dense = work > max(CHUNK, points)
+        size = min(points, _reach(mods, comp_widths, comp_gcds))
+        widths = list(map(add, widths, comp_widths))
+        gcds = list(map(gcd, gcds, comp_gcds))
+        required += (points if dense else work) + acc * size
+        acc = min(acc * size, _reach(mods, widths, gcds))
+        plans.append((comp, None if dense else steps))
+    if ceiling is None:
+        ceiling = enumeration_ceiling()
+    if required > ceiling:
+        raise CeilingExceeded(required=required, ceiling=ceiling)
     hist = {tuple(c % mk for c, mk in zip(fact.constants, mods)):
             pow(p, fact.free, count_modulus)}
-    for comp in fact.components:
-        work, steps = _elimination(p, comp, mods)
-        if work > max(CHUNK, p ** len(comp.variables)):
-            part = _component_histogram(p, comp, mods, count_modulus, workers)
-        else:
-            part = _frontier_histogram(p, steps, mods, count_modulus)
+    for comp, steps in plans:
+        part = (_frontier_histogram(p, steps, mods, count_modulus) if steps else
+                _component_histogram(p, comp, mods, count_modulus, workers))
         hist = _convolve(hist, part, mods, count_modulus)
     return hist
 
@@ -657,17 +665,10 @@ def fold_poly_values(spec: CubeSpec, polys, workers: int = 1,
             raise ValueError("polynomial variable count does not match cube")
     p = spec.p
     fact = factorise(spec.n_vars, polys)
-    ranges = [[_value_range(t, p) for t in comp.terms] for comp in fact.components]
-    # value tuples over components 0..i lie in a box with these corners and widths
-    caps, lows, widths = [], list(fact.constants), [0] * len(polys)
-    for r in ranges:
-        lows = [low + lo for low, (lo, _) in zip(lows, r)]
-        widths = [w + hi - lo for w, (lo, hi) in zip(widths, r)]
-        caps.append(prod(w + 1 for w in widths))
-    check_ceiling([p ** len(comp.variables) for comp in fact.components],
-                  [prod(hi - lo + 1 for lo, hi in r) for r in ranges], caps,
-                  ceiling)
-    mods = [w + 1 for w in widths]
-    hist = residue_histogram(p, fact, mods, p ** spec.n_vars + 1, workers)
+    boxes = [_value_range({e: c for e, c in f.terms.items() if any(e)}, p)
+             for f in polys]
+    lows = [c + lo for c, (lo, _) in zip(fact.constants, boxes)]
+    mods = [hi - lo + 1 for lo, hi in boxes]
+    hist = residue_histogram(p, fact, mods, p ** spec.n_vars + 1, workers, ceiling)
     return {tuple((r - low) % mk + low for r, low, mk in zip(residues, lows, mods)):
             count for residues, count in hist.items()}

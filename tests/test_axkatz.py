@@ -277,14 +277,14 @@ def test_lemma22_matches_brute_force():
 
 
 def test_ceiling_refusal():
-    # one connected component: 2^30 points plus one histogram of at most
-    # 4 residues mod p^(a+b) and a 2-entry F table (modular), or of the
-    # 2 exact values 0 and 1
+    # one connected component, too dense for the frontier DP: 2^30 points
+    # plus one histogram of the 2 values 0 and 1, and a 2-entry F table
+    # on the modular engine
     product_text = "*".join(f"x{i}" for i in range(1, 31))
     system = _system(2, 1, 30, [(product_text, 1, ONE)])
     with pytest.raises(CeilingExceeded) as err:
         theorem12_sum(system, ceiling=10 ** 6)
-    assert err.value.required == 2 ** 30 + 4 + 2
+    assert err.value.required == 2 ** 30 + 2 + 2
     with pytest.raises(CeilingExceeded) as err:
         theorem12_sum(system, exact=True, ceiling=10 ** 6)
     assert err.value.required == 2 ** 30 + 2

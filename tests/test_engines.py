@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleckforge import multipoly
+from fleckforge import axkatz, multipoly
 from fleckforge.axkatz import CongruenceSystem, Constraint, theorem12_sum
+from fleckforge.exceptions import CeilingExceeded
 from fleckforge.ivpoly import IntegerValuedPoly, eval_ivp
 from fleckforge.multipoly import MultiPoly, eval_poly, factorise, parse_poly, render_poly
 
@@ -362,6 +363,24 @@ def test_long_chain_takes_the_frontier_dp(monkeypatch):
         == _grid_counts(3, [f])
 
 
+def test_scaled_chain_takes_the_frontier_dp(monkeypatch):
+    # every coefficient times 2^70: the exact engine's modulus is
+    # 42 * 2^70 + 1, but a partial sum takes only width / 2^70 + 1 values,
+    # as its coefficients share the factor 2^70, so the DP's bound stays small
+    monkeypatch.setattr(multipoly, "_component_histogram", _no_kernel)
+    system = _chain_system(11)
+    f = system.constraints[0].f
+    scaled = MultiPoly(11, {e: c << 70 for e, c in f.terms.items()})
+    hist = _histogram(multipoly.fold_poly_values(multipoly.CubeSpec(3, 11), [scaled]))
+    counts = _grid_counts(3, [f])
+    assert hist == Counter({(v << 70,): c for (v,), c in counts.items()})
+    scaled_system = CongruenceSystem(p=3, b=2, n_vars=11, constraints=(
+        Constraint(f=scaled, a=1, F=IntegerValuedPoly([2, 1]), l=1),))
+    gated = sum(c * _leaf(scaled_system)((v << 70,)) for (v,), c in counts.items())
+    assert theorem12_sum(scaled_system, exact=True) == gated
+    assert theorem12_sum(scaled_system) == gated % 9
+
+
 def test_band_beyond_a_chunk_takes_the_frontier_dp(monkeypatch):
     # a band of width 5 on 13 variables, mod 27: the DP's bound exceeds
     # CHUNK but not the 3^13 points, so the DP runs
@@ -478,3 +497,48 @@ def test_pool_never_exceeds_the_chunk_count(monkeypatch):
     assert theorem12_sum(system, workers=10 ** 6) == exact % 9
     assert _RecordingPool.sizes == [3, 3]
     assert exact == theorem12_sum(system, exact=True, workers=1)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the ceiling was checked")
+
+
+def _refused_untouched(system, exact, ceiling):
+    """The CeilingExceeded that theorem12_sum raises under ``ceiling``, with
+    every enumerator and the F-table evaluation made to fail if called."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_frontier_histogram", "_component_histogram"):
+            patch.setattr(multipoly, name, _refuse)
+        patch.setattr(axkatz, "eval_ivp", _refuse)
+        with pytest.raises(CeilingExceeded) as err:
+            theorem12_sum(system, exact=exact, ceiling=ceiling)
+    return err.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(factorisable(), st.data(), st.booleans())
+def test_refusal_is_exact_and_comes_before_any_work(case, data, exact):
+    # the work bound R: refused at R - 1, before any enumeration or table;
+    # answered at R, by the same sum as a walk over the cube
+    p, polys, _ = case
+    system, leaf = _random_system(data, p, polys[0].n_vars,
+                                  [f for f in polys if not f.is_zero])
+    required = _refused_untouched(system, exact, -1).required
+    err = _refused_untouched(system, exact, required - 1)
+    assert (err.required, err.ceiling) == (required, required - 1)
+    walk = sum(leaf([eval_poly(c.f, x) for c in system.constraints])
+               for x in product(range(p), repeat=system.n_vars))
+    got = theorem12_sum(system, exact=exact, ceiling=required)
+    assert got == (walk if exact else walk % p ** system.b)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_second_component_over_the_ceiling_stops_the_first(exact):
+    # x1*x2 costs a few state steps; the product of x3..x22 is too dense
+    # for the DP and has 2^20 points, more than the ceiling on its own
+    text = "x1*x2 + " + "*".join(f"x{i}" for i in range(3, 23))
+    system = CongruenceSystem(p=2, b=1, n_vars=22, constraints=(
+        Constraint(f=parse_poly(text, 22), a=1, F=IntegerValuedPoly([1])),))
+    assert len(factorise(22, [system.constraints[0].f]).components) == 2
+    err = _refused_untouched(system, exact, 2 ** 20 - 1)
+    assert err.required > 2 ** 20

@@ -1,10 +1,12 @@
 """Golden `count` reports: each tests/golden/<name>.json instance must print
 exactly tests/golden/<name>.out with --workers 1, byte for byte."""
+import json
 from pathlib import Path
 
 import pytest
 
 from fleckforge import cli
+from fleckforge.axkatz import theorem12_sum
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INSTANCES = sorted(GOLDEN.glob("*.json"))
@@ -33,3 +35,24 @@ def test_two_workers_differ_only_in_workers(capsys, path):
     code, two = _count(capsys, path, 2)
     assert code == 0
     assert two == one.replace('"workers": "1"', '"workers": "2"')
+
+
+def test_chain40_matches_a_direct_dp():
+    # f = x1*x2 + ... + x39*x40 + x1 - 1 on 3^40 points: walk the chain
+    # keeping (x_i, partial sum of f) -> count, then gate on 3 | f and
+    # weight by F(f / 3) = 2 + f / 3
+    path = GOLDEN / "theorem12-chain40.json"
+    system = cli._congruence_system(json.loads(path.read_text()))
+    states = {(x, x - 1): 1 for x in range(3)}
+    for _ in range(39):
+        nxt = {}
+        for (x, v), count in states.items():
+            for y in range(3):
+                nxt[y, v + x * y] = nxt.get((y, v + x * y), 0) + count
+        states = nxt
+    direct = sum(count * (2 + v // 3) for (_, v), count in states.items()
+                 if v % 3 == 0)
+    assert theorem12_sum(system, exact=True) == direct
+    assert theorem12_sum(system) == direct % 9
+    report = json.loads(path.with_suffix(".out").read_text())
+    assert int(report["verdict"]["sum"]) == direct % 9

@@ -116,23 +116,24 @@ def _direct_counts(p, polys):
 
 
 def test_fold_poly_values_ceiling():
-    # one component: 81 points plus a histogram of the values 0..16
+    # one component, which the frontier DP enumerates in 3 + 9 + 27 + 81
+    # state steps, plus a histogram of the values 0..16
     f = parse_poly("x1*x2*x3*x4", 4)
     with pytest.raises(CeilingExceeded) as err:
-        fold_poly_values(CubeSpec(3, 4), [f], ceiling=97)
-    assert err.value.required == 81 + 17
-    assert _histogram(fold_poly_values(CubeSpec(3, 4), [f], ceiling=98)) == \
+        fold_poly_values(CubeSpec(3, 4), [f], ceiling=120 + 17 - 1)
+    assert err.value.required == 120 + 17
+    assert _histogram(fold_poly_values(CubeSpec(3, 4), [f], ceiling=120 + 17)) == \
         _direct_counts(3, [f])
 
 
 def test_ceiling_env_override(monkeypatch):
-    # 16 points plus a histogram of the values 0 and 1
+    # 2 + 4 + 8 + 16 DP state steps plus a histogram of the values 0 and 1
     f = parse_poly("x1*x2*x3*x4", 4)
-    monkeypatch.setenv("FLECKFORGE_CEILING", "10")
+    monkeypatch.setenv("FLECKFORGE_CEILING", "31")
     with pytest.raises(CeilingExceeded) as err:
         fold_poly_values(CubeSpec(2, 4), [f])
-    assert err.value.required == 18
-    monkeypatch.setenv("FLECKFORGE_CEILING", "100")
+    assert err.value.required == 30 + 2
+    monkeypatch.setenv("FLECKFORGE_CEILING", "32")
     assert _histogram(fold_poly_values(CubeSpec(2, 4), [f])) == \
         Counter({(0,): 15, (1,): 1})
 

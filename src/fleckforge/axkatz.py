@@ -96,6 +96,8 @@ class CongruenceSystem:
             raise ValueError(f"p must be prime, got {self.p}")
         if self.b < 1:
             raise ValueError(f"b must be >= 1, got {self.b}")
+        if self.n_vars < 0:
+            raise ValueError(f"n_vars must be >= 0, got {self.n_vars}")
         for c in self.constraints:
             if c.f.n_vars != self.n_vars:
                 raise ValueError("all constraint polynomials must share n_vars")

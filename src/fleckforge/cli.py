@@ -8,9 +8,10 @@ Each subcommand maps its arguments to a (report, exit code) pair;
 ``main`` alone times it and prints the report.
 
 Instance files are checked against ``schemas/instance.schema.json`` by
-``_conforms``, which interprets the JSON Schema 2020-12 keywords that
-file uses; jsonschema is imported only to word the error for a file it
-rejects, so it stays off the start-up path of every accepted request.
+``_violation``, which interprets the JSON Schema 2020-12 keywords that
+file uses.  A rejected file gets one line, ``<location>: <reason>``, for
+the first violation, with the reason worded as jsonschema words it
+(``instance['f']['basis']: 'x' is not one of ['binomial', 'monomial']``).
 
 Exit codes: 0 success, 1 usage or validation error, 2 theorem
 violation, 3 enumeration ceiling exceeded.
@@ -114,56 +115,108 @@ def _ref(ref: str, root: dict):
     return root["$defs"][ref.removeprefix("#/$defs/")]
 
 
+def _first(violations):
+    return next(filter(None, violations), None)
+
+
+def _type(v, x, *_):
+    names = [v] if isinstance(v, str) else v
+    if not any(_TYPES[t](x) for t in names):
+        return f"{x!r} is not of type {', '.join(map(repr, names))}"
+
+
+def _one_of(v, x, node, root, path):
+    found = [_walk(s, x, root, path) for s in v]
+    valid = [s for s, violation in zip(v, found) if violation is None]
+    if len(valid) > 1:
+        # worded as jsonschema does: the first valid branch comes last
+        reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
+        return f"{x!r} is valid under each of {reprs}"
+    if not valid:
+        # a branch that wants another type than x's says nothing about x;
+        # when exactly one branch wants x's type, its violation says why
+        typed = [violation for violation in found if violation[:2] != (path, "type")]
+        return typed[0] if len(typed) == 1 else (
+            f"{x!r} is not valid under any of the given schemas")
+    return None
+
+
+def _additional(v, x, node, root, path):
+    extra = sorted(k for k in x if k not in node.get("properties", {}))
+    if v is False and extra:
+        return ("Additional properties are not allowed ("
+                f"{', '.join(map(repr, extra))} {'was' if len(extra) == 1 else 'were'}"
+                " unexpected)")
+    return _first(_walk(v, x[k], root, (*path, k)) for k in extra)
+
+
 # keyword -> (the instance type it constrains, None for every instance;
-# check(value, x, node, root)).  "then" is read by "if".
+# check(value, x, node, root, path)).  A check returns None when x
+# satisfies the keyword, the reason as jsonschema words it when the
+# keyword itself fails, or the (path, keyword, reason) of the first
+# violation inside a subschema.  "then" is read by "if".
 _KEYWORDS = {
-    "$ref": (None, lambda v, x, node, root: _holds(_ref(v, root), x, root)),
-    "type": (None, lambda v, x, *_: any(
-        _TYPES[t](x) for t in ([v] if isinstance(v, str) else v))),
-    "enum": (None, lambda v, x, *_: any(_same(x, e) for e in v)),
-    "const": (None, lambda v, x, *_: _same(x, v)),
-    "oneOf": (None, lambda v, x, node, root: sum(
-        _holds(s, x, root) for s in v) == 1),
-    "allOf": (None, lambda v, x, node, root: all(_holds(s, x, root) for s in v)),
-    "if": (None, lambda v, x, node, root: not _holds(v, x, root)
-           or _holds(node.get("then", True), x, root)),
-    "then": (None, lambda *_: True),
-    "pattern": (str, lambda v, x, *_: re.search(v, x) is not None),
-    "required": (dict, lambda v, x, *_: all(k in x for k in v)),
-    "properties": (dict, lambda v, x, node, root: all(
-        _holds(s, x[k], root) for k, s in v.items() if k in x)),
-    "additionalProperties": (dict, lambda v, x, node, root: all(
-        _holds(v, x[k], root) for k in x if k not in node.get("properties", {}))),
-    "items": (list, lambda v, x, node, root: all(_holds(v, e, root) for e in x)),
-    "minItems": (list, lambda v, x, *_: len(x) >= v),
-    "maxItems": (list, lambda v, x, *_: len(x) <= v),
+    "$ref": (None, lambda v, x, node, root, path: _walk(_ref(v, root), x, root, path)),
+    "type": (None, _type),
+    "enum": (None, lambda v, x, *_: None if any(_same(x, e) for e in v)
+             else f"{x!r} is not one of {v!r}"),
+    "const": (None, lambda v, x, *_: None if _same(x, v) else f"{v!r} was expected"),
+    "oneOf": (None, _one_of),
+    "allOf": (None, lambda v, x, node, root, path: _first(
+        _walk(s, x, root, path) for s in v)),
+    "if": (None, lambda v, x, node, root, path: None if _walk(v, x, root, path)
+           else _walk(node.get("then", True), x, root, path)),
+    "then": (None, lambda *_: None),
+    "pattern": (str, lambda v, x, *_: None if re.search(v, x)
+                else f"{x!r} does not match {v!r}"),
+    "required": (dict, lambda v, x, *_: next(
+        (f"{k!r} is a required property" for k in v if k not in x), None)),
+    "properties": (dict, lambda v, x, node, root, path: _first(
+        _walk(s, x[k], root, (*path, k)) for k, s in v.items() if k in x)),
+    "additionalProperties": (dict, _additional),
+    "items": (list, lambda v, x, node, root, path: _first(
+        _walk(v, e, root, (*path, i)) for i, e in enumerate(x))),
+    "minItems": (list, lambda v, x, *_: None if len(x) >= v else
+                 f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}"),
+    "maxItems": (list, lambda v, x, *_: None if len(x) <= v else
+                 f"{x!r} {'is expected to be empty' if v == 0 else 'is too long'}"),
 }
 _IGNORED = frozenset({"$schema", "title", "$defs"})
 
 
-def _holds(node, x, root) -> bool:
-    """Exact 2020-12 verdict of schema ``node`` on ``x``.  Raises KeyError on
-    a keyword, type name or $ref outside the interpreted subset; every key
+def _walk(node, x, root, path):
+    """First violation of schema ``node`` by ``x`` at ``path``, in 2020-12
+    semantics: (path, keyword, reason), or None.  Raises KeyError on a
+    keyword, type name or $ref outside the interpreted subset; every key
     of a node is looked up first, since some keywords read their siblings."""
     if isinstance(node, bool):
-        return node
-    checks = [(*_KEYWORDS[k], v) for k, v in node.items() if k not in _IGNORED]
-    return all(check(v, x, node, root) for applies_to, check, v in checks
-               if applies_to is None or isinstance(x, applies_to))
+        return None if node else (path, None, f"False schema does not allow {x!r}")
+    checks = [(k, *_KEYWORDS[k], v) for k, v in node.items() if k not in _IGNORED]
+    for k, applies_to, check, v in checks:
+        if applies_to is None or isinstance(x, applies_to):
+            found = check(v, x, node, root, path)
+            if found is not None:
+                return (path, k, found) if isinstance(found, str) else found
+    return None
+
+
+def _violation(node, x, root):
+    """The first violation of schema ``node`` (``$ref``s resolve in
+    ``root``) by ``x``: (path, keyword, reason), or None when x conforms.
+
+    Sound against jsonschema's Draft 2020-12 validator: None only when it
+    would accept ``x``, and otherwise one of the errors it reports.
+    Anything outside the interpreted subset rejects the whole document,
+    never just a branch of ``oneOf`` or ``if``, whose verdicts are negated.
+    """
+    try:
+        return _walk(node, x, root, ())
+    except KeyError as exc:
+        return (), None, f"unsupported schema keyword {exc.args[0]!r}"
 
 
 def _conforms(node, x, root) -> bool:
-    """Does ``x`` satisfy schema ``node`` (``$ref``s resolve in ``root``)?
-
-    Sound against jsonschema's Draft 2020-12 validator: True only when it
-    would accept ``x``.  Anything outside the interpreted subset makes the
-    whole answer False, never a branch of ``oneOf`` or ``if``, whose
-    verdicts are negated.
-    """
-    try:
-        return _holds(node, x, root)
-    except KeyError:
-        return False
+    return _violation(node, x, root) is None
 
 
 def _json_number(text: str):
@@ -188,14 +241,11 @@ def _load_instance(path: str, expected_kinds=None) -> dict:
     with open(path) as fh:
         doc = json.load(fh, parse_float=_json_number)
     schema = _load_schema("instance.schema.json")
-    if not _conforms(schema, doc, schema):
-        # jsonschema decides every rejection and words its message
-        import jsonschema
-
-        error = jsonschema.exceptions.best_match(
-            jsonschema.Draft202012Validator(schema).iter_errors(doc))
-        if error is not None:
-            raise ValueError(str(error))
+    violation = _violation(schema, doc, schema)
+    if violation is not None:
+        where, _, reason = violation
+        raise ValueError("instance" + "".join(f"[{k!r}]" for k in where)
+                         + f": {reason}")
     if expected_kinds and doc["kind"] not in expected_kinds:
         raise ValueError(f"instance kind {doc['kind']!r} not usable here")
     return doc
@@ -260,8 +310,12 @@ def cmd_synthesize(args) -> tuple[dict, int]:
     b = _as_int(doc["b"])
     f = _ivp_from_json(doc["f"])
     g = ResidueTable(pp, [_as_int(v) for v in doc["g"]])
-    if args.q_range:
-        lo, hi = (int(x) for x in args.q_range.split(":"))
+    if args.q_range is not None:
+        try:
+            lo, hi = (int(x) for x in args.q_range.split(":"))
+        except ValueError:
+            raise ValueError("--q-range takes lo:hi, two integers, "
+                             f"got {args.q_range!r}") from None
     elif "q_range" in doc:
         lo, hi = (_as_int(x) for x in doc["q_range"])
     else:
@@ -398,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synthesize", parents=[timed],
                              help="build and verify the matching polynomial")
     p_synth.add_argument("instance")
-    p_synth.add_argument("--q-range", help="lo:hi, inclusive")
+    p_synth.add_argument("--q-range", help="lo:hi, inclusive, with lo <= hi; "
+                                           "write --q-range=-25:25 when lo < 0")
     p_synth.set_defaults(func=cmd_synthesize)
 
     p_count = sub.add_parser("count", parents=[timed],

@@ -129,7 +129,8 @@ def verify_theorem11(P: NewtonPoly, f: IntegerValuedPoly, g: ResidueTable,
     """Check P(p^a q + r) = f(q) g(r) (mod p^b) over a finite q grid.
 
     ``q_range`` is inclusive and should straddle 0; every residue r in
-    [0, p^a - 1] is checked for each q.  The congruence is a theorem, so
+    [0, p^a - 1] is checked for each q.  An empty range (lo > hi) checks
+    nothing and raises ValueError.  The congruence is a theorem, so
     failure means a bug; the first counterexample is reported.
 
     The points x = p^a q + r are consecutive, so P is stepped through its
@@ -143,6 +144,8 @@ def verify_theorem11(P: NewtonPoly, f: IntegerValuedPoly, g: ResidueTable,
     pp = P.pp
     mod = pp.p ** b
     lo, hi = q_range
+    if lo > hi:
+        raise ValueError(f"q_range ({lo}, {hi}) is empty: lo must be <= hi")
     poly = IntegerValuedPoly(P.coeffs)
     start = pp.modulus * lo
     diffs = [v % mod for v in forward_differences(

@@ -1,8 +1,10 @@
-"""The CLI's built-in instance check (`cli._conforms`) against jsonschema.
+"""The CLI's built-in instance check (`cli._violation`) against jsonschema.
 
 The built-in check accepts a document only if jsonschema's Draft 2020-12
-validator would; these tests hold it to exact agreement on the shipped
-instance schema, so that no valid document is sent on to jsonschema.
+validator would, and the violation it reports for a rejected document is
+one that jsonschema reports too; these tests hold it to both on the
+shipped instance schema.  jsonschema is the oracle here only: the CLI
+never imports it.
 """
 import copy
 import json
@@ -110,6 +112,24 @@ def test_mutated_documents_agree(doc):
     assert cli._conforms(SCHEMA, doc, SCHEMA) == VALIDATOR.is_valid(doc)
 
 
+def _oracle(errors):
+    """(path, keyword) of jsonschema's errors, and of the errors inside
+    each one's ``oneOf`` branches, which give the cause of a failed oneOf."""
+    for error in errors:
+        yield tuple(error.absolute_path), error.validator
+        yield from _oracle(error.context)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated())
+def test_reported_violation_is_one_jsonschema_reports(doc):
+    violation = cli._violation(SCHEMA, doc, SCHEMA)
+    if violation is not None:
+        path, keyword, _ = violation
+        assert (path, keyword) in set(_oracle(VALIDATOR.iter_errors(doc)))
+
+
 def _keywords(node):
     """Every keyword used by a schema node and its subschemas."""
     if not isinstance(node, dict):
@@ -148,7 +168,7 @@ def test_enum_and_const_tell_true_from_one():
     assert cli._conforms({"const": {"a": [1]}}, {"a": [1.0]}, {})
 
 
-def test_accepted_request_never_imports_jsonschema():
+def test_accepted_request_never_imports_jsonschema(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     script = ("import sys\n"
               "from fleckforge import cli\n"
@@ -158,3 +178,14 @@ def test_accepted_request_never_imports_jsonschema():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "0 False"
+    # a rejection is worded without jsonschema too, where it cannot load
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "theorem12", "p": 2}))
+    script = ("import sys\n"
+              "sys.modules['jsonschema'] = None\n"
+              "from fleckforge import cli\n"
+              f"sys.exit(cli.main(['count', {str(bad)!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: instance: 'b' is a required property\n"

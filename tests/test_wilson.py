@@ -129,6 +129,15 @@ def test_verify_theorem11_catches_a_wrong_coefficient():
             False, first, checked)
 
 
+def test_verify_theorem11_refuses_an_empty_range():
+    pp = PrimePower(2, 1)
+    g = ResidueTable(pp, [1, 0])
+    P = synthesize(pp, 1, ONE, g)
+    assert verify_theorem11(P, ONE, g, q_range=(3, 3)).checked == pp.modulus
+    with pytest.raises(ValueError, match="empty"):
+        verify_theorem11(P, ONE, g, q_range=(5, -5))
+
+
 def test_truncated_tail_differences_have_high_valuation():
     # beyond the cutoff, coefficients with M_n >= b vanish mod p^b
     rng = random.Random(123)

@@ -156,8 +156,8 @@ def _gate_and_weight(system: CongruenceSystem, hist: dict, weigh,
     return total if modulus is None else total % modulus
 
 
-def theorem12_sum(system: CongruenceSystem, workers: int = 1,
-                  exact: bool = False, ceiling: int | None = None) -> int:
+def theorem12_sum(system: CongruenceSystem, exact: bool = False,
+                  ceiling: int | None = None) -> int:
     """The gated weighted sum over the cube, factorised by variable components.
 
     Modular mode (default) builds the histogram of
@@ -173,11 +173,11 @@ def theorem12_sum(system: CongruenceSystem, workers: int = 1,
     polys = [c.f for c in system.constraints]
     periods, mods = _periods(system)
     if not exact and not fits_int64(mods):
-        # moduli too large for int64 residues; exact mode is always safe
+        # large moduli get the full sum, and report it instead of the residue,
+        # though both plans take any modulus (ROADMAP item 5)
         exact = True
     if exact:
-        hist = fold_poly_values(CubeSpec(p, system.n_vars), polys,
-                                workers=workers, ceiling=ceiling)
+        hist = fold_poly_values(CubeSpec(p, system.n_vars), polys, ceiling=ceiling)
 
         @functools.cache
         def weigh(k, t):
@@ -185,7 +185,7 @@ def theorem12_sum(system: CongruenceSystem, workers: int = 1,
 
         return _gate_and_weight(system, hist, weigh, None)
     hist = residue_histogram(p, factorise(system.n_vars, polys), mods, pb,
-                             workers, ceiling, tables=sum(periods))
+                             ceiling, tables=sum(periods))
     tables = [[eval_ivp(c.F, t) % pb for t in range(period)]
               for c, period in zip(system.constraints, periods)]
     return _gate_and_weight(system, hist, lambda k, t: tables[k][t], pb)
@@ -225,7 +225,7 @@ def _binomial_system(polys, p: int, b: int, a: int, ls,
 
 
 def _judge(system: CongruenceSystem, modulus: int, holds: bool, margin: Fraction,
-           workers: int, exact: bool, ceiling: int | None,
+           exact: bool, ceiling: int | None,
            applies: bool = True) -> DivisibilityVerdict:
     """Sum the system and compare the sum with the claimed modulus.
 
@@ -233,7 +233,7 @@ def _judge(system: CongruenceSystem, modulus: int, holds: bool, margin: Fraction
     (a side condition beyond the hypothesis) and the sum is not divisible:
     a proved impossibility.
     """
-    s = theorem12_sum(system, workers=workers, exact=exact, ceiling=ceiling)
+    s = theorem12_sum(system, exact=exact, ceiling=ceiling)
     verdict = DivisibilityVerdict(sum=s, claimed_modulus=modulus,
                                   hypothesis_holds=holds,
                                   hypothesis_margin=margin,
@@ -244,16 +244,14 @@ def _judge(system: CongruenceSystem, modulus: int, holds: bool, margin: Fraction
     return verdict
 
 
-def verify_theorem12(system: CongruenceSystem, workers: int = 1,
-                     exact: bool = False,
+def verify_theorem12(system: CongruenceSystem, exact: bool = False,
                      ceiling: int | None = None) -> DivisibilityVerdict:
     """The gated weighted sum against p^b under hypothesis_16."""
     holds, margin = hypothesis_16(system)
-    return _judge(system, system.p ** system.b, holds, margin, workers, exact,
-                  ceiling)
+    return _judge(system, system.p ** system.b, holds, margin, exact, ceiling)
 
 
-def corollary11_verify(polys, a: int, b: int, ls, p: int, workers: int = 1,
+def corollary11_verify(polys, a: int, b: int, ls, p: int,
                        exact: bool = False, ceiling: int | None = None,
                        n_vars: int | None = None) -> DivisibilityVerdict:
     """Binomial-weight specialization: a_k = a, F_k(x) = C(x, l_k).
@@ -276,12 +274,11 @@ def corollary11_verify(polys, a: int, b: int, ls, p: int, workers: int = 1,
     rhs += Fraction((p ** a - 1) * sum(degrees), p - 1)
     rhs += Fraction(p ** a * sum(l * d for l, d in zip(ls, degrees)), p - 1)
     margin = Fraction(system.n_vars) - rhs
-    return _judge(system, p ** b, margin > 0, margin, workers, exact, ceiling,
+    return _judge(system, p ** b, margin > 0, margin, exact, ceiling,
                   applies=d1 >= 1)
 
 
-def chevalley_warning_verify(polys, p: int, workers: int = 1,
-                             ceiling: int | None = None,
+def chevalley_warning_verify(polys, p: int, ceiling: int | None = None,
                              n_vars: int | None = None) -> DivisibilityVerdict:
     """Count common zeros mod p over the cube; p divides the count when
     the degree sum is smaller than the number of variables (hypothesis_16
@@ -289,11 +286,10 @@ def chevalley_warning_verify(polys, p: int, workers: int = 1,
     polys = list(polys)
     system = _binomial_system(polys, p, 1, 1, [0] * len(polys), n_vars)
     holds, margin = hypothesis_16(system)
-    return _judge(system, p, holds, margin, workers, True, ceiling)
+    return _judge(system, p, holds, margin, True, ceiling)
 
 
-def axkatz_prime_verify(polys, b: int, p: int, workers: int = 1,
-                        ceiling: int | None = None,
+def axkatz_prime_verify(polys, b: int, p: int, ceiling: int | None = None,
                         n_vars: int | None = None) -> DivisibilityVerdict:
     """p^b divides the common-zero count when n > (b-1) d_1 + sum d_k and
     d_1 >= 1 (with only constants the count is 0 or p^n, whatever b)."""
@@ -302,12 +298,11 @@ def axkatz_prime_verify(polys, b: int, p: int, workers: int = 1,
     degrees = [total_degree(f) for f in polys]
     d1 = max(degrees, default=0)
     margin = Fraction(system.n_vars - ((b - 1) * d1 + sum(degrees)))
-    return _judge(system, p ** b, margin > 0, margin, workers, True, ceiling,
+    return _judge(system, p ** b, margin > 0, margin, True, ceiling,
                   applies=d1 >= 1)
 
 
-def lemma22_verify(polys, js, c: int, p: int, workers: int = 1,
-                   ceiling: int | None = None,
+def lemma22_verify(polys, js, c: int, p: int, ceiling: int | None = None,
                    n_vars: int | None = None) -> DivisibilityVerdict:
     """Full-cube sum of prod_k C(f_k(x), j_k); p^c divides it when
     sum_k j_k deg f_k < (n - c + 1)(p - 1)."""
@@ -319,4 +314,4 @@ def lemma22_verify(polys, js, c: int, p: int, workers: int = 1,
     system = _binomial_system(polys, p, max(c, 1), 0, js, n_vars)
     degbound = sum(j * total_degree(f) for j, f in zip(js, polys))
     margin = Fraction((system.n_vars - c + 1) * (p - 1) - degbound)
-    return _judge(system, p ** c, margin > 0, margin, workers, True, ceiling)
+    return _judge(system, p ** c, margin > 0, margin, True, ceiling)

@@ -22,7 +22,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import random
 import re
 import sys
@@ -361,7 +360,7 @@ def _congruence_system(doc) -> axkatz.CongruenceSystem:
                                    n_vars=n_vars, constraints=constraints)
 
 
-# count kind -> verifier call (doc, exact, workers, ceiling); only theorem12
+# count kind -> verifier call (doc, exact, ceiling); only theorem12
 # and corollary11 have a modular engine for `exact` to switch off.  The
 # polynomial kinds pass n_vars, which an empty polynomial list cannot carry.
 _COUNT_KINDS = {
@@ -392,8 +391,7 @@ def cmd_count(args) -> tuple[dict, int]:
     report = {"kind": kind, "instance": doc, "workers": args.workers,
               "results": {}}
     try:
-        verdict = _COUNT_KINDS[kind](doc, exact, workers=args.workers,
-                                     ceiling=ceiling)
+        verdict = _COUNT_KINDS[kind](doc, exact, ceiling=ceiling)
     except TheoremViolation as exc:
         report["error"] = str(exc)
         return report, EXIT_VIOLATION
@@ -459,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", parents=[timed],
                              help="divisibility verifiers over the cube")
     p_count.add_argument("instance")
-    p_count.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_count.add_argument("--workers", type=int, default=1,
+                         help="echoed in the report; the computation runs in "
+                              "one thread whatever its value (must be >= 1)")
     p_count.add_argument("--exact", action="store_true",
                          help="theorem12/corollary11: count exact value tuples "
                               "and report the full sum, not the residue mod p^b "

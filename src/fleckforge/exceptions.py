@@ -14,7 +14,8 @@ class GuaranteeError(RuntimeError):
 
 class CeilingExceeded(Exception):
     """A cube sum's work bound (the planned enumeration's steps, the
-    convolution pairs and the F-table entries) is above the ceiling."""
+    convolution pairs and the F-table entries) is above the ceiling: the
+    one its caller passed, else ``multipoly.DEFAULT_CEILING``."""
 
     def __init__(self, required: int, ceiling: int):
         self.required = required

@@ -32,24 +32,18 @@ row-block product is the only code that imports numpy, on first use.
 range over the cube, so the residues recover the exact values, and
 returns that exact value histogram.  ``residue_histogram`` also owns the
 enumeration ceiling: it plans every component, then refuses a sum whose
-plans' steps plus convolution pairs exceed it, before any work.
+plans' steps plus convolution pairs exceed it, before any work.  All of
+it runs in the caller's thread and reads nothing but its arguments.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import add, mod
 
 from .exceptions import CeilingExceeded
 
-DEFAULT_CEILING = 10 ** 8
-
-
-def enumeration_ceiling() -> int:
-    """Work guard for cube sums (see residue_histogram); FLECKFORGE_CEILING overrides."""
-    raw = os.environ.get("FLECKFORGE_CEILING")
-    return int(raw) if raw else DEFAULT_CEILING
+DEFAULT_CEILING = 10 ** 8  # work guard for cube sums (see residue_histogram)
 
 
 class MultiPoly:
@@ -58,6 +52,8 @@ class MultiPoly:
     __slots__ = ("n_vars", "terms", "_total_degree")
 
     def __init__(self, n_vars: int, terms=None):
+        if n_vars < 0:
+            raise ValueError(f"n_vars must be >= 0, got {n_vars}")
         self.n_vars = n_vars
         clean = {}
         for exps, c in (terms or {}).items():
@@ -260,6 +256,7 @@ class _Parser:
 
 def parse_poly(text: str, n_vars: int) -> MultiPoly:
     """Parse the text grammar into expanded, normalized sparse form."""
+    MultiPoly(n_vars)  # refuses a negative n_vars before any variable is read
     return _Parser(_tokenize(text), n_vars).parse()
 
 
@@ -516,17 +513,7 @@ def _low_rank(terms, na, nb):
     return pairs + [(u, {eb: 1}) for eb, u in by_b.items()]
 
 
-def ThreadPoolExecutor(max_workers):
-    """A concurrent.futures thread pool, imported on first use: that
-    package loads logging, and only the row-block product runs a pool.
-    The function keeps the class's name, under which tests substitute a
-    fake pool."""
-    from concurrent.futures import ThreadPoolExecutor as pool
-
-    return pool(max_workers=max_workers)
-
-
-def _component_histogram(p, comp, mods, count_modulus, workers):
+def _component_histogram(p, comp, mods, count_modulus):
     """Counts mod count_modulus of (f_1 mod m_1, ...) over one component's
     points, as row blocks of a matrix product on numpy.
 
@@ -538,9 +525,8 @@ def _component_histogram(p, comp, mods, count_modulus, workers):
     covering at most ``CHUNK`` points; on int64 the product is summed
     in column groups small enough that no sum of products overflows, and
     reduced mod m_k after each, and where int64 cannot hold a product or
-    a key (``fits_int64``) the arrays hold Python integers.  Blocks run
-    over at most ``workers`` threads (never more threads than blocks);
-    the histogram does not depend on the split.
+    a key (``fits_int64``) the arrays hold Python integers.  The blocks
+    run one after another, each merged into the histogram as it ends.
     """
     import numpy as np
 
@@ -559,8 +545,8 @@ def _component_histogram(p, comp, mods, count_modulus, workers):
             (2 ** 63 - 1) // max((mk - 1) ** 2, 1)
         factors.append((U, V, mk, group))
     rows = CHUNK // p ** nb
-
-    def block(start):
+    merged: dict = {}
+    for start in range(0, p ** na, rows):
         key = 0
         for U, V, mk, group in factors:
             part = U[start:start + rows]
@@ -570,17 +556,7 @@ def _component_histogram(p, comp, mods, count_modulus, workers):
                 val %= mk
             key = key * mk + val
         keys, counts = np.unique(key, return_counts=True)
-        return keys.tolist(), counts.tolist()
-
-    starts = range(0, p ** na, rows)
-    if workers <= 1 or len(starts) <= 1:
-        parts = [block(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            parts = list(pool.map(block, starts))
-    merged: dict = {}
-    for keys, counts in parts:
-        for key, count in zip(keys, counts):
+        for key, count in zip(keys.tolist(), counts.tolist()):
             merged[key] = merged.get(key, 0) + count
     hist = {}
     for key, count in merged.items():
@@ -604,8 +580,7 @@ def _convolve(hist_a, hist_b, mods, count_modulus):
 
 
 def residue_histogram(p: int, fact: Factorisation, mods, count_modulus: int,
-                      workers: int = 1, ceiling: int | None = None,
-                      tables: int = 0) -> dict:
+                      ceiling: int | None = None, tables: int = 0) -> dict:
     """Counts mod ``count_modulus`` of (f_1 mod m_1, ..., f_K mod m_K) over
     the cube, as a dict from each residue tuple to its count (tuples with
     count 0 may be left out).
@@ -619,7 +594,8 @@ def residue_histogram(p: int, fact: Factorisation, mods, count_modulus: int,
     histograms are combined by cyclic convolution.
 
     Every component is planned first, and CeilingExceeded refuses the sum
-    before any work if its bound exceeds ``ceiling`` (None: the default):
+    before any work if its bound exceeds ``ceiling`` (None:
+    ``DEFAULT_CEILING``):
     each plan's D steps or p^|C| points, plus the ``tables`` entries the
     caller builds afterwards, plus the entry pairs of each convolution,
     with each histogram no larger than its points and the residue tuples
@@ -638,20 +614,19 @@ def residue_histogram(p: int, fact: Factorisation, mods, count_modulus: int,
         acc = min(acc * size, _reach(mods, widths, gcds))
         plans.append((comp, None if dense else steps))
     if ceiling is None:
-        ceiling = enumeration_ceiling()
+        ceiling = DEFAULT_CEILING
     if required > ceiling:
         raise CeilingExceeded(required=required, ceiling=ceiling)
     hist = {tuple(c % mk for c, mk in zip(fact.constants, mods)):
             pow(p, fact.free, count_modulus)}
     for comp, steps in plans:
         part = (_frontier_histogram(p, steps, mods, count_modulus) if steps else
-                _component_histogram(p, comp, mods, count_modulus, workers))
+                _component_histogram(p, comp, mods, count_modulus))
         hist = _convolve(hist, part, mods, count_modulus)
     return hist
 
 
-def fold_poly_values(spec: CubeSpec, polys, workers: int = 1,
-                     ceiling: int | None = None) -> dict:
+def fold_poly_values(spec: CubeSpec, polys, ceiling: int | None = None) -> dict:
     """Exact histogram of (f_1(x), ..., f_m(x)) over the cube: a dict from
     each occurring value tuple to its exact count.
 
@@ -669,6 +644,6 @@ def fold_poly_values(spec: CubeSpec, polys, workers: int = 1,
              for f in polys]
     lows = [c + lo for c, (lo, _) in zip(fact.constants, boxes)]
     mods = [hi - lo + 1 for lo, hi in boxes]
-    hist = residue_histogram(p, fact, mods, p ** spec.n_vars + 1, workers, ceiling)
+    hist = residue_histogram(p, fact, mods, p ** spec.n_vars + 1, ceiling)
     return {tuple((r - low) % mk + low for r, low, mk in zip(residues, lows, mods)):
             count for residues, count in hist.items()}

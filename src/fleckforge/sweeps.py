@@ -112,8 +112,7 @@ def sweep_partition(rng, iterations: int, result: SweepResult, deadline=None):
             result.violations.append({**entry, "total": total})
 
 
-def sweep_theorem11(rng, iterations: int, result: SweepResult, deadline=None,
-                    q_range=(-8, 8)):
+def sweep_theorem11(rng, iterations: int, result: SweepResult, deadline=None):
     for _ in _draws(iterations, result, deadline):
         p = rng.choice([2, 3, 5])
         a = rng.randint(0, 2)
@@ -130,14 +129,14 @@ def sweep_theorem11(rng, iterations: int, result: SweepResult, deadline=None,
         except GuaranteeError as exc:
             result.violations.append({**entry, "error": str(exc)})
             continue
-        check = verify_theorem11(P, f, g, q_range=q_range)
+        check = verify_theorem11(P, f, g, q_range=(-8, 8))
         if not check.ok:
             result.violations.append({**entry,
                                       "counterexample": check.counterexample})
 
 
-def sweep_theorem12(rng, iterations: int, result: SweepResult, deadline=None,
-                    max_n: int = 12):
+def sweep_theorem12(rng, iterations: int, result: SweepResult, deadline=None):
+    max_n = 12  # the most variables a draw may take
     for _ in _draws(iterations, result, deadline):
         p = rng.choice([2, 3])
         b = rng.randint(1, 3)

@@ -124,9 +124,8 @@ def eval_newton(P: NewtonPoly, x: int) -> int:
 
 
 def verify_theorem11(P: NewtonPoly, f: IntegerValuedPoly, g: ResidueTable,
-                     b: int | None = None,
                      q_range: tuple[int, int] = (-25, 25)) -> CongruenceReport:
-    """Check P(p^a q + r) = f(q) g(r) (mod p^b) over a finite q grid.
+    """Check P(p^a q + r) = f(q) g(r) (mod p^b), b = P.b, over a finite q grid.
 
     ``q_range`` is inclusive and should straddle 0; every residue r in
     [0, p^a - 1] is checked for each q.  An empty range (lo > hi) checks
@@ -139,10 +138,8 @@ def verify_theorem11(P: NewtonPoly, f: IntegerValuedPoly, g: ResidueTable,
     r = 0 of every q, P is also evaluated directly, and a value that
     differs from the stepped one fails the check there.
     """
-    if b is None:
-        b = P.b
     pp = P.pp
-    mod = pp.p ** b
+    mod = pp.p ** P.b
     lo, hi = q_range
     if lo > hi:
         raise ValueError(f"q_range ({lo}, {hi}) is empty: lo must be <= hi")

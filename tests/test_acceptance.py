@@ -212,7 +212,7 @@ def test_criterion_7_divisibility_sweeps():
                 break
         else:
             continue
-        verify_theorem12(system, workers=1)  # raises on violation
+        verify_theorem12(system)  # raises on violation
         assert theorem12_sum(system) == \
             theorem12_sum(system, exact=True) % p ** b
         done += 1
@@ -245,12 +245,11 @@ def test_criterion_8_determinism_and_performance():
         Constraint(f=parse_poly(text, n), a=1,
                    F=IntegerValuedPoly([0, 1]), l=1),))
     t0 = time.monotonic()
-    s4 = theorem12_sum(system, workers=4)
+    residue = theorem12_sum(system)
     elapsed = time.monotonic() - t0
-    assert theorem12_sum(system, workers=1) == s4
-    assert theorem12_sum(system, workers=8) == s4
-    exact = theorem12_sum(system, exact=True, workers=4)
-    assert exact % 9 == s4
+    assert theorem12_sum(system) == residue
+    exact = theorem12_sum(system, exact=True)
+    assert exact % 9 == residue
     report(8, elapsed < 30,
-           f"4.8M points in {elapsed:.1f}s with 4 workers; 1/8-worker and "
-           f"exact-mode results identical mod 9 (exact sum {exact})")
+           f"4.8M points in {elapsed:.1f}s; a second run and the exact-mode "
+           f"result identical mod 9 (exact sum {exact})")

@@ -259,7 +259,8 @@ def test_non_integral_number_is_rejected(tmp_path, capsys, text):
 
 def test_numpy_is_imported_only_for_a_dense_component(tmp_path):
     # the frontier DP takes every narrow component in pure Python; only a
-    # dense quadratic form (n = 12, p = 3) runs the row-block product
+    # dense quadratic form (n = 12, p = 3) runs the row-block product, in
+    # this thread whatever --workers says
     golden = sorted((Path(__file__).resolve().parent / "golden").glob("*.json"))
     synth = tmp_path / "synth.json"
     synth.write_text(json.dumps({"kind": "synthesize", "p": 3, "a": 1, "b": 2,
@@ -281,12 +282,13 @@ def test_numpy_is_imported_only_for_a_dense_component(tmp_path):
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        return cli.main(argv)\n"
               f"print([run(argv) for argv in {narrow!r}], 'numpy' in sys.modules)\n"
-              f"print(run(['count', {str(dense)!r}]), 'numpy' in sys.modules)\n")
+              f"print(run(['count', {str(dense)!r}, '--workers', '2']),\n"
+              "      'numpy' in sys.modules, 'concurrent.futures' in sys.modules)\n")
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0] False", "0 True"]
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0] False", "0 True False"]
 
 
 @pytest.mark.parametrize("name", ["instance.schema.json", "report.schema.json"])
@@ -375,13 +377,22 @@ def test_count_non_prime_p_exit_code(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("kind", HOLDING)
 def test_count_negative_n_vars_is_a_usage_error(tmp_path, capsys, kind):
-    # no polynomial to parse, so the system itself must refuse n_vars
-    doc = {k: [] if isinstance(v, list) else v for k, v in HOLDING[kind].items()}
-    inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps({**doc, "n_vars": -1}))
-    assert cli.main(["count", str(inst), "--workers", "1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "n_vars" in captured.err
+    # with no polynomial the system refuses n_vars; with "x1" or "1" the
+    # parser does, before a variable's range or an exponent vector's length
+    for text in (None, "x1", "1"):
+        doc = json.loads(json.dumps(HOLDING[kind]))
+        if text is None:
+            doc = {k: [] if isinstance(v, list) else v for k, v in doc.items()}
+        elif kind == "theorem12":
+            doc["constraints"][0]["f"] = text
+        else:
+            doc["polynomials"] = [text]
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({**doc, "n_vars": -1}))
+        assert cli.main(["count", str(inst)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_vars must be >= 0, got -1\n"
 
 
 SYNTHESIZE = {"kind": "synthesize", "p": 2, "a": 1, "b": 1,

@@ -93,16 +93,15 @@ def _leaf(system):
 
 
 @settings(max_examples=80, deadline=None)
-@given(factorisable(), st.sampled_from([1, 2]))
-def test_factorised_exact_matches_cube_walk(case, workers):
+@given(factorisable())
+def test_factorised_exact_matches_cube_walk(case):
     p, polys, components = case
     n = polys[0].n_vars
     fact = factorise(n, polys)
     assert [c.variables for c in fact.components] == components
     assert fact.free == n - sum(map(len, components))
     spec = multipoly.CubeSpec(p, n)
-    assert _histogram(multipoly.fold_poly_values(spec, polys, workers=workers)) \
-        == _value_counts(p, polys)
+    assert _histogram(multipoly.fold_poly_values(spec, polys)) == _value_counts(p, polys)
 
 
 def _random_system(data, p, n, polys):
@@ -129,8 +128,7 @@ def test_factorised_modular_matches_exact(case, data):
         assert exact == _cube_sum(p, [c.f for c in system.constraints], leaf)
     else:
         assert exact == p ** system.n_vars
-    for workers in (1, 2):
-        assert theorem12_sum(system, workers=workers) == exact % p ** system.b
+    assert theorem12_sum(system) == exact % p ** system.b
 
 
 @st.composite
@@ -197,11 +195,9 @@ def test_coupled_components_match_cube_walk(case, data):
     counts = _value_counts(p, polys)
     gated = sum(c * leaf(v) for v, c in counts.items())
     spec = multipoly.CubeSpec(p, n)
-    for workers in (1, 2):
-        assert _histogram(multipoly.fold_poly_values(spec, polys,
-                                                      workers=workers)) == counts
-        assert theorem12_sum(system, exact=True, workers=workers) == gated
-        assert theorem12_sum(system, workers=workers) == gated % p ** system.b
+    assert _histogram(multipoly.fold_poly_values(spec, polys)) == counts
+    assert theorem12_sum(system, exact=True) == gated
+    assert theorem12_sum(system) == gated % p ** system.b
 
 
 def _nonzero(hist):
@@ -229,7 +225,7 @@ def test_both_plans_match_cube_walk(case, box, data):
     (comp,) = fact.components
     dp = multipoly._frontier_histogram(
         p, multipoly._elimination(p, comp, mods)[1], mods, count_modulus)
-    rows = multipoly._component_histogram(p, comp, mods, count_modulus, 1)
+    rows = multipoly._component_histogram(p, comp, mods, count_modulus)
     assert _nonzero(dp) == _nonzero(rows)
     start = {tuple(c % mk for c, mk in zip(fact.constants, mods)):
              pow(p, fact.free, count_modulus)}
@@ -285,11 +281,9 @@ def test_dense_component_of_several_row_blocks_matches_cube_walk():
     counts = _grid_counts(3, polys)
     gated = sum(c * _leaf(system)(v) for v, c in counts.items())
     spec = multipoly.CubeSpec(3, n)
-    for workers in (1, 2):
-        assert _histogram(multipoly.fold_poly_values(spec, polys,
-                                                      workers=workers)) == counts
-        assert theorem12_sum(system, exact=True, workers=workers) == gated
-        assert theorem12_sum(system, workers=workers) == gated % 27
+    assert _histogram(multipoly.fold_poly_values(spec, polys)) == counts
+    assert theorem12_sum(system, exact=True) == gated
+    assert theorem12_sum(system) == gated % 27
 
 
 def test_products_summed_in_column_groups_do_not_overflow():
@@ -332,11 +326,6 @@ def _chain_system(n, b=2):
         Constraint(f=parse_poly(text, n), a=1, F=IntegerValuedPoly([2, 1]), l=1),))
 
 
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a pool was started for a component of one row block")
-
-
 def _dense_system(n, b=2):
     """A quadratic form in every pair of n variables: the frontier DP's
     bound, 3 * (3^n - 1) / 2, exceeds the 3^n points, so for n >= 10 the
@@ -356,8 +345,8 @@ def test_long_chain_takes_the_frontier_dp(monkeypatch):
     # below the 3^11 points and no row block is formed
     monkeypatch.setattr(multipoly, "_component_histogram", _no_kernel)
     system = _chain_system(11)
-    exact = theorem12_sum(system, exact=True, workers=2)
-    assert theorem12_sum(system, workers=2) == exact % 9
+    exact = theorem12_sum(system, exact=True)
+    assert theorem12_sum(system) == exact % 9
     f = system.constraints[0].f
     assert _histogram(multipoly.fold_poly_values(multipoly.CubeSpec(3, 11), [f])) \
         == _grid_counts(3, [f])
@@ -390,25 +379,15 @@ def test_band_beyond_a_chunk_takes_the_frontier_dp(monkeypatch):
     fact = factorise(n, [parse_poly(text + " + x1", n)])
     (comp,) = fact.components
     assert multipoly.CHUNK < multipoly._elimination(3, comp, [27])[0] < 3 ** n
-    rows = multipoly._component_histogram(3, comp, [27], 9, 1)
+    rows = multipoly._component_histogram(3, comp, [27], 9)
     monkeypatch.setattr(multipoly, "_component_histogram", _no_kernel)
     assert multipoly.residue_histogram(3, fact, [27], 9) == _nonzero(rows)
 
 
-def test_no_pool_for_components_of_one_chunk(monkeypatch):
-    monkeypatch.setattr(multipoly, "ThreadPoolExecutor", _NoPool)
-    system = _dense_system(10)  # 3^10 = 59049 points, one row block
-    exact = theorem12_sum(system, exact=True, workers=2)
-    assert theorem12_sum(system, workers=2) == exact % 9
-
-
 def test_large_component_worker_independence():
     system = _dense_system(11)  # 3^11 points, three row blocks
-    exact = theorem12_sum(system, exact=True, workers=1)
-    assert theorem12_sum(system, exact=True, workers=2) == exact
-    residue = theorem12_sum(system, workers=1)
-    assert residue == exact % 9
-    assert theorem12_sum(system, workers=2) == residue
+    exact = theorem12_sum(system, exact=True)
+    assert theorem12_sum(system) == exact % 9
 
 
 @pytest.mark.parametrize("text", ["x1", "x1*x2", "x1 + x2*x3"])
@@ -441,17 +420,19 @@ def test_large_constants_of_narrow_range_match_cube_walk():
         _value_counts(3, polys)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_values_beyond_int64_in_a_large_component(workers):
+@pytest.mark.parametrize("n_polys", [1, 2])
+def test_values_beyond_int64_in_a_large_component(n_polys):
     # 3^11 points, three row blocks: scaling every coefficient by 2^70
-    # scales every value and keeps every count
+    # scales every value and keeps every count; the second case adds -f,
+    # scaled the same way, as a second polynomial on the same component
     f = _dense_system(11).constraints[0].f
-    scaled = MultiPoly(11, {e: c << 70 for e, c in f.terms.items()})
+    polys = [f, MultiPoly(11, {e: -c for e, c in f.terms.items()})][:n_polys]
+    scaled = [MultiPoly(11, {e: c << 70 for e, c in g.terms.items()}) for g in polys]
     spec = multipoly.CubeSpec(3, 11)
-    hist = _histogram(multipoly.fold_poly_values(spec, [scaled], workers=workers))
-    assert all(v % (1 << 70) == 0 for (v,) in hist)
-    assert Counter({(v >> 70,): c for (v,), c in hist.items()}) == \
-        _grid_counts(3, [f])
+    hist = _histogram(multipoly.fold_poly_values(spec, scaled))
+    assert all(v % (1 << 70) == 0 for key in hist for v in key)
+    assert Counter({tuple(v >> 70 for v in key): c for key, c in hist.items()}) == \
+        _grid_counts(3, polys)
 
 
 def test_exact_weights_beyond_int64_match_cube_walk():
@@ -466,37 +447,8 @@ def test_exact_weights_beyond_int64_match_cube_walk():
     leaf = _leaf(system)
     assert any(c > 1 and abs(leaf(v)) > 2 ** 140 for v, c in counts.items())
     expected = sum(c * leaf(v) for v, c in counts.items())
-    for workers in (1, 2):
-        assert theorem12_sum(system, exact=True, workers=workers) == expected
-        assert theorem12_sum(system, workers=workers) == expected % 27
-
-
-class _RecordingPool:
-    """Runs the row blocks in this thread and records the pool sizes asked for."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_pool_never_exceeds_the_chunk_count(monkeypatch):
-    monkeypatch.setattr(multipoly, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    system = _dense_system(11)  # 3^11 points, three row blocks
-    exact = theorem12_sum(system, exact=True, workers=10 ** 6)
-    assert theorem12_sum(system, workers=10 ** 6) == exact % 9
-    assert _RecordingPool.sizes == [3, 3]
-    assert exact == theorem12_sum(system, exact=True, workers=1)
+    assert theorem12_sum(system, exact=True) == expected
+    assert theorem12_sum(system) == expected % 27
 
 
 def _refuse(*args, **kwargs):

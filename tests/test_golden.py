@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fleckforge import cli
+from fleckforge import cli, multipoly
 from fleckforge.axkatz import theorem12_sum
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -35,6 +35,19 @@ def test_two_workers_differ_only_in_workers(capsys, path):
     code, two = _count(capsys, path, 2)
     assert code == 0
     assert two == one.replace('"workers": "1"', '"workers": "2"')
+
+
+def test_dense_instance_takes_the_row_block_plan(capsys, monkeypatch):
+    # its one component's DP bound, 3 * (3^11 - 1) / 2 = 265719, exceeds both
+    # CHUNK and the 3^11 points, so its report pins the row-block product
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the frontier DP ran on the dense instance")
+
+    monkeypatch.setattr(multipoly, "_frontier_histogram", no_dp)
+    path = GOLDEN / "corollary11-dense.json"
+    code, out = _count(capsys, path, 1)
+    assert code == 0
+    assert out == path.with_suffix(".out").read_text()
 
 
 def test_chain40_matches_a_direct_dp():

@@ -126,15 +126,13 @@ def test_fold_poly_values_ceiling():
         _direct_counts(3, [f])
 
 
-def test_ceiling_env_override(monkeypatch):
+def test_ceiling_argument_boundary():
     # 2 + 4 + 8 + 16 DP state steps plus a histogram of the values 0 and 1
     f = parse_poly("x1*x2*x3*x4", 4)
-    monkeypatch.setenv("FLECKFORGE_CEILING", "31")
     with pytest.raises(CeilingExceeded) as err:
-        fold_poly_values(CubeSpec(2, 4), [f])
+        fold_poly_values(CubeSpec(2, 4), [f], ceiling=31)
     assert err.value.required == 30 + 2
-    monkeypatch.setenv("FLECKFORGE_CEILING", "32")
-    assert _histogram(fold_poly_values(CubeSpec(2, 4), [f])) == \
+    assert _histogram(fold_poly_values(CubeSpec(2, 4), [f], ceiling=32)) == \
         Counter({(0,): 15, (1,): 1})
 
 
@@ -153,7 +151,4 @@ def test_fold_poly_values_worker_independence():
     f = _random_poly(rng, 5, max_deg=2, max_abs=9)
     g = _random_poly(rng, 5, max_deg=2, max_abs=9)
     spec = CubeSpec(3, 5)
-    expected = _direct_counts(3, [f, g])
-    for workers in (1, 2, 8):
-        assert _histogram(fold_poly_values(spec, [f, g], workers=workers)) == \
-            expected
+    assert _histogram(fold_poly_values(spec, [f, g])) == _direct_counts(3, [f, g])

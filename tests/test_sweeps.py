@@ -33,7 +33,7 @@ def test_budget_stops_every_sweep(monkeypatch, k):
 
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_every_theorem12_draw_is_logged(seed):
-    # a draw whose hypothesis needs more than max_n variables is logged as
+    # a draw whose hypothesis needs more than 12 variables is logged as
     # skipped; seeds 1, 3, 4, 6 and 8 draw such a system within two rounds
     result = sweeps.run_sweeps(random.Random(seed), rounds=2)
     entries = [e for e in result.log if e["sweep"] == "theorem12"]

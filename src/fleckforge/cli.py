@@ -214,10 +214,6 @@ def _violation(node, x, root):
         return (), None, f"unsupported schema keyword {exc.args[0]!r}"
 
 
-def _conforms(node, x, root) -> bool:
-    return _violation(node, x, root) is None
-
-
 def _json_number(text: str):
     """A JSON number written with a fraction or an exponent: an exact int
     when its value is integral (``3.0``, ``1e23``), else a float, which
@@ -238,7 +234,10 @@ def _json_number(text: str):
 
 def _load_instance(path: str, expected_kinds=None) -> dict:
     with open(path) as fh:
-        doc = json.load(fh, parse_float=_json_number)
+        try:
+            doc = json.load(fh, parse_float=_json_number)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     schema = _load_schema("instance.schema.json")
     violation = _violation(schema, doc, schema)
     if violation is not None:

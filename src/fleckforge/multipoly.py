@@ -7,7 +7,10 @@ three variables is
 
 A small precedence-climbing parser accepts the text grammar
 ``x1 + 3*(x2 - x1)^2`` (variables x1..xN, integer literals, + - * ^,
-parentheses; exponents are nonnegative integer literals).
+parentheses; exponents are nonnegative integer literals).  It works on
+plain term dicts, adding sums in place, and builds one ``MultiPoly`` at
+the end, which validates the terms and drops zero coefficients once.
+``MultiPoly`` itself has no arithmetic: it is a validated record.
 
 A sum over [0, p-1]^n of a function of (f_1(x), ..., f_m(x)) depends
 only on how often each value tuple occurs.  ``factorise`` splits the
@@ -47,7 +50,8 @@ DEFAULT_CEILING = 10 ** 8  # work guard for cube sums (see residue_histogram)
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with integer coefficients."""
+    """Sparse multivariate polynomial with integer coefficients: a validated
+    record of nonzero terms, with no arithmetic of its own."""
 
     __slots__ = ("n_vars", "terms", "_total_degree")
 
@@ -66,17 +70,6 @@ class MultiPoly:
         self.terms = clean
         self._total_degree = max((sum(e) for e in clean), default=None)
 
-    @classmethod
-    def constant(cls, n_vars: int, c: int) -> "MultiPoly":
-        return cls(n_vars, {(0,) * n_vars: c})
-
-    @classmethod
-    def variable(cls, n_vars: int, index: int) -> "MultiPoly":
-        # index is 0-based
-        exps = [0] * n_vars
-        exps[index] = 1
-        return cls(n_vars, {tuple(exps): 1})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -87,38 +80,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.n_vars, frozenset(self.terms.items())))
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        merged = dict(self.terms)
-        for exps, c in other.terms.items():
-            merged[exps] = merged.get(exps, 0) + c
-        return MultiPoly(self.n_vars, merged)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.n_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(self.n_vars, out)
-
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative exponent")
-        result = MultiPoly.constant(self.n_vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __repr__(self):
         return f"MultiPoly({self.n_vars}, {render_poly(self)!r})"
@@ -183,8 +144,25 @@ def _tokenize(text: str):
     return tokens
 
 
+def _times(a: dict, b: dict) -> dict:
+    """The product of two term dicts, as a new dict; zero terms are skipped."""
+    out: dict = {}
+    nonzero = [(e2, c2) for e2, c2 in b.items() if c2]
+    for e1, c1 in a.items():
+        if c1:
+            for e2, c2 in nonzero:
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
 class _Parser:
-    """Precedence climbing over + - (prec 1), * (prec 2), ^ (literal exponent)."""
+    """Precedence climbing over + - (prec 1), * (prec 2), ^ (literal exponent)
+    on term dicts, exponent vector -> coefficient, that may hold zeros.
+
+    Every method returns a dict that nothing else holds, so + and - add
+    the right operand into the left one in place.
+    """
 
     def __init__(self, tokens, n_vars):
         self.tokens = tokens
@@ -199,14 +177,14 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> MultiPoly:
-        poly = self.expression(1)
+    def parse(self) -> dict:
+        terms = self.expression(1)
         kind, _, at = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {kind!r}", at)
-        return poly
+        return terms
 
-    def expression(self, min_prec: int) -> MultiPoly:
+    def expression(self, min_prec: int) -> dict:
         left = self.atom()
         while True:
             kind, _, _ = self.peek()
@@ -215,22 +193,22 @@ class _Parser:
                 return left
             self.next()
             right = self.expression(prec + 1)
-            if kind == "+":
-                left = left + right
-            elif kind == "-":
-                left = left - right
-            else:
-                left = left * right
+            if kind == "*":
+                left = _times(left, right)
+                continue
+            sign = 1 if kind == "+" else -1
+            for exps, c in right.items():
+                left[exps] = left.get(exps, 0) + sign * c
 
-    def atom(self) -> MultiPoly:
+    def atom(self) -> dict:
         kind, value, at = self.next()
+        n = self.n_vars
         if kind == "int":
-            base = MultiPoly.constant(self.n_vars, value)
+            base = {(0,) * n: value}
         elif kind == "var":
-            if not 1 <= value <= self.n_vars:
-                raise ParseError(
-                    f"variable x{value} out of range 1..{self.n_vars}", at)
-            base = MultiPoly.variable(self.n_vars, value - 1)
+            if not 1 <= value <= n:
+                raise ParseError(f"variable x{value} out of range 1..{n}", at)
+            base = {(0,) * (value - 1) + (1,) + (0,) * (n - value): 1}
         elif kind == "(":
             base = self.expression(1)
             kind2, _, at2 = self.next()
@@ -238,26 +216,42 @@ class _Parser:
                 raise ParseError("expected ')'", at2)
         elif kind == "-":
             # unary minus binds tighter than + - but looser than ^
-            return -self.expression(2)
+            return {exps: -c for exps, c in self.expression(2).items()}
         else:
             raise ParseError(f"unexpected {kind!r}", at)
         return self.exponent(base)
 
-    def exponent(self, base: MultiPoly) -> MultiPoly:
+    def exponent(self, base: dict) -> dict:
         kind, _, _ = self.peek()
         if kind != "^":
             return base
         self.next()
-        kind, value, at = self.next()
+        kind, k, at = self.next()
         if kind != "int":
             raise ParseError("exponent must be a nonnegative integer literal", at)
-        return base ** value
+        result = {(0,) * self.n_vars: 1}  # square and multiply
+        while k:
+            if k & 1:
+                result = _times(result, base)
+            k >>= 1
+            if k:
+                base = _times(base, base)
+        return result
 
 
 def parse_poly(text: str, n_vars: int) -> MultiPoly:
-    """Parse the text grammar into expanded, normalized sparse form."""
+    """Parse the text grammar into expanded, normalized sparse form: the
+    one ``MultiPoly`` built from the parser's term dict validates it and
+    drops its zero coefficients.  Nesting deeper than the interpreter's
+    recursion limit allows is a ParseError at the token where it stopped.
+    """
     MultiPoly(n_vars)  # refuses a negative n_vars before any variable is read
-    return _Parser(_tokenize(text), n_vars).parse()
+    parser = _Parser(_tokenize(text), n_vars)
+    try:
+        terms = parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
+    return MultiPoly(n_vars, terms)
 
 
 def render_poly(f: MultiPoly) -> str:

@@ -216,6 +216,26 @@ def test_invalid_instance_message(tmp_path, capsys, doc, line):
     assert capsys.readouterr().err == f"error: {line}\n"
 
 
+@pytest.mark.parametrize("polynomial", ["(" * 3000 + "x1" + ")" * 3000,
+                                        "-" * 3000 + "x1"],
+                         ids=["parentheses", "unary-minus"])
+def test_deep_polynomial_is_one_parse_error(tmp_path, capsys, polynomial):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "chevalley", "p": 3, "n_vars": 1,
+                                "polynomials": [polynomial]}))
+    assert cli.main(["count", str(inst)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression nested too deeply (at position ")
+    assert err.count("\n") == 1
+
+
+def test_deep_json_is_one_error(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["count", str(inst)]) == 1
+    assert capsys.readouterr().err == f"error: {inst}: JSON nested too deeply\n"
+
+
 def test_integral_float_is_echoed_as_an_integer(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text('{"kind": "lemma22", "p": 3.0, "c": 1, "n_vars": 2, '

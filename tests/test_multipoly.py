@@ -3,6 +3,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleckforge.exceptions import CeilingExceeded
 from fleckforge.multipoly import (
@@ -48,6 +50,74 @@ def test_parse_errors_carry_position():
         parse_poly("x1 ^ -2", 2)
     with pytest.raises(ParseError):
         parse_poly("(x1 + 2", 2)
+
+
+def test_parse_builds_one_multipoly_whatever_the_length(monkeypatch):
+    # the chain x1*x2 + ... + x(n-1)*xn + x1 + ... + xn has 2n - 1 terms
+    built = []
+    init = MultiPoly.__init__
+    monkeypatch.setattr(MultiPoly, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    for n in (20, 200):
+        chain = " + ".join([f"x{i}*x{i + 1}" for i in range(1, n)]
+                           + [f"x{i}" for i in range(1, n + 1)])
+        built.clear()
+        assert len(parse_poly(chain, n).terms) == 2 * n - 1
+        assert len(built) <= 2
+
+
+def test_150_nested_parentheses_and_minuses_parse():
+    assert parse_poly("(" * 150 + "x1 - 2" + ")" * 150, 1) == parse_poly("x1 - 2", 1)
+    assert parse_poly("-" * 150 + "x1", 1) == parse_poly("x1", 1)
+
+
+# precedence of a rendered expression: a literal, a variable or a
+# parenthesised one binds tightest, then ^, unary minus, *, and + -
+ATOM, POWER, NEG, PRODUCT, SUM = 4, 3, 2.5, 2, 1
+
+
+def _wrap(part, loosest):
+    text, prec = part
+    return text if prec >= loosest else f"({text})"
+
+
+def _binary(parts):
+    left, op, right = parts
+    if op == "*":
+        return f"{_wrap(left, PRODUCT)} * {_wrap(right, NEG)}", PRODUCT
+    return f"{_wrap(left, SUM)} {op} {_wrap(right, PRODUCT)}", SUM
+
+
+def _expressions(n):
+    """Texts of random expression trees in the grammar, with parentheses
+    where the grammar and Python both need them, plus redundant ones.
+    Python's unary minus binds tighter than *, the grammar's looser; the
+    two readings have the same value.  Binary nodes are drawn three times
+    as often as each other kind, so that a negation or a power often
+    stands next to a sum or a product."""
+    leaves = st.one_of(st.integers(0, 30).map(str),
+                       st.integers(1, n).map("x{}".format)).map(lambda t: (t, ATOM))
+
+    def extend(inner):
+        binary = st.tuples(inner, st.sampled_from("+-*"), inner).map(_binary)
+        return st.one_of(
+            inner.map(lambda e: (f"({e[0]})", ATOM)),
+            st.tuples(inner, st.integers(0, 3)).map(
+                lambda t: (f"{_wrap(t[0], ATOM)}^{t[1]}", POWER)),
+            inner.map(lambda e: ("-" + _wrap(e, PRODUCT), NEG)),
+            binary, binary, binary)
+
+    return st.recursive(leaves, extend, max_leaves=10).map(lambda e: e[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    _expressions(n), st.lists(st.integers(-9, 9), min_size=n, max_size=n))))
+def test_parse_agrees_with_python_evaluation(case):
+    text, point = case
+    names = {f"x{i + 1}": x for i, x in enumerate(point)}
+    expected = eval(text.replace("^", "**"), {"__builtins__": {}}, names)
+    assert eval_poly(parse_poly(text, len(point)), point) == expected
 
 
 def _random_poly(rng, n_vars, max_deg=6, max_abs=99):
@@ -147,6 +217,8 @@ def test_fold_poly_values_matches_direct():
 
 
 def test_fold_poly_values_worker_independence():
+    # the enumerator runs in the caller's thread and reads only its
+    # arguments; a five-variable cube over F_3 gives the same histogram
     rng = random.Random(53)
     f = _random_poly(rng, 5, max_deg=2, max_abs=9)
     g = _random_poly(rng, 5, max_deg=2, max_abs=9)

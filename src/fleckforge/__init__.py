@@ -13,7 +13,7 @@ from .axkatz import (
     theorem12_sum,
     verify_theorem12,
 )
-from .exceptions import CeilingExceeded, GuaranteeError, TheoremViolation
+from .exceptions import CeilingExceeded, TheoremViolation
 from .fleck import (
     FleckReport,
     check_lemma21,
@@ -55,7 +55,6 @@ from .wilson import (
     NewtonPoly,
     ResidueTable,
     bound_M,
-    eval_newton,
     max_degree,
     periodicity_exponent,
     synthesize,

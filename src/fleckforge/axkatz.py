@@ -10,8 +10,9 @@ divisibility, and the general gated weighted sum
 under the exact-rational hypothesis on n.  Every verifier is an instance
 of that sum: the zero counts gate each f_k on p | f_k with weight 1, and
 the binomial-weight sums weight by C(f_k / p^a, l_k).  Each builds its
-CongruenceSystem and its own hypothesis, and one helper computes the sum
-and the verdict.  The sum depends only on the histogram of
+CongruenceSystem and its own hypothesis margin, and one helper computes
+the sum and the verdict; Chevalley-Warning is the Ax-Katz verifier at
+b = 1.  The sum depends only on the histogram of
 (f_1(x), ..., f_m(x)) over the cube, which is the convolution of the
 histograms of the connected components of the variables
 (``multipoly.factorise``), so each component is enumerated alone: by a
@@ -112,16 +113,14 @@ class DivisibilityVerdict:
     divisible: bool
 
 
-def hypothesis_16(sys: CongruenceSystem) -> tuple[bool, Fraction]:
-    """Exact rational check of the dimension hypothesis.
-
-    Returns (holds, margin) where margin = n - RHS and holds means the
-    strict inequality n > RHS with
+def hypothesis_16(sys: CongruenceSystem) -> Fraction:
+    """Exact rational margin n - RHS of the dimension hypothesis, which
+    holds when the margin is positive, with
 
         RHS = (b-1) * max(d1*phi(p^(a1))/(p-1), 1)
               + (1/(p-1)) * sum_k ((l_k+1) p^(a_k) - [a_k != 0]) d_k
 
-    and index 1 attains max_k d_k*phi(p^(a_k)).
+    and index 1 attaining max_k d_k*phi(p^(a_k)).
     """
     p, b = sys.p, sys.b
     weighted = [total_degree(c.f) * phi_prime_power(PrimePower(p, c.a))
@@ -132,8 +131,7 @@ def hypothesis_16(sys: CongruenceSystem) -> tuple[bool, Fraction]:
         iverson = 1 if c.a != 0 else 0
         rhs += Fraction(((c.l_eff + 1) * p ** c.a - iverson) * total_degree(c.f),
                         p - 1)
-    margin = Fraction(sys.n_vars) - rhs
-    return margin > 0, margin
+    return Fraction(sys.n_vars) - rhs
 
 
 def _gate_and_weight(system: CongruenceSystem, hist: dict, weigh,
@@ -224,15 +222,16 @@ def _binomial_system(polys, p: int, b: int, a: int, ls,
     return CongruenceSystem(p=p, b=b, n_vars=n_vars, constraints=constraints)
 
 
-def _judge(system: CongruenceSystem, modulus: int, holds: bool, margin: Fraction,
+def _judge(system: CongruenceSystem, modulus: int, margin: Fraction,
            exact: bool, ceiling: int | None,
            applies: bool = True) -> DivisibilityVerdict:
     """Sum the system and compare the sum with the claimed modulus.
 
-    Raises TheoremViolation if the hypothesis holds, the statement applies
-    (a side condition beyond the hypothesis) and the sum is not divisible:
-    a proved impossibility.
+    Raises TheoremViolation if the hypothesis holds (its margin is
+    positive), the statement applies (a side condition beyond the
+    hypothesis) and the sum is not divisible: a proved impossibility.
     """
+    holds = margin > 0
     s = theorem12_sum(system, exact=exact, ceiling=ceiling)
     verdict = DivisibilityVerdict(sum=s, claimed_modulus=modulus,
                                   hypothesis_holds=holds,
@@ -247,8 +246,8 @@ def _judge(system: CongruenceSystem, modulus: int, holds: bool, margin: Fraction
 def verify_theorem12(system: CongruenceSystem, exact: bool = False,
                      ceiling: int | None = None) -> DivisibilityVerdict:
     """The gated weighted sum against p^b under hypothesis_16."""
-    holds, margin = hypothesis_16(system)
-    return _judge(system, system.p ** system.b, holds, margin, exact, ceiling)
+    return _judge(system, system.p ** system.b, hypothesis_16(system), exact,
+                  ceiling)
 
 
 def corollary11_verify(polys, a: int, b: int, ls, p: int,
@@ -274,19 +273,15 @@ def corollary11_verify(polys, a: int, b: int, ls, p: int,
     rhs += Fraction((p ** a - 1) * sum(degrees), p - 1)
     rhs += Fraction(p ** a * sum(l * d for l, d in zip(ls, degrees)), p - 1)
     margin = Fraction(system.n_vars) - rhs
-    return _judge(system, p ** b, margin > 0, margin, exact, ceiling,
-                  applies=d1 >= 1)
+    return _judge(system, p ** b, margin, exact, ceiling, applies=d1 >= 1)
 
 
 def chevalley_warning_verify(polys, p: int, ceiling: int | None = None,
                              n_vars: int | None = None) -> DivisibilityVerdict:
-    """Count common zeros mod p over the cube; p divides the count when
-    the degree sum is smaller than the number of variables (hypothesis_16
-    with b = 1 and every a_k = 1, F_k = 1)."""
-    polys = list(polys)
-    system = _binomial_system(polys, p, 1, 1, [0] * len(polys), n_vars)
-    holds, margin = hypothesis_16(system)
-    return _judge(system, p, holds, margin, True, ceiling)
+    """p divides the common-zero count when n > sum d_k: the Ax-Katz
+    statement at b = 1.  Its side condition d_1 >= 1 hides nothing there,
+    since with only constants the count is 0 or p^n with n >= 1."""
+    return axkatz_prime_verify(polys, 1, p, ceiling=ceiling, n_vars=n_vars)
 
 
 def axkatz_prime_verify(polys, b: int, p: int, ceiling: int | None = None,
@@ -298,8 +293,7 @@ def axkatz_prime_verify(polys, b: int, p: int, ceiling: int | None = None,
     degrees = [total_degree(f) for f in polys]
     d1 = max(degrees, default=0)
     margin = Fraction(system.n_vars - ((b - 1) * d1 + sum(degrees)))
-    return _judge(system, p ** b, margin > 0, margin, True, ceiling,
-                  applies=d1 >= 1)
+    return _judge(system, p ** b, margin, True, ceiling, applies=d1 >= 1)
 
 
 def lemma22_verify(polys, js, c: int, p: int, ceiling: int | None = None,
@@ -314,4 +308,4 @@ def lemma22_verify(polys, js, c: int, p: int, ceiling: int | None = None,
     system = _binomial_system(polys, p, max(c, 1), 0, js, n_vars)
     degbound = sum(j * total_degree(f) for j, f in zip(js, polys))
     margin = Fraction((system.n_vars - c + 1) * (p - 1) - degbound)
-    return _judge(system, p ** c, margin > 0, margin, True, ceiling)
+    return _judge(system, p ** c, margin, True, ceiling)

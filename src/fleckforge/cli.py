@@ -32,7 +32,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import axkatz, sweeps
-from .exceptions import CeilingExceeded, GuaranteeError, TheoremViolation
+from .exceptions import CeilingExceeded, TheoremViolation
 from .fleck import check_lemma21, factorial_bound, fleck_bound, wan_bound, weisman_bound
 from .ivpoly import IntegerValuedPoly, monomials_to_ivp
 from .multipoly import parse_poly
@@ -320,7 +320,7 @@ def cmd_synthesize(args) -> tuple[dict, int]:
         lo, hi = -25, 25
     try:
         P = synthesize(pp, b, f, g)
-    except GuaranteeError as exc:
+    except TheoremViolation as exc:
         return {"kind": "synthesize", "instance": doc, "results": {},
                 "error": str(exc)}, EXIT_VIOLATION
     check = verify_theorem11(P, f, g, q_range=(lo, hi))
@@ -343,15 +343,16 @@ def _ints(values) -> list[int]:
     return [_as_int(v) for v in values]
 
 
-def _polys(doc) -> list:
+def _polys(doc, ceiling: int | None = None) -> list:
     n_vars = _as_int(doc["n_vars"])
-    return [parse_poly(text, n_vars) for text in doc["polynomials"]]
+    return [parse_poly(text, n_vars, ceiling=ceiling) for text in doc["polynomials"]]
 
 
-def _congruence_system(doc) -> axkatz.CongruenceSystem:
+def _congruence_system(doc, ceiling: int | None = None) -> axkatz.CongruenceSystem:
     n_vars = _as_int(doc["n_vars"])
     constraints = tuple(
-        axkatz.Constraint(f=parse_poly(c["f"], n_vars), a=_as_int(c["a"]),
+        axkatz.Constraint(f=parse_poly(c["f"], n_vars, ceiling=ceiling),
+                          a=_as_int(c["a"]),
                           F=_ivp_from_json(c["F"]),
                           l=_as_int(c["l"]) if "l" in c else None)
         for c in doc["constraints"])
@@ -361,20 +362,21 @@ def _congruence_system(doc) -> axkatz.CongruenceSystem:
 
 # count kind -> verifier call (doc, exact, ceiling); only theorem12
 # and corollary11 have a modular engine for `exact` to switch off.  The
-# polynomial kinds pass n_vars, which an empty polynomial list cannot carry.
+# ceiling bounds the parse and the sum alike.  The polynomial kinds pass
+# n_vars, which an empty polynomial list cannot carry.
 _COUNT_KINDS = {
     "theorem12": lambda doc, exact, **run: axkatz.verify_theorem12(
-        _congruence_system(doc), exact=exact, **run),
+        _congruence_system(doc, **run), exact=exact, **run),
     "corollary11": lambda doc, exact, **run: axkatz.corollary11_verify(
-        _polys(doc), _as_int(doc["a"]), _as_int(doc["b"]), _ints(doc["ls"]),
+        _polys(doc, **run), _as_int(doc["a"]), _as_int(doc["b"]), _ints(doc["ls"]),
         _as_int(doc["p"]), exact=exact, n_vars=_as_int(doc["n_vars"]), **run),
     "chevalley": lambda doc, exact, **run: axkatz.chevalley_warning_verify(
-        _polys(doc), _as_int(doc["p"]), n_vars=_as_int(doc["n_vars"]), **run),
+        _polys(doc, **run), _as_int(doc["p"]), n_vars=_as_int(doc["n_vars"]), **run),
     "axkatz": lambda doc, exact, **run: axkatz.axkatz_prime_verify(
-        _polys(doc), _as_int(doc["b"]), _as_int(doc["p"]),
+        _polys(doc, **run), _as_int(doc["b"]), _as_int(doc["p"]),
         n_vars=_as_int(doc["n_vars"]), **run),
     "lemma22": lambda doc, exact, **run: axkatz.lemma22_verify(
-        _polys(doc), _ints(doc["js"]), _as_int(doc["c"]), _as_int(doc["p"]),
+        _polys(doc, **run), _ints(doc["js"]), _as_int(doc["c"]), _as_int(doc["p"]),
         n_vars=_as_int(doc["n_vars"]), **run),
 }
 

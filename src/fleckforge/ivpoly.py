@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import binom_int
+from .padic import binom_int  # noqa: F401  unused here; tracers wrap it at this name
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,6 @@ class IntegerValuedPoly:
     def degree_bound(self) -> int:
         """Declared degree bound l; -1 for the empty (zero) polynomial."""
         return len(self.coeffs) - 1
-
-    def __call__(self, x: int) -> int:
-        return eval_ivp(self, x)
 
 
 def eval_ivp(f: IntegerValuedPoly, x: int) -> int:

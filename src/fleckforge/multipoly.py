@@ -10,6 +10,8 @@ A small precedence-climbing parser accepts the text grammar
 parentheses; exponents are nonnegative integer literals).  It works on
 plain term dicts, adding sums in place, and builds one ``MultiPoly`` at
 the end, which validates the terms and drops zero coefficients once.
+Its products are charged their term pairs against the same ceiling as
+the cube sums.
 ``MultiPoly`` itself has no arithmetic: it is a validated record.
 
 A sum over [0, p-1]^n of a function of (f_1(x), ..., f_m(x)) depends
@@ -46,7 +48,7 @@ from operator import add, mod
 
 from .exceptions import CeilingExceeded
 
-DEFAULT_CEILING = 10 ** 8  # work guard for cube sums (see residue_histogram)
+DEFAULT_CEILING = 10 ** 8  # work guard for parses and cube sums (see residue_histogram)
 
 
 class MultiPoly:
@@ -144,18 +146,6 @@ def _tokenize(text: str):
     return tokens
 
 
-def _times(a: dict, b: dict) -> dict:
-    """The product of two term dicts, as a new dict; zero terms are skipped."""
-    out: dict = {}
-    nonzero = [(e2, c2) for e2, c2 in b.items() if c2]
-    for e1, c1 in a.items():
-        if c1:
-            for e2, c2 in nonzero:
-                key = tuple(map(add, e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
 class _Parser:
     """Precedence climbing over + - (prec 1), * (prec 2), ^ (literal exponent)
     on term dicts, exponent vector -> coefficient, that may hold zeros.
@@ -164,10 +154,29 @@ class _Parser:
     the right operand into the left one in place.
     """
 
-    def __init__(self, tokens, n_vars):
+    def __init__(self, tokens, n_vars, ceiling):
         self.tokens = tokens
         self.pos = 0
         self.n_vars = n_vars
+        self.ceiling = ceiling
+        self.pairs = 0
+
+    def times(self, a: dict, b: dict) -> dict:
+        """The product of two term dicts, as a new dict; zero terms are
+        skipped.  Its pairs of nonzero terms are charged first, and
+        CeilingExceeded refuses it if the running total would pass the
+        ceiling."""
+        left = [(e, c) for e, c in a.items() if c]
+        right = [(e, c) for e, c in b.items() if c]
+        self.pairs += len(left) * len(right)
+        if self.pairs > self.ceiling:
+            raise CeilingExceeded(required=self.pairs, ceiling=self.ceiling)
+        out: dict = {}
+        for e1, c1 in left:
+            for e2, c2 in right:
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return out
 
     def peek(self):
         return self.tokens[self.pos]
@@ -194,7 +203,7 @@ class _Parser:
             self.next()
             right = self.expression(prec + 1)
             if kind == "*":
-                left = _times(left, right)
+                left = self.times(left, right)
                 continue
             sign = 1 if kind == "+" else -1
             for exps, c in right.items():
@@ -232,21 +241,27 @@ class _Parser:
         result = {(0,) * self.n_vars: 1}  # square and multiply
         while k:
             if k & 1:
-                result = _times(result, base)
+                result = self.times(result, base)
             k >>= 1
             if k:
-                base = _times(base, base)
+                base = self.times(base, base)
         return result
 
 
-def parse_poly(text: str, n_vars: int) -> MultiPoly:
+def parse_poly(text: str, n_vars: int, ceiling: int | None = None) -> MultiPoly:
     """Parse the text grammar into expanded, normalized sparse form: the
     one ``MultiPoly`` built from the parser's term dict validates it and
     drops its zero coefficients.  Nesting deeper than the interpreter's
     recursion limit allows is a ParseError at the token where it stopped.
+
+    Expanding products multiplies the number of terms, so it is charged:
+    CeilingExceeded refuses a parse whose products' nonzero term pairs
+    would add up to more than ``ceiling`` (None: ``DEFAULT_CEILING``),
+    before the product that would pass it.
     """
     MultiPoly(n_vars)  # refuses a negative n_vars before any variable is read
-    parser = _Parser(_tokenize(text), n_vars)
+    parser = _Parser(_tokenize(text), n_vars,
+                     DEFAULT_CEILING if ceiling is None else ceiling)
     try:
         terms = parser.parse()
     except RecursionError:

@@ -17,7 +17,7 @@ from .axkatz import (
     lemma22_verify,
     verify_theorem12,
 )
-from .exceptions import TheoremViolation, GuaranteeError
+from .exceptions import TheoremViolation
 from .fleck import check_lemma21, gkp_identity_check, restricted_sum
 from .ivpoly import IntegerValuedPoly
 from .multipoly import MultiPoly, render_poly, total_degree
@@ -126,7 +126,7 @@ def sweep_theorem11(rng, iterations: int, result: SweepResult, deadline=None):
         result.log.append(entry)
         try:
             P = synthesize(pp, b, f, g)
-        except GuaranteeError as exc:
+        except TheoremViolation as exc:
             result.violations.append({**entry, "error": str(exc)})
             continue
         check = verify_theorem11(P, f, g, q_range=(-8, 8))
@@ -151,7 +151,7 @@ def sweep_theorem12(rng, iterations: int, result: SweepResult, deadline=None):
                 for deg, a_k, l_k in specs)
             system = CongruenceSystem(p=p, b=b, n_vars=n,
                                       constraints=constraints)
-            if hypothesis_16(system)[0]:
+            if hypothesis_16(system) > 0:
                 break
         else:
             # logged so that the dropped draw shows; the random stream is unchanged

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exceptions import GuaranteeError
+from .exceptions import TheoremViolation
 from .fleck import factorial_bound, wan_bound, weisman_bound
 from .ivpoly import IntegerValuedPoly, eval_ivp, forward_differences
 from .padic import PrimePower, ord_int, phi_prime_power
@@ -34,9 +34,6 @@ class ResidueTable:
                 f"table must have exactly {pp.modulus} entries, got {len(values)}")
         object.__setattr__(self, "pp", pp)
         object.__setattr__(self, "values", values)
-
-    def __getitem__(self, r: int) -> int:
-        return self.values[r % self.pp.modulus]
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ def max_degree(pp: PrimePower, l: int, b: int) -> int:
         if bound_M(d, pp, l) < b:
             best = d
     if best is None:
-        raise GuaranteeError("no degree with M_d < b; M_0 <= 0 should make d = 0 valid")
+        raise TheoremViolation("no degree with M_d < b; M_0 <= 0 should make d = 0 valid")
     return best
 
 
@@ -103,7 +100,7 @@ def synthesize(pp: PrimePower, b: int, f: IntegerValuedPoly, g: ResidueTable) ->
 
     Coefficients are forward differences of F at 0; before returning,
     ord_p(c_n) >= M_n is asserted for every n (this is a theorem, so a
-    failure raises GuaranteeError).
+    failure raises TheoremViolation).
     """
     if g.pp != pp:
         raise ValueError("residue table built for a different prime power")
@@ -113,14 +110,9 @@ def synthesize(pp: PrimePower, b: int, f: IntegerValuedPoly, g: ResidueTable) ->
     records = tuple(bound_M(n, pp, l) for n in range(d + 1))
     for n, (c, m) in enumerate(zip(coeffs, records)):
         if ord_int(c, pp.p) < m:
-            raise GuaranteeError(
+            raise TheoremViolation(
                 f"coefficient c_{n} = {c} has ord_{pp.p} below its bound {m}")
     return NewtonPoly(coeffs=tuple(coeffs), pp=pp, b=b, bound_records=records)
-
-
-def eval_newton(P: NewtonPoly, x: int) -> int:
-    """Exact value of sum c_n C(x, n); reduce mod p^b at the call site."""
-    return eval_ivp(IntegerValuedPoly(P.coeffs), x)
 
 
 def verify_theorem11(P: NewtonPoly, f: IntegerValuedPoly, g: ResidueTable,
@@ -175,17 +167,17 @@ def wilson_lemma(pp: PrimePower, b: int, table) -> NewtonPoly:
     P = synthesize(pp, b, IntegerValuedPoly([1]), g)
     cap = b * phi_prime_power(pp) + pp.p ** (pp.a - 1)
     if not P.degree < cap:
-        raise GuaranteeError(f"degree {P.degree} not below {cap}")
+        raise TheoremViolation(f"degree {P.degree} not below {cap}")
     for n, c in enumerate(P.coeffs):
         if ord_int(c, pp.p) < weisman_bound(n, pp):
-            raise GuaranteeError(f"c_{n} = {c} violates the periodic-table bound")
+            raise TheoremViolation(f"c_{n} = {c} violates the periodic-table bound")
     return P
 
 
 def periodicity_exponent(P: NewtonPoly, l: int) -> int:
     """Smallest N of the form b + max ord_p(k) over k in [1, max(d, l)].
 
-    eval_newton(P, x + p^N) = eval_newton(P, x) (mod p^b) for all x.
+    P(x + p^N) = P(x) (mod p^b) for all x, with P(x) = sum c_n C(x, n).
     """
     top = max(P.degree, l)
     extra = max((int(ord_int(k, P.pp.p)) for k in range(1, top + 1)), default=0)

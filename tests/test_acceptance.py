@@ -208,7 +208,7 @@ def test_criterion_7_divisibility_sweeps():
                 for deg, a, l in specs)
             system = CongruenceSystem(p=p, b=b, n_vars=n,
                                       constraints=constraints)
-            if hypothesis_16(system)[0]:
+            if hypothesis_16(system) > 0:
                 break
         else:
             continue

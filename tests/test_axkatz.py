@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fleckforge import axkatz
 from fleckforge.axkatz import (
@@ -49,16 +51,17 @@ def _system(p, b, n, triples):
 
 def test_hypothesis_16_examples():
     sys1 = _system(2, 2, 3, [("x1+x2+x3", 1, ONE)])
-    holds, margin = hypothesis_16(sys1)
-    assert holds and margin == 1  # RHS = 2, n = 3
+    assert hypothesis_16(sys1) == 1  # RHS = 2, n = 3
 
     sys2 = _system(3, 1, 2, [("x1+x2", 1, ONE)])
-    holds, margin = hypothesis_16(sys2)
-    assert holds and margin == 1  # RHS = 1, n = 2
+    assert hypothesis_16(sys2) == 1  # RHS = 1, n = 2
 
     empty = CongruenceSystem(p=5, b=1, n_vars=3, constraints=())
-    holds, margin = hypothesis_16(empty)
-    assert holds and margin == 3  # RHS = 0
+    assert hypothesis_16(empty) == 3  # RHS = 0
+
+    # a margin, not a verdict: exact, and negative when the hypothesis fails
+    short = _system(2, 2, 2, [("x1+x2", 1, ONE)])
+    assert hypothesis_16(short) == 0 and isinstance(hypothesis_16(short), Fraction)
 
 
 def test_theorem12_sum_examples():
@@ -163,7 +166,7 @@ def test_theorem12_random_sweep_no_violation():
                 for deg, a, l in specs)
             system = CongruenceSystem(p=p, b=b, n_vars=n,
                                       constraints=constraints)
-            if hypothesis_16(system)[0]:
+            if hypothesis_16(system) > 0:
                 break
         else:
             continue
@@ -367,8 +370,42 @@ def test_theorem12_where_its_hypothesis_has_slack():
     terms[(0,) * n] = rng.randint(1, 24)
     system = CongruenceSystem(p=5, b=1, n_vars=n, constraints=(
         Constraint(f=MultiPoly(n, terms), a=2, F=IntegerValuedPoly([3, 2]), l=1),))
-    holds, margin = hypothesis_16(system)
-    assert holds and margin == Fraction(3, 2)
+    assert hypothesis_16(system) == Fraction(3, 2)
     verdict = verify_theorem12(system)  # raises on a violation
     assert verdict.divisible
     assert theorem12_sum(system, exact=True) % 5 == verdict.sum == 0
+
+
+@st.composite
+def _zero_count_cases(draw):
+    """(polynomials, p, n_vars): up to two nonzero polynomials of degree at
+    most 2 in each of n_vars <= 4 variables; with n_vars = 0 they are
+    constants."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 4))
+    polys = []
+    for _ in range(draw(st.integers(0, 2))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exps = tuple(draw(st.integers(0, 2)) for _ in range(n))
+            terms[exps] = terms.get(exps, 0) + draw(st.integers(-4, 4))
+        f = MultiPoly(n, terms)
+        if not f.is_zero:
+            polys.append(f)
+    return polys, p, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zero_count_cases())
+@example(([parse_poly("3", 1), parse_poly("2", 1)], 3, 1))
+@example(([parse_poly("3", 0)], 3, 0))
+@example(([parse_poly("1", 2)], 2, 2))
+@example(([], 2, 0))
+@example(([], 5, 3))
+@example(([parse_poly("x1*x2 + x3", 3), parse_poly("2", 3)], 3, 3))
+def test_chevalley_warning_is_axkatz_at_b_1(case):
+    # Chevalley-Warning is the Ax-Katz statement with b = 1, all-constant and
+    # empty polynomial lists included
+    polys, p, n = case
+    assert (chevalley_warning_verify(polys, p, n_vars=n)
+            == axkatz_prime_verify(polys, 1, p, n_vars=n))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from fleckforge import axkatz, cli
+from fleckforge import axkatz, cli, wilson
 
 
 def run(capsys, argv):
@@ -61,6 +62,19 @@ def test_synthesize_command(tmp_path, capsys):
     assert doc["results"]["coeffs"] == ["1", "-1"]
     assert doc["results"]["verified"] is True
     assert doc["results"]["q_range"] == ["-25", "25"]
+
+
+def test_synthesize_failed_bound_exit_code(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "kind": "synthesize", "p": 2, "a": 1, "b": 1,
+        "f": {"basis": "binomial", "coeffs": ["1"]}, "g": ["1", "0"],
+    }))
+    monkeypatch.setattr(wilson, "ord_int", lambda v, p: -math.inf)
+    code, doc = run(capsys, ["synthesize", str(inst)])
+    assert code == 2
+    validate_report(doc)
+    assert doc["results"] == {} and "below its bound" in doc["error"]
 
 
 @pytest.mark.parametrize("argv,q_range", [
@@ -160,6 +174,25 @@ def test_count_ceiling_exit_code(tmp_path, capsys):
         f"enumeration ceiling exceeded: {2 ** 40 + 2} steps needed"
 
 
+@pytest.mark.parametrize("argv,pairs", [
+    # squaring x1 + ... + x12 already takes 12 * 12 term pairs
+    (["--ceiling", "100"], 12 * 12),
+    # the square, 4th, 8th powers and the 8th into the result are formed;
+    # squaring the 8th (C(19, 11) terms) is refused
+    ([], 12 ** 2 + 78 ** 2 + 1365 ** 2 + 75582 + 75582 ** 2),
+], ids=["ceiling-100", "default-ceiling"])
+def test_parsing_a_power_is_charged_to_the_ceiling(tmp_path, capsys, argv, pairs):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "kind": "chevalley", "p": 3, "n_vars": 12,
+        "polynomials": ["(" + " + ".join(f"x{i}" for i in range(1, 13)) + ")^40"],
+    }))
+    code, doc = run(capsys, ["count", str(inst), *argv])
+    assert code == 3
+    validate_report(doc)
+    assert doc["error"] == f"enumeration ceiling exceeded: {pairs} steps needed"
+
+
 def test_count_separable_instance_beyond_brute_force(tmp_path, capsys):
     # 40 singleton components: 80 points and 1640 convolution pairs,
     # where walking the cube would take 2^40 points
@@ -199,9 +232,9 @@ def test_invalid_instance_rejected(tmp_path, capsys):
                  "instance['polynomials'][0]: 7 is not of type 'string'",
                  id="item-type"),
     pytest.param({"kind": "nonsense"},
-                 "instance['kind']: 'nonsense' is not one of ['fleck', "
-                 "'synthesize', 'theorem12', 'corollary11', 'chevalley', "
-                 "'axkatz', 'lemma22']", id="enum"),
+                 "instance['kind']: 'nonsense' is not one of ['synthesize', "
+                 "'theorem12', 'corollary11', 'chevalley', 'axkatz', "
+                 "'lemma22']", id="enum"),
     pytest.param([], "instance: [] is not of type 'object'", id="root-type"),
     pytest.param({"kind": "synthesize", "p": 3, "a": 1, "b": 2, "g": [1],
                   "f": {"basis": "x", "coeffs": []}},
@@ -234,6 +267,46 @@ def test_deep_json_is_one_error(tmp_path, capsys):
     inst.write_text("[" * 100000 + "]" * 100000)
     assert cli.main(["count", str(inst)]) == 1
     assert capsys.readouterr().err == f"error: {inst}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "{inst}"],
+    ["synthesize", "{inst}"],
+    ["fleck", "-p", "{p}", "-a", "1", "-n", "3", "-r", "0"],
+    ["bounds", "-p", "{p}", "-a", "1", "-n", "3"],
+], ids=lambda argv: argv[0])
+def test_p_beyond_the_primality_bound_is_one_error(tmp_path, capsys, argv):
+    p = 10 ** 30 + 57
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(
+        {"kind": "chevalley", "p": str(p), "n_vars": 2, "polynomials": ["x1+x2"]}
+        if argv[0] == "count" else
+        {"kind": "synthesize", "p": str(p), "a": 0, "b": 1, "f": ["1"], "g": ["1"]}))
+    assert cli.main([a.format(inst=inst, p=p) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: primality is decided only below "
+                            f"3317044064679887385961981, got {p}\n")
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"kind": "theorem12", "p": 2, "b": 2, "n_vars": 3, "exact-mode": True,
+      "constraints": [{"f": "x1+x2+x3", "a": 1,
+                       "F": {"basis": "binomial", "coeffs": ["1"]}}]},
+     "exact-mode"),
+    ({"kind": "chevalley", "p": 3, "n_vars": 1, "polynomials": ["x1"],
+      "zz": "DEEP"}, "zz"),
+], ids=["exact-mode", "deep-zz"])
+def test_unknown_instance_key_is_one_error(tmp_path, capsys, doc, key):
+    # the deep value is a list nested 950 times, which the report could not echo
+    text = json.dumps(doc).replace('"DEEP"', "[" * 950 + "]" * 950)
+    inst = tmp_path / "inst.json"
+    inst.write_text(text)
+    assert cli.main(["count", str(inst)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: instance: Additional properties are not "
+                            f"allowed ({key!r} was unexpected)\n")
 
 
 def test_integral_float_is_echoed_as_an_integer(tmp_path, capsys):

@@ -66,6 +66,19 @@ def test_parse_builds_one_multipoly_whatever_the_length(monkeypatch):
         assert len(built) <= 2
 
 
+@pytest.mark.parametrize("text,pairs", [
+    # 2*2 pairs, then 2*2: x1*x2 cancels in the first product and costs nothing
+    ("(x1 + x2)*(x1 - x2)*(x3 + 1)", 4 + 4),
+    # square and multiply: 1*3 into the result, 3*3 squaring, then 3*6
+    ("(x1 + x2 + 1)^3", 3 + 9 + 18),
+])
+def test_parse_is_charged_its_term_pairs(text, pairs):
+    with pytest.raises(CeilingExceeded) as err:
+        parse_poly(text, 3, ceiling=pairs - 1)
+    assert (err.value.required, err.value.ceiling) == (pairs, pairs - 1)
+    assert parse_poly(text, 3, ceiling=pairs) == parse_poly(text, 3)
+
+
 def test_150_nested_parentheses_and_minuses_parse():
     assert parse_poly("(" * 150 + "x1 - 2" + ")" * 150, 1) == parse_poly("x1 - 2", 1)
     assert parse_poly("-" * 150 + "x1", 1) == parse_poly("x1", 1)

@@ -102,6 +102,31 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
 
 
+def test_is_prime_matches_trial_division():
+    for n in range(10 ** 5):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)))
+
+
+@pytest.mark.parametrize("n", [
+    2047,  # a strong pseudoprime to base 2
+    3215031751,  # to bases 2, 3, 5, 7
+    3825123056546413051,  # to bases 2 .. 31
+    399165290221 * 798330580441,  # to bases 2 .. 37: only base 41 rejects it
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_large():
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 14 + 31)
+    assert not is_prime((2 ** 61 - 1) * (2 ** 19 - 1))
+    bound = 3317044064679887385961981
+    assert not is_prime(bound - 1)
+    for n in (bound, 10 ** 30 + 57):
+        with pytest.raises(ValueError, match=str(bound)):
+            is_prime(n)
+
+
 def test_phi_prime_power():
     assert phi_prime_power(PrimePower(2, 3)) == 4
     assert phi_prime_power(PrimePower(5, 1)) == 4

@@ -1,11 +1,12 @@
 import itertools
 import json
+import math
 import random
 from types import SimpleNamespace
 
 import pytest
 
-from fleckforge import cli, sweeps
+from fleckforge import cli, sweeps, wilson
 
 
 def test_zero_budget_truncates():
@@ -29,6 +30,16 @@ def test_budget_stops_every_sweep(monkeypatch, k):
     result = sweeps.run_sweeps(random.Random(1), budget=k + 0.5)
     assert result.truncated and result.ok
     assert len(result.log) == k
+
+
+def test_failed_synthesis_bound_is_a_logged_violation(monkeypatch):
+    monkeypatch.setattr(wilson, "ord_int", lambda v, p: -math.inf)
+    result = sweeps.SweepResult()
+    sweeps.sweep_theorem11(random.Random(1), 5, result)
+    assert len(result.log) == 5 and len(result.violations) == 5
+    for entry, violation in zip(result.log, result.violations):
+        assert violation == {**entry, "error": violation["error"]}
+        assert "below its bound" in violation["error"]
 
 
 @pytest.mark.parametrize("seed", range(1, 9))

@@ -1,8 +1,11 @@
 import dataclasses
+import math
 import random
 
 import pytest
 
+from fleckforge import wilson
+from fleckforge.exceptions import TheoremViolation
 from fleckforge.fleck import factorial_bound, wan_bound, weisman_bound
 from fleckforge.ivpoly import IntegerValuedPoly, eval_ivp, forward_differences
 from fleckforge.padic import PrimePower, ord_int, phi_prime_power
@@ -10,7 +13,6 @@ from fleckforge.wilson import (
     NewtonPoly,
     ResidueTable,
     bound_M,
-    eval_newton,
     max_degree,
     periodicity_exponent,
     synthesize,
@@ -80,11 +82,12 @@ def test_synthesize_identity_no_period():
 
 def test_eval_newton_values():
     P = NewtonPoly(coeffs=(1, -1), pp=PrimePower(2, 1), b=1, bound_records=(0, 0))
-    assert eval_newton(P, 7) == -6
-    assert eval_newton(P, -4) == 5
-    assert eval_newton(P, -4) % 2 == 1  # matches table entry g(0)=1 at even argument
+    poly = IntegerValuedPoly(P.coeffs)
+    assert eval_ivp(poly, 7) == -6
+    assert eval_ivp(poly, -4) == 5
+    assert eval_ivp(poly, -4) % 2 == 1  # matches table entry g(0)=1 at even argument
     empty = NewtonPoly(coeffs=(), pp=PrimePower(2, 1), b=1, bound_records=())
-    assert eval_newton(empty, 3) == 0
+    assert eval_ivp(IntegerValuedPoly(empty.coeffs), 3) == 0
 
 
 def _random_instance(rng):
@@ -122,7 +125,7 @@ def test_verify_theorem11_catches_a_wrong_coefficient():
         scan = [(q, r) for q in range(lo, hi + 1) for r in range(pp.modulus)]
         checked, first = next(
             (i, qr) for i, qr in enumerate(scan, 1)
-            if (eval_newton(wrong, pp.modulus * qr[0] + qr[1])
+            if (eval_ivp(IntegerValuedPoly(wrong.coeffs), pp.modulus * qr[0] + qr[1])
                 - eval_ivp(f, qr[0]) * g.values[qr[1]]) % pp.p ** b)
         report = verify_theorem11(wrong, f, g, q_range=(lo, hi))
         assert (report.ok, report.counterexample, report.checked) == (
@@ -164,8 +167,9 @@ def test_periodicity_modulo_prime_power():
         N = periodicity_exponent(P, max(f.degree_bound, 0))
         mod = pp.p ** b
         step = pp.p ** N
+        poly = IntegerValuedPoly(P.coeffs)
         for x in range(-100, 101, 13):
-            assert (eval_newton(P, x + step) - eval_newton(P, x)) % mod == 0
+            assert (eval_ivp(poly, x + step) - eval_ivp(poly, x)) % mod == 0
 
 
 def test_wilson_lemma_examples():
@@ -199,3 +203,11 @@ def test_wilson_lemma_rejects_a_zero():
 def test_residue_table_length_check():
     with pytest.raises(ValueError):
         ResidueTable(PrimePower(2, 2), [1, 2])
+
+
+def test_a_failed_synthesis_bound_is_a_theorem_violation(monkeypatch):
+    # no coefficient can meet its valuation bound when every valuation is -inf
+    monkeypatch.setattr(wilson, "ord_int", lambda v, p: -math.inf)
+    pp = PrimePower(2, 1)
+    with pytest.raises(TheoremViolation, match="below its bound"):
+        synthesize(pp, 1, ONE, ResidueTable(pp, [1, 0]))

@@ -45,7 +45,6 @@ from .multipoly import (
     CubeSpec,
     MultiPoly,
     factorise,
-    fits_int64,
     fold_poly_values,
     residue_histogram,
     total_degree,
@@ -169,11 +168,6 @@ def theorem12_sum(system: CongruenceSystem, exact: bool = False,
     """
     p, pb = system.p, system.p ** system.b
     polys = [c.f for c in system.constraints]
-    periods, mods = _periods(system)
-    if not exact and not fits_int64(mods):
-        # large moduli get the full sum, and report it instead of the residue,
-        # though both plans take any modulus (ROADMAP item 5)
-        exact = True
     if exact:
         hist = fold_poly_values(CubeSpec(p, system.n_vars), polys, ceiling=ceiling)
 
@@ -182,7 +176,8 @@ def theorem12_sum(system: CongruenceSystem, exact: bool = False,
             return eval_ivp(system.constraints[k].F, t)
 
         return _gate_and_weight(system, hist, weigh, None)
-    hist = residue_histogram(p, factorise(system.n_vars, polys), mods, pb,
+    periods, mods = _periods(system)
+    hist = residue_histogram(p, factorise(system.n_vars, polys), mods,
                              ceiling, tables=sum(periods))
     tables = [[eval_ivp(c.F, t) % pb for t in range(period)]
               for c, period in zip(system.constraints, periods)]

@@ -10,8 +10,10 @@ class TheoremViolation(Exception):
 
 class CeilingExceeded(Exception):
     """A cube sum's work bound (the planned enumeration's steps, the
-    convolution pairs and the F-table entries), or a parse's product term
-    pairs, is above the ceiling: the one its caller passed, else
+    convolution pairs and, on the modular engine, the F-table entries,
+    whatever the moduli), or a parse's charge (per product, the 64-bit
+    coefficient words of one factor times those of the other), is above
+    the ceiling: the one its caller passed, else
     ``multipoly.DEFAULT_CEILING``."""
 
     def __init__(self, required: int, ceiling: int):

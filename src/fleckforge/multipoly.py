@@ -10,8 +10,8 @@ A small precedence-climbing parser accepts the text grammar
 parentheses; exponents are nonnegative integer literals).  It works on
 plain term dicts, adding sums in place, and builds one ``MultiPoly`` at
 the end, which validates the terms and drops zero coefficients once.
-Its products are charged their term pairs against the same ceiling as
-the cube sums.
+Its products are charged their pairs of 64-bit coefficient words
+against the same ceiling as the cube sums.
 ``MultiPoly`` itself has no arithmetic: it is a validated record.
 
 A sum over [0, p-1]^n of a function of (f_1(x), ..., f_m(x)) depends
@@ -33,12 +33,13 @@ u_j(A) v_j(B) over two halves A and B of the variables, and its values
 are the matrix product of the u_j on A's sub-cube with the v_j on B's,
 taken mod m_k in blocks of rows of at most ``CHUNK`` points.  That
 row-block product is the only code that imports numpy, on first use.
-``fold_poly_values`` takes each m_k one more than the width of f_k's
-range over the cube, so the residues recover the exact values, and
-returns that exact value histogram.  ``residue_histogram`` also owns the
-enumeration ceiling: it plans every component, then refuses a sum whose
-plans' steps plus convolution pairs exceed it, before any work.  All of
-it runs in the caller's thread and reads nothing but its arguments.
+The counts are exact.  ``fold_poly_values`` takes each m_k one more
+than the width of f_k's range over the cube, so the residues recover the
+exact values, and returns that exact value histogram.
+``residue_histogram`` also owns the enumeration ceiling: it plans every
+component, then refuses a sum whose plans' steps plus convolution pairs
+exceed it, before any work.  All of it runs in the caller's thread and
+reads nothing but its arguments.
 """
 from __future__ import annotations
 
@@ -146,6 +147,11 @@ def _tokenize(text: str):
     return tokens
 
 
+def _words(terms) -> int:
+    """64-bit words of the coefficients of (exponents, coefficient) pairs."""
+    return sum(-(-c.bit_length() // 64) for _, c in terms)
+
+
 class _Parser:
     """Precedence climbing over + - (prec 1), * (prec 2), ^ (literal exponent)
     on term dicts, exponent vector -> coefficient, that may hold zeros.
@@ -163,12 +169,13 @@ class _Parser:
 
     def times(self, a: dict, b: dict) -> dict:
         """The product of two term dicts, as a new dict; zero terms are
-        skipped.  Its pairs of nonzero terms are charged first, and
-        CeilingExceeded refuses it if the running total would pass the
-        ceiling."""
+        skipped.  It is charged first, the 64-bit words of the left
+        coefficients times those of the right (the pairs of terms, when
+        every coefficient is below 2^64), and CeilingExceeded refuses it
+        if the running total would pass the ceiling."""
         left = [(e, c) for e, c in a.items() if c]
         right = [(e, c) for e, c in b.items() if c]
-        self.pairs += len(left) * len(right)
+        self.pairs += _words(left) * _words(right)
         if self.pairs > self.ceiling:
             raise CeilingExceeded(required=self.pairs, ceiling=self.ceiling)
         out: dict = {}
@@ -254,10 +261,11 @@ def parse_poly(text: str, n_vars: int, ceiling: int | None = None) -> MultiPoly:
     drops its zero coefficients.  Nesting deeper than the interpreter's
     recursion limit allows is a ParseError at the token where it stopped.
 
-    Expanding products multiplies the number of terms, so it is charged:
-    CeilingExceeded refuses a parse whose products' nonzero term pairs
-    would add up to more than ``ceiling`` (None: ``DEFAULT_CEILING``),
-    before the product that would pass it.
+    Expanding products multiplies the number of terms and the size of
+    the coefficients, so it is charged: CeilingExceeded refuses a parse
+    whose products' pairs of 64-bit coefficient words would add up to
+    more than ``ceiling`` (None: ``DEFAULT_CEILING``), before the product
+    that would pass it.
     """
     MultiPoly(n_vars)  # refuses a negative n_vars before any variable is read
     parser = _Parser(_tokenize(text), n_vars,
@@ -386,12 +394,6 @@ def _reach(mods, widths, gcds) -> int:
     return prod(min(mk, w // (g or 1) + 1) for mk, w, g in zip(mods, widths, gcds))
 
 
-def fits_int64(mods) -> bool:
-    """Whether the row-block product can run on int64: products of two
-    residues, and residue tuples as one mixed-radix key, fit."""
-    return max(mods, default=1) ** 2 < 2 ** 62 and prod(mods) < 2 ** 62
-
-
 def _elimination(p, comp, mods):
     """The frontier DP over one component, planned, and a bound on its work.
 
@@ -435,9 +437,9 @@ def _elimination(p, comp, mods):
     return work, steps, widths, gcds
 
 
-def _frontier_histogram(p, steps, mods, count_modulus):
-    """Counts mod count_modulus of (f_1 mod m_1, ...) over one component,
-    by the frontier DP that ``_elimination`` planned as ``steps``.
+def _frontier_histogram(p, steps, mods):
+    """Counts of (f_1 mod m_1, ...) over one component, by the frontier
+    DP that ``_elimination`` planned as ``steps``.
 
     The states are a dict from frontier values to a dict from residue
     tuples to counts; the terms added at a step depend on the frontier
@@ -462,7 +464,7 @@ def _frontier_histogram(p, steps, mods, count_modulus):
                     r = tuple(map(mod, map(add, r, shift), mods))
                     target[r] = target.get(r, 0) + count
         states = out
-    return {r: count % count_modulus for r, count in states[()].items()}
+    return states[()]
 
 
 def _subcube_values(polys, p, n, mk, dtype):
@@ -522,9 +524,9 @@ def _low_rank(terms, na, nb):
     return pairs + [(u, {eb: 1}) for eb, u in by_b.items()]
 
 
-def _component_histogram(p, comp, mods, count_modulus):
-    """Counts mod count_modulus of (f_1 mod m_1, ...) over one component's
-    points, as row blocks of a matrix product on numpy.
+def _component_histogram(p, comp, mods):
+    """Counts of (f_1 mod m_1, ...) over one component's points, as row
+    blocks of a matrix product on numpy.
 
     The variables split into A and B, B the last half capped at
     ``CHUNK`` points.  Each f_k is a sum of r_k products u_j(A) v_j(B)
@@ -533,13 +535,15 @@ def _component_histogram(p, comp, mods, count_modulus):
     the factors on the two sub-cubes.  A work unit is a block of U rows
     covering at most ``CHUNK`` points; on int64 the product is summed
     in column groups small enough that no sum of products overflows, and
-    reduced mod m_k after each, and where int64 cannot hold a product or
-    a key (``fits_int64``) the arrays hold Python integers.  The blocks
-    run one after another, each merged into the histogram as it ends.
+    reduced mod m_k after each, and where int64 cannot hold a product of
+    two residues or a residue tuple as one mixed-radix key, the arrays
+    hold Python integers.  The blocks run one after another, each merged
+    into the histogram as it ends.
     """
     import numpy as np
 
-    dtype = np.int64 if fits_int64(mods) else object
+    fits = max(mods, default=1) ** 2 < 2 ** 62 and prod(mods) < 2 ** 62
+    dtype = np.int64 if fits else object
     nb = (len(comp.variables) + 1) // 2
     while p ** nb > CHUNK:
         nb -= 1
@@ -573,26 +577,24 @@ def _component_histogram(p, comp, mods, count_modulus):
         for mk in reversed(mods):
             key, r = divmod(key, mk)
             residues.append(r)
-        hist[tuple(residues[::-1])] = count % count_modulus
+        hist[tuple(residues[::-1])] = count
     return hist
 
 
-def _convolve(hist_a, hist_b, mods, count_modulus):
-    """Cyclic convolution of two histograms over Z_m1 x ... x Z_mK; tuples
-    whose count vanishes mod count_modulus are dropped."""
+def _convolve(hist_a, hist_b, mods):
+    """Cyclic convolution of two histograms over Z_m1 x ... x Z_mK."""
     out: dict = {}
     for rb, cb in hist_b.items():
         for ra, ca in hist_a.items():
             r = tuple(map(mod, map(add, ra, rb), mods))
             out[r] = out.get(r, 0) + ca * cb
-    return {r: c % count_modulus for r, c in out.items() if c % count_modulus}
+    return out
 
 
-def residue_histogram(p: int, fact: Factorisation, mods, count_modulus: int,
+def residue_histogram(p: int, fact: Factorisation, mods,
                       ceiling: int | None = None, tables: int = 0) -> dict:
-    """Counts mod ``count_modulus`` of (f_1 mod m_1, ..., f_K mod m_K) over
-    the cube, as a dict from each residue tuple to its count (tuples with
-    count 0 may be left out).
+    """Exact counts of (f_1 mod m_1, ..., f_K mod m_K) over the cube, as a
+    dict from each occurring residue tuple to its count.
 
     Each component of ``fact`` is enumerated alone, by one of two plans
     chosen from bounds computed before any work: the frontier DP
@@ -627,11 +629,11 @@ def residue_histogram(p: int, fact: Factorisation, mods, count_modulus: int,
     if required > ceiling:
         raise CeilingExceeded(required=required, ceiling=ceiling)
     hist = {tuple(c % mk for c, mk in zip(fact.constants, mods)):
-            pow(p, fact.free, count_modulus)}
+            p ** fact.free}
     for comp, steps in plans:
-        part = (_frontier_histogram(p, steps, mods, count_modulus) if steps else
-                _component_histogram(p, comp, mods, count_modulus))
-        hist = _convolve(hist, part, mods, count_modulus)
+        part = (_frontier_histogram(p, steps, mods) if steps else
+                _component_histogram(p, comp, mods))
+        hist = _convolve(hist, part, mods)
     return hist
 
 
@@ -640,9 +642,7 @@ def fold_poly_values(spec: CubeSpec, polys, ceiling: int | None = None) -> dict:
     each occurring value tuple to its exact count.
 
     Over the cube f_k takes values in a box [lo_k, lo_k + w_k], so its
-    residue mod m_k = w_k + 1 recovers it; ``residue_histogram`` counts
-    those residues with the count modulus p^n + 1, which leaves every
-    count exact.
+    residue mod m_k = w_k + 1 recovers it.
     """
     for f in polys:
         if f.n_vars != spec.n_vars:
@@ -653,6 +653,6 @@ def fold_poly_values(spec: CubeSpec, polys, ceiling: int | None = None) -> dict:
              for f in polys]
     lows = [c + lo for c, (lo, _) in zip(fact.constants, boxes)]
     mods = [hi - lo + 1 for lo, hi in boxes]
-    hist = residue_histogram(p, fact, mods, p ** spec.n_vars + 1, ceiling)
+    hist = residue_histogram(p, fact, mods, ceiling)
     return {tuple((r - low) % mk + low for r, low, mk in zip(residues, lows, mods)):
             count for residues, count in hist.items()}

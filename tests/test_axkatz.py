@@ -122,15 +122,22 @@ def test_empty_system_counts_cube():
 
 
 def test_high_degree_term_stays_on_the_modular_engine(monkeypatch):
-    # 3^45 does not fit in int64, but x^45 mod m_k of a digit x does
-    system = _system(3, 3, 3, [("x1^45 + x1*x2 + x2*x3", 1, X)])
-    exact = theorem12_sum(system, exact=True)
+    cases = [
+        # 3^45 does not fit in int64, but x^45 mod m_k of a digit x does
+        (_system(3, 3, 3, [("x1^45 + x1*x2 + x2*x3", 1, X)]), 13),
+        # m_k = 2^42, whose square passes int64: the sum is 150, reported mod 4
+        (_system(2, 2, 3, [("2^40*x1*x2 + 2^41*x3 + 2^40", 40,
+                            IntegerValuedPoly([3, 7]))]), 2),
+    ]
+    exact = [theorem12_sum(system, exact=True) for system, _ in cases]
+    assert exact[1] == 150
 
     def no_exact_walk(*args, **kwargs):
         raise AssertionError("fell back to the exact engine")
 
     monkeypatch.setattr(axkatz, "fold_poly_values", no_exact_walk)
-    assert theorem12_sum(system) == exact % 3 ** 3 == 13
+    for (system, residue), full in zip(cases, exact):
+        assert theorem12_sum(system) == full % system.p ** system.b == residue
 
 
 def test_verify_theorem12_examples():

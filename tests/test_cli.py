@@ -193,6 +193,36 @@ def test_parsing_a_power_is_charged_to_the_ceiling(tmp_path, capsys, argv, pairs
     assert doc["error"] == f"enumeration ceiling exceeded: {pairs} steps needed"
 
 
+def test_parsing_a_large_constant_is_charged_its_words(tmp_path, capsys):
+    # 3^100000000 is one term, but its squarings multiply ever longer words
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "kind": "chevalley", "p": 3, "n_vars": 1,
+        "polynomials": ["x1 + 3^100000000"],
+    }))
+    code, doc = run(capsys, ["count", str(inst)])
+    assert code == 3
+    validate_report(doc)
+    assert doc["error"] == "enumeration ceiling exceeded: 247536139 steps needed"
+
+
+@pytest.mark.parametrize("b", [29, 30, 31])
+def test_modular_count_is_refused_by_its_table_at_any_b(tmp_path, capsys, b):
+    # the modular engine runs however large its moduli, and its F table has
+    # 2^b entries; the DP steps and convolution pairs of the components x1
+    # and x2 make up the other 10
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "kind": "theorem12", "p": 2, "b": b, "n_vars": 2,
+        "constraints": [{"f": "x1 - 3*x2 - 1", "a": 0,
+                         "F": {"basis": "binomial", "coeffs": ["3", "7"]}}],
+    }))
+    code, doc = run(capsys, ["count", str(inst)])
+    assert code == 3
+    validate_report(doc)
+    assert doc["error"] == f"enumeration ceiling exceeded: {2 ** b + 10} steps needed"
+
+
 def test_count_separable_instance_beyond_brute_force(tmp_path, capsys):
     # 40 singleton components: 80 points and 1640 convolution pairs,
     # where walking the cube would take 2^40 points

@@ -71,6 +71,9 @@ def test_parse_builds_one_multipoly_whatever_the_length(monkeypatch):
     ("(x1 + x2)*(x1 - x2)*(x3 + 1)", 4 + 4),
     # square and multiply: 1*3 into the result, 3*3 squaring, then 3*6
     ("(x1 + x2 + 1)^3", 3 + 9 + 18),
+    # 2^64 - 1 is one 64-bit word, 2^64 two and 2^128 three: 1*1 and 3*1
+    # for the monomials, then (1 + 1)*(3 + 2) for the product
+    (f"({2 ** 64 - 1}*x1 + 1)*({2 ** 128}*x2 + {2 ** 64})", 1 + 3 + 2 * 5),
 ])
 def test_parse_is_charged_its_term_pairs(text, pairs):
     with pytest.raises(CeilingExceeded) as err:

@@ -9,12 +9,13 @@ divisibility, and the general gated weighted sum
 
 under the exact-rational hypothesis on n.  Every verifier is an instance
 of that sum: the zero counts gate each f_k on p | f_k with weight 1, and
-the binomial-weight sums weight by C(f_k / p^a, l_k).  Each builds its
-CongruenceSystem and its own hypothesis margin, and one helper computes
-the sum and the verdict; Chevalley-Warning is the Ax-Katz verifier at
-b = 1.  The sum depends only on the histogram of
-(f_1(x), ..., f_m(x)) over the cube, which is the convolution of the
-histograms of the connected components of the variables
+the binomial-weight sums weight by C(f_k / p^a, l_k).  One helper
+computes the sum and the verdict.  Chevalley-Warning is Ax-Katz at b = 1,
+Ax-Katz is Corollary 1.1 at a = 1, l_k = 0, and Corollary 1.1 is
+Theorem 1.2 on its binomial system, so ``hypothesis_16`` judges all
+four; Lemma 2.2 has its own margin.  The sum depends only on the
+histogram of (f_1(x), ..., f_m(x)) over the cube, which is the
+convolution of the histograms of the connected components of the variables
 (``multipoly.factorise``), so each component is enumerated alone: by a
 frontier DP over its variables in pure Python, or, for a dense
 component, as a numpy matrix product of the polynomials' low-rank
@@ -218,13 +219,11 @@ def _binomial_system(polys, p: int, b: int, a: int, ls,
 
 
 def _judge(system: CongruenceSystem, modulus: int, margin: Fraction,
-           exact: bool, ceiling: int | None,
-           applies: bool = True) -> DivisibilityVerdict:
+           exact: bool, ceiling: int | None) -> DivisibilityVerdict:
     """Sum the system and compare the sum with the claimed modulus.
 
     Raises TheoremViolation if the hypothesis holds (its margin is
-    positive), the statement applies (a side condition beyond the
-    hypothesis) and the sum is not divisible: a proved impossibility.
+    positive) and the sum is not divisible: a proved impossibility.
     """
     holds = margin > 0
     s = theorem12_sum(system, exact=exact, ceiling=ceiling)
@@ -232,7 +231,7 @@ def _judge(system: CongruenceSystem, modulus: int, margin: Fraction,
                                   hypothesis_holds=holds,
                                   hypothesis_margin=margin,
                                   divisible=s % modulus == 0)
-    if holds and applies and not verdict.divisible:
+    if holds and not verdict.divisible:
         raise TheoremViolation(f"sum {s} not divisible by {modulus} although "
                                f"the hypothesis holds with margin {margin}")
     return verdict
@@ -248,47 +247,33 @@ def verify_theorem12(system: CongruenceSystem, exact: bool = False,
 def corollary11_verify(polys, a: int, b: int, ls, p: int,
                        exact: bool = False, ceiling: int | None = None,
                        n_vars: int | None = None) -> DivisibilityVerdict:
-    """Binomial-weight specialization: a_k = a, F_k(x) = C(x, l_k).
+    """Theorem 1.2 with a_k = a and F_k(x) = C(x, l_k), whose hypothesis is
 
-    The hypothesis used is
-
-        n > (b-1) d_1 p^(a-1) + ((p^a-1)/(p-1)) sum d_k
+        n > (b-1) max(d_1 p^(a-1), 1) + ((p^a-1)/(p-1)) sum d_k
             + (p^a/(p-1)) sum l_k d_k
 
-    with d_1 the largest degree.  When it holds (and some d_k >= 1, the
-    nondegenerate case), divisibility by p^b must follow.
-    """
-    polys, ls = list(polys), list(ls)
+    with d_1 the largest degree."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    system = _binomial_system(polys, p, b, a, ls, n_vars)
-    degrees = [total_degree(f) for f in polys]
-    d1 = max(degrees, default=0)
-    rhs = Fraction((b - 1) * d1 * p ** (a - 1))
-    rhs += Fraction((p ** a - 1) * sum(degrees), p - 1)
-    rhs += Fraction(p ** a * sum(l * d for l, d in zip(ls, degrees)), p - 1)
-    margin = Fraction(system.n_vars) - rhs
-    return _judge(system, p ** b, margin, exact, ceiling, applies=d1 >= 1)
+    system = _binomial_system(list(polys), p, b, a, list(ls), n_vars)
+    return verify_theorem12(system, exact=exact, ceiling=ceiling)
 
 
 def chevalley_warning_verify(polys, p: int, ceiling: int | None = None,
                              n_vars: int | None = None) -> DivisibilityVerdict:
     """p divides the common-zero count when n > sum d_k: the Ax-Katz
-    statement at b = 1.  Its side condition d_1 >= 1 hides nothing there,
-    since with only constants the count is 0 or p^n with n >= 1."""
+    statement at b = 1."""
     return axkatz_prime_verify(polys, 1, p, ceiling=ceiling, n_vars=n_vars)
 
 
 def axkatz_prime_verify(polys, b: int, p: int, ceiling: int | None = None,
                         n_vars: int | None = None) -> DivisibilityVerdict:
-    """p^b divides the common-zero count when n > (b-1) d_1 + sum d_k and
-    d_1 >= 1 (with only constants the count is 0 or p^n, whatever b)."""
+    """p^b divides the common-zero count when
+    n > (b-1) max(d_1, 1) + sum d_k: Corollary 1.1 at a = 1 and l_k = 0,
+    counted exactly."""
     polys = list(polys)
-    system = _binomial_system(polys, p, b, 1, [0] * len(polys), n_vars)
-    degrees = [total_degree(f) for f in polys]
-    d1 = max(degrees, default=0)
-    margin = Fraction(system.n_vars - ((b - 1) * d1 + sum(degrees)))
-    return _judge(system, p ** b, margin, True, ceiling, applies=d1 >= 1)
+    return corollary11_verify(polys, 1, b, [0] * len(polys), p, exact=True,
+                              ceiling=ceiling, n_vars=n_vars)
 
 
 def lemma22_verify(polys, js, c: int, p: int, ceiling: int | None = None,

@@ -360,10 +360,11 @@ def _congruence_system(doc, ceiling: int | None = None) -> axkatz.CongruenceSyst
                                    n_vars=n_vars, constraints=constraints)
 
 
-# count kind -> verifier call (doc, exact, ceiling); only theorem12
-# and corollary11 have a modular engine for `exact` to switch off.  The
-# ceiling bounds the parse and the sum alike.  The polynomial kinds pass
-# n_vars, which an empty polynomial list cannot carry.
+# count kind -> verifier call (doc, exact, ceiling).  chevalley calls axkatz,
+# which calls corollary11, which calls theorem12: one hypothesis judges all
+# four.  Only theorem12 and corollary11 have a modular engine for `exact` to
+# switch off.  The ceiling bounds the parse and the sum alike.  The
+# polynomial kinds pass n_vars, which an empty polynomial list cannot carry.
 _COUNT_KINDS = {
     "theorem12": lambda doc, exact, **run: axkatz.verify_theorem12(
         _congruence_system(doc, **run), exact=exact, **run),
@@ -405,6 +406,10 @@ def cmd_count(args) -> tuple[dict, int]:
 
 
 def cmd_sweep(args) -> tuple[dict, int]:
+    if args.budget is not None and not 0 <= args.budget < math.inf:  # nan too
+        raise ValueError(f"--budget must be finite and >= 0, got {args.budget}")
+    if args.rounds < 0:
+        raise ValueError(f"--rounds must be >= 0, got {args.rounds}")
     rng = random.Random(args.seed)
     result = sweeps.run_sweeps(rng, rounds=args.rounds, budget=args.budget)
     return {

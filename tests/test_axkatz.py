@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fleckforge import axkatz
@@ -20,7 +20,7 @@ from fleckforge.axkatz import (
 )
 from fleckforge.exceptions import CeilingExceeded, TheoremViolation
 from fleckforge.ivpoly import IntegerValuedPoly, eval_ivp
-from fleckforge.multipoly import MultiPoly, eval_poly, parse_poly
+from fleckforge.multipoly import MultiPoly, eval_poly, parse_poly, total_degree
 from fleckforge.padic import binom_int
 
 ONE = IntegerValuedPoly([1])
@@ -328,14 +328,6 @@ def test_indivisible_sum_under_hypothesis_raises(monkeypatch, kind):
         HOLDING[kind]()
 
 
-def test_all_constant_polynomials_never_raise():
-    # both statements need some d_k >= 1: with only constants the hypothesis
-    # holds for every n, but the count p^n need not be divisible by p^b
-    two = [parse_poly("2", 2)]
-    for v in (corollary11_verify(two, 1, 3, [0], 2), axkatz_prime_verify(two, 3, 2)):
-        assert v.hypothesis_holds and not v.divisible and v.sum == 4
-
-
 def test_empty_polynomial_list_needs_n_vars():
     assert chevalley_warning_verify([], 3, n_vars=3).sum == 27
     assert lemma22_verify([], [], 2, 3, n_vars=3).sum == 27
@@ -384,17 +376,17 @@ def test_theorem12_where_its_hypothesis_has_slack():
 
 
 @st.composite
-def _zero_count_cases(draw):
+def _zero_count_cases(draw, max_degree=2):
     """(polynomials, p, n_vars): up to two nonzero polynomials of degree at
-    most 2 in each of n_vars <= 4 variables; with n_vars = 0 they are
-    constants."""
+    most ``max_degree`` in each of n_vars <= 4 variables; with n_vars = 0
+    or max_degree = 0 they are constants."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(0, 4))
     polys = []
     for _ in range(draw(st.integers(0, 2))):
         terms = {}
         for _ in range(draw(st.integers(1, 3))):
-            exps = tuple(draw(st.integers(0, 2)) for _ in range(n))
+            exps = tuple(draw(st.integers(0, max_degree)) for _ in range(n))
             terms[exps] = terms.get(exps, 0) + draw(st.integers(-4, 4))
         f = MultiPoly(n, terms)
         if not f.is_zero:
@@ -416,3 +408,91 @@ def test_chevalley_warning_is_axkatz_at_b_1(case):
     polys, p, n = case
     assert (chevalley_warning_verify(polys, p, n_vars=n)
             == axkatz_prime_verify(polys, 1, p, n_vars=n))
+
+
+@st.composite
+def _corollary11_cases(draw, max_degree=2):
+    """(polynomials, p, n_vars, a, b, ls): a zero-count case with a <= 2,
+    b <= 4 and one binomial index l_k <= 2 per polynomial."""
+    polys, p, n = draw(_zero_count_cases(max_degree))
+    a, b = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    return polys, p, n, a, b, [draw(st.integers(0, 2)) for _ in polys]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corollary11_cases(max_degree=0))
+@example(([parse_poly("2", 2)], 2, 2, 1, 3, [0]))
+@example(([parse_poly("2", 3)], 2, 3, 1, 3, [0]))
+@example(([parse_poly("3", 2), parse_poly("6", 2)], 3, 2, 1, 2, [1, 2]))
+@example(([], 3, 0, 1, 1, []))
+@example(([], 2, 4, 2, 4, []))
+def test_constant_systems_hypothesis_implies_divisible(case):
+    # with only constants the count is 0 or p^n times a constant, and
+    # hypothesis_16's margin n - b + 1 is positive only when p^b divides p^n;
+    # a violation would raise here
+    polys, p, n, a, b, ls = case
+    for v in (corollary11_verify(polys, a, b, ls, p, n_vars=n),
+              corollary11_verify(polys, a, b, ls, p, exact=True, n_vars=n),
+              axkatz_prime_verify(polys, b, p, n_vars=n),
+              chevalley_warning_verify(polys, p, n_vars=n)):
+        assert v.divisible or not v.hypothesis_holds
+    assert axkatz_prime_verify(polys, b, p, n_vars=n).hypothesis_margin == n - b + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corollary11_cases())
+def test_margins_equal_the_papers_formulas(case):
+    # oracles: the paper's Ax-Katz and Corollary 1.1 hypotheses, written out;
+    # with some d_k >= 1 they are hypothesis_16 of the binomial system
+    polys, p, n, a, b, ls = case
+    degrees = [total_degree(f) for f in polys]
+    d1 = max(degrees, default=0)
+    assume(d1 >= 1)
+    axkatz_margin = n - ((b - 1) * d1 + sum(degrees))
+    assert axkatz_prime_verify(polys, b, p).hypothesis_margin == axkatz_margin
+    corollary_margin = n - ((b - 1) * d1 * p ** (a - 1)
+                            + Fraction((p ** a - 1) * sum(degrees), p - 1)
+                            + Fraction(p ** a * sum(l * d for l, d in zip(ls, degrees)),
+                                       p - 1))
+    assert corollary11_verify(polys, a, b, ls, p).hypothesis_margin == corollary_margin
+
+
+def _legendre(x, p):
+    return 0 if x % p == 0 else (1 if pow(x, (p - 1) // 2, p) == 1 else -1)
+
+
+@st.composite
+def _quadratic_forms(draw):
+    """(f, p, n, expected zero count): f = sum_{i <= r} c_i y_i^2 with
+    y = A x, A unit upper-triangular mod p, and the closed-form count
+    p^(n-r) N_r of Lidl-Niederreiter, Finite Fields, section 6.2."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, {3: 8, 5: 6, 7: 5}[p]))
+    r = draw(st.integers(1, n))
+    cs = [draw(st.integers(1, p - 1)) for _ in range(r)]
+    terms = {}
+    for i, c in enumerate(cs):
+        # y_i = x_i + sum_{j > i} A_ij x_j; zero entries split the variables
+        y = {i: 1} | {j: draw(st.sampled_from([0, 0] + list(range(1, p))))
+                      for j in range(i + 1, n)}
+        for j, u in y.items():
+            for k, v in y.items():
+                exps = [0] * n
+                exps[j] += 1
+                exps[k] += 1
+                terms[tuple(exps)] = terms.get(tuple(exps), 0) + c * u * v
+    delta = 1
+    for c in cs:
+        delta *= c
+    count = p ** (r - 1)
+    if r % 2 == 0:
+        chi = _legendre((-1) ** (r // 2) * delta, p)
+        count += chi * (p - 1) * p ** (r // 2 - 1)
+    return MultiPoly(n, terms), p, n, p ** (n - r) * count
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quadratic_forms())
+def test_quadratic_form_zero_count_matches_closed_form(case):
+    f, p, n, expected = case
+    assert axkatz_prime_verify([f], 1, p).sum == expected

@@ -432,6 +432,20 @@ def test_count_workers_below_one_is_a_usage_error(capsys, workers):
     assert "--workers must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--budget", "nan"], "--budget must be finite and >= 0, got nan"),
+    (["--budget", "inf"], "--budget must be finite and >= 0, got inf"),
+    (["--budget", "-1"], "--budget must be finite and >= 0, got -1.0"),
+    (["--rounds", "-1"], "--rounds must be >= 0, got -1"),
+])
+def test_sweep_budget_and_rounds_out_of_range_are_usage_errors(capsys, argv, message):
+    # nan and inf would be echoed as invalid JSON, and a negative budget or
+    # round count would report ok having checked nothing
+    assert cli.main(["sweep", "--seed", "1", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_report_determinism(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

@@ -30,13 +30,11 @@ from .ivpoly import (
     forward_differences,
     ivp_from_values,
     monomials_to_ivp,
-    newton_remainder,
 )
 from .multipoly import (
     CubeSpec,
     MultiPoly,
     ParseError,
-    eval_poly,
     fold_poly_values,
     parse_poly,
     render_poly,
@@ -56,10 +54,8 @@ from .wilson import (
     ResidueTable,
     bound_M,
     max_degree,
-    periodicity_exponent,
     synthesize,
     verify_theorem11,
-    wilson_lemma,
 )
 
 __version__ = "0.1.0"

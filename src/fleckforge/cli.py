@@ -262,9 +262,17 @@ def _parse_coeff_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
+def _nonnegative(**flags) -> None:
+    # checked here so that the error names the flag and the value given
+    for flag, value in flags.items():
+        if value < 0:
+            raise ValueError(f"-{flag} must be >= 0, got {value}")
+
+
 # --- subcommands ------------------------------------------------------------
 
 def cmd_fleck(args) -> tuple[dict, int]:
+    _nonnegative(n=args.n)
     pp = PrimePower(args.p, args.a)
     f = IntegerValuedPoly(_parse_coeff_list(args.f) if args.f else [1])
     report = check_lemma21(args.n, args.r, pp, f)
@@ -282,6 +290,7 @@ def cmd_fleck(args) -> tuple[dict, int]:
 
 
 def cmd_bounds(args) -> tuple[dict, int]:
+    _nonnegative(n=args.n, l=args.l)
     pp = PrimePower(args.p, args.a)
     results = {
         "wan": wan_bound(args.n, pp, args.l),

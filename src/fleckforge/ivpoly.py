@@ -2,13 +2,11 @@
 
 A polynomial is stored as its coefficient list [c_0, ..., c_l] with
 f(x) = sum_j c_j * C(x, j); the c_j are exactly the forward differences
-of f at 0.  Also provides the exact determinant form of the truncation
-remainder of the forward-difference interpolation series.
+of f at 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .padic import binom_int  # noqa: F401  unused here; tracers wrap it at this name
 
@@ -60,68 +58,6 @@ def forward_differences(values: list[int]) -> list[int]:
 def ivp_from_values(values: list[int]) -> IntegerValuedPoly:
     """The unique polynomial of degree <= l agreeing with [f(0), ..., f(l)]."""
     return IntegerValuedPoly(forward_differences(values))
-
-
-def _det_bareiss(rows):
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Entries may be ints or Fractions; every division performed is exact.
-    """
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                if isinstance(num, Fraction) or isinstance(prev, Fraction):
-                    m[i][j] = num / prev
-                else:
-                    m[i][j] = num // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def newton_remainder(values, x, fx, d=None):
-    """Exact truncation remainder of the forward-difference series at degree d.
-
-    ``values`` is the table [f(0), ..., f(d)], ``fx`` the value f(x) at the
-    query point ``x`` (int, Fraction, or anything exact).  Returns the ratio
-    of the bordered (d+2)x(d+2) node/value determinant to the d x d
-    power-matrix determinant; this equals
-    f(x) - sum_{n<=d} D^n f(0) * C(x, n) whenever both sides are defined,
-    and is 0 if f is a polynomial of degree <= d.
-    """
-    if d is None:
-        d = len(values) - 1
-    if len(values) != d + 1:
-        raise ValueError(f"need d+1 = {d + 1} values, got {len(values)}")
-    x = Fraction(x)
-
-    top = []
-    for i, fi in enumerate(values):
-        top.append([i ** j for j in range(d + 1)] + [fi])
-    top.append([x ** j for j in range(d + 1)] + [Fraction(fx)])
-    numerator = _det_bareiss(top)
-
-    bottom = [[i ** j for j in range(1, d + 1)] for i in range(1, d + 1)]
-    denominator = _det_bareiss(bottom)
-    if denominator == 0:
-        # Nodes 0..d are distinct, so this cannot happen.
-        raise ArithmeticError("singular node matrix in remainder determinant")
-    return Fraction(numerator) / Fraction(denominator)
 
 
 def monomials_to_ivp(monomial_coeffs: list[int]) -> IntegerValuedPoly:

@@ -95,20 +95,6 @@ def total_degree(f: MultiPoly) -> int:
     return f._total_degree
 
 
-def eval_poly(f: MultiPoly, point) -> int:
-    """Exact value of f at an integer point."""
-    if len(point) != f.n_vars:
-        raise ValueError(f"point has {len(point)} coordinates, need {f.n_vars}")
-    total = 0
-    for exps, c in f.terms.items():
-        v = c
-        for x, e in zip(point, exps):
-            if e:
-                v *= x ** e
-        total += v
-    return total
-
-
 # --- parser -----------------------------------------------------------------
 
 class ParseError(ValueError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exceptions import TheoremViolation
-from .fleck import factorial_bound, wan_bound, weisman_bound
+from .fleck import factorial_bound, wan_bound
 from .ivpoly import IntegerValuedPoly, eval_ivp, forward_differences
 from .padic import PrimePower, ord_int, phi_prime_power
 
@@ -152,33 +152,3 @@ def verify_theorem11(P: NewtonPoly, f: IntegerValuedPoly, g: ResidueTable,
             for j in range(len(diffs) - 1):
                 diffs[j] = (diffs[j] + diffs[j + 1]) % mod
     return CongruenceReport(ok=True, checked=checked, counterexample=None)
-
-
-def wilson_lemma(pp: PrimePower, b: int, table) -> NewtonPoly:
-    """Specialization to a bare periodic table: f = 1, g = table, a >= 1.
-
-    Additionally asserts the classical degree bound
-    d < b*phi(p^a) + p^(a-1) and the per-coefficient bound
-    ord_p(c_n) >= floor((n - p^(a-1))/phi(p^a)).
-    """
-    if pp.a < 1:
-        raise ValueError("wilson_lemma requires a >= 1")
-    g = table if isinstance(table, ResidueTable) else ResidueTable(pp, table)
-    P = synthesize(pp, b, IntegerValuedPoly([1]), g)
-    cap = b * phi_prime_power(pp) + pp.p ** (pp.a - 1)
-    if not P.degree < cap:
-        raise TheoremViolation(f"degree {P.degree} not below {cap}")
-    for n, c in enumerate(P.coeffs):
-        if ord_int(c, pp.p) < weisman_bound(n, pp):
-            raise TheoremViolation(f"c_{n} = {c} violates the periodic-table bound")
-    return P
-
-
-def periodicity_exponent(P: NewtonPoly, l: int) -> int:
-    """Smallest N of the form b + max ord_p(k) over k in [1, max(d, l)].
-
-    P(x + p^N) = P(x) (mod p^b) for all x, with P(x) = sum c_n C(x, n).
-    """
-    top = max(P.degree, l)
-    extra = max((int(ord_int(k, P.pp.p)) for k in range(1, top + 1)), default=0)
-    return P.b + extra

@@ -22,14 +22,13 @@ from fleckforge.fleck import (
     restricted_sum,
     weisman_bound,
 )
-from fleckforge.ivpoly import IntegerValuedPoly, forward_differences
+from fleckforge.ivpoly import IntegerValuedPoly
 from fleckforge.multipoly import MultiPoly, parse_poly
 from fleckforge.padic import INFINITE, PrimePower, binom_int, ord_int
 from fleckforge.wilson import (
     ResidueTable,
     synthesize,
     verify_theorem11,
-    wilson_lemma,
 )
 from fleckforge.padic import phi_prime_power
 
@@ -126,38 +125,11 @@ def test_criterion_5_wilson_degree_bound():
         b = rng.randint(1, 3)
         pp = PrimePower(p, a)
         table = [rng.randint(-99, 99) for _ in range(pp.modulus)]
-        P = wilson_lemma(pp, b, table)
+        P = synthesize(pp, b, ONE, ResidueTable(pp, table))
         assert P.degree < b * phi_prime_power(pp) + p ** (a - 1)
-    report(5, True, "100 periodic tables, degree bound holds")
-
-
-def test_criterion_6_newton_remainder():
-    from fractions import Fraction
-    from fleckforge.ivpoly import newton_remainder
-
-    rng = random.Random(6)
-    zero_cases = 0
-    for _ in range(500):
-        deg = rng.randint(0, 6)
-        mono = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
-        d = rng.randint(0, deg + 3)
-        values = [sum(a * i ** j for j, a in enumerate(mono))
-                  for i in range(d + 1)]
-        x = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
-        fx = sum(Fraction(a) * x ** j for j, a in enumerate(mono))
-        coeffs = forward_differences(values)
-        truncated = Fraction(0)
-        binom = Fraction(1)
-        for n, c in enumerate(coeffs):
-            if n > 0:
-                binom = binom * (x - n + 1) / n
-            truncated += c * binom
-        r = newton_remainder(values, x, fx)
-        assert r == fx - truncated
-        if deg <= d:
-            assert r == 0
-            zero_cases += 1
-    report(6, True, f"500 cases exact, {zero_cases} with vanishing remainder")
+        for n, c in enumerate(P.coeffs):
+            assert ord_int(c, p) >= weisman_bound(n, pp)
+    report(5, True, "100 periodic tables, degree and coefficient bounds hold")
 
 
 def _random_nonzero(rng, n_vars, max_deg):

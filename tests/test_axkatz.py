@@ -20,8 +20,9 @@ from fleckforge.axkatz import (
 )
 from fleckforge.exceptions import CeilingExceeded, TheoremViolation
 from fleckforge.ivpoly import IntegerValuedPoly, eval_ivp
-from fleckforge.multipoly import MultiPoly, eval_poly, parse_poly, total_degree
+from fleckforge.multipoly import MultiPoly, parse_poly, total_degree
 from fleckforge.padic import binom_int
+from oracles import eval_poly
 
 ONE = IntegerValuedPoly([1])
 X = IntegerValuedPoly([0, 1])

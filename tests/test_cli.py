@@ -9,6 +9,8 @@ import jsonschema
 import pytest
 
 from fleckforge import axkatz, cli, wilson
+from fleckforge.fleck import weisman_bound
+from fleckforge.padic import PrimePower, ord_int, phi_prime_power
 
 
 def run(capsys, argv):
@@ -62,6 +64,22 @@ def test_synthesize_command(tmp_path, capsys):
     assert doc["results"]["coeffs"] == ["1", "-1"]
     assert doc["results"]["verified"] is True
     assert doc["results"]["q_range"] == ["-25", "25"]
+
+
+def test_synthesize_with_f_one_is_wilsons_lemma(tmp_path, capsys):
+    # Wilson's Lemma: a table periodic mod p^a is interpolated below degree
+    # b*phi(p^a) + p^(a-1), each c_n with ord_p(c_n) >= floor((n - p^(a-1))/phi(p^a))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "synthesize", "p": 3, "a": 2, "b": 2,
+                                "f": ["1"], "g": [4, -7, 0, 12, 5, -1, 9, 3, -8]}))
+    code, doc = run(capsys, ["synthesize", str(inst)])
+    assert code == 0
+    pp = PrimePower(3, 2)
+    results = doc["results"]
+    assert int(results["degree"]) < 2 * phi_prime_power(pp) + 3
+    assert results["verified"] is True
+    for n, c in enumerate(results["coeffs"]):
+        assert ord_int(int(c), 3) >= weisman_bound(n, pp)
 
 
 def test_synthesize_failed_bound_exit_code(tmp_path, capsys, monkeypatch):
@@ -442,6 +460,17 @@ def test_sweep_budget_and_rounds_out_of_range_are_usage_errors(capsys, argv, mes
     # nan and inf would be echoed as invalid JSON, and a negative budget or
     # round count would report ok having checked nothing
     assert cli.main(["sweep", "--seed", "1", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "-p", "2", "-a", "1", "-n", "5", "-l", "-2"], "-l must be >= 0, got -2"),
+    (["bounds", "-p", "2", "-a", "2", "-n", "-5", "-l", "0"], "-n must be >= 0, got -5"),
+    (["fleck", "-p", "2", "-a", "2", "-n", "-3", "-r", "0"], "-n must be >= 0, got -3"),
+])
+def test_negative_n_or_l_names_the_flag_and_value(capsys, argv, message):
+    assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
 

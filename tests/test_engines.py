@@ -23,7 +23,8 @@ from fleckforge import axkatz, multipoly
 from fleckforge.axkatz import CongruenceSystem, Constraint, theorem12_sum
 from fleckforge.exceptions import CeilingExceeded
 from fleckforge.ivpoly import IntegerValuedPoly, eval_ivp
-from fleckforge.multipoly import MultiPoly, eval_poly, factorise, parse_poly, render_poly
+from fleckforge.multipoly import MultiPoly, factorise, parse_poly, render_poly
+from oracles import eval_poly
 
 coefficients = st.integers(-9, 9).filter(bool)
 

@@ -1,7 +1,4 @@
 import random
-from fractions import Fraction
-
-import pytest
 
 from fleckforge.ivpoly import (
     IntegerValuedPoly,
@@ -9,7 +6,6 @@ from fleckforge.ivpoly import (
     forward_differences,
     ivp_from_values,
     monomials_to_ivp,
-    newton_remainder,
 )
 from fleckforge.padic import binom_int
 
@@ -86,50 +82,3 @@ def test_monomials_to_ivp_matches_horner_everywhere():
         for x in range(-10, 11):
             direct = sum(a * x ** j for j, a in enumerate(mono))
             assert eval_ivp(f, x) == direct
-
-
-def test_newton_remainder_examples():
-    # x^2 sampled at 0..2, query value 25 at x = 5
-    assert newton_remainder([0, 1, 4], 5, 25) == 0
-    # truncating the same function at d = 1: 25 - (0 + 1*5) = 20
-    assert newton_remainder([0, 1], 5, 25) == 20
-    assert newton_remainder([7, 7, 7, 7], 11, 7) == 0
-
-
-def test_newton_remainder_zero_for_low_degree():
-    rng = random.Random(19)
-    for _ in range(25):
-        deg = rng.randint(0, 6)
-        mono = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
-        d = rng.randint(deg, deg + 3)
-        values = [sum(a * i ** j for j, a in enumerate(mono)) for i in range(d + 1)]
-        for _ in range(3):
-            x = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
-            fx = sum(Fraction(a) * x ** j for j, a in enumerate(mono))
-            assert newton_remainder(values, x, fx) == 0
-
-
-def test_newton_remainder_equals_truncation_error():
-    rng = random.Random(23)
-    for _ in range(25):
-        deg = rng.randint(1, 6)
-        mono = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
-        d = rng.randint(0, deg - 1)
-        values = [sum(a * i ** j for j, a in enumerate(mono)) for i in range(d + 1)]
-        coeffs = forward_differences(values)
-        x = Fraction(rng.randint(-30, 30), rng.randint(1, 5))
-        fx = sum(Fraction(a) * x ** j for j, a in enumerate(mono))
-        truncated = sum(Fraction(c) * _binom_frac(x, n) for n, c in enumerate(coeffs))
-        assert newton_remainder(values, x, fx) == fx - truncated
-
-
-def _binom_frac(x: Fraction, k: int) -> Fraction:
-    result = Fraction(1)
-    for i in range(k):
-        result = result * (x - i) / (i + 1)
-    return result
-
-
-def test_newton_remainder_length_check():
-    with pytest.raises(ValueError):
-        newton_remainder([1, 2], 3, 9, d=3)

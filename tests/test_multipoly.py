@@ -11,12 +11,12 @@ from fleckforge.multipoly import (
     CubeSpec,
     MultiPoly,
     ParseError,
-    eval_poly,
     fold_poly_values,
     parse_poly,
     render_poly,
     total_degree,
 )
+from oracles import eval_poly
 
 
 def test_parse_examples():

@@ -14,10 +14,8 @@ from fleckforge.wilson import (
     ResidueTable,
     bound_M,
     max_degree,
-    periodicity_exponent,
     synthesize,
     verify_theorem11,
-    wilson_lemma,
 )
 
 ONE = IntegerValuedPoly([1])
@@ -164,7 +162,9 @@ def test_periodicity_modulo_prime_power():
     for _ in range(15):
         pp, b, f, g = _random_instance(rng)
         P = synthesize(pp, b, f, g)
-        N = periodicity_exponent(P, max(f.degree_bound, 0))
+        # N = b + max ord_p(k) over k in [1, max(d, l)]
+        top = max(P.degree, f.degree_bound, 0)
+        N = b + max((ord_int(k, pp.p) for k in range(1, top + 1)), default=0)
         mod = pp.p ** b
         step = pp.p ** N
         poly = IntegerValuedPoly(P.coeffs)
@@ -173,11 +173,15 @@ def test_periodicity_modulo_prime_power():
 
 
 def test_wilson_lemma_examples():
-    P = wilson_lemma(PrimePower(2, 1), 1, [1, 0])
+    # Wilson's Lemma is synthesis with f = 1 and g the periodic table
+    pp = PrimePower(2, 1)
+    P = synthesize(pp, 1, ONE, ResidueTable(pp, [1, 0]))
     assert P.degree == 1
-    P = wilson_lemma(PrimePower(3, 1), 1, [0, 0, 0])
+    pp = PrimePower(3, 1)
+    P = synthesize(pp, 1, ONE, ResidueTable(pp, [0, 0, 0]))
     assert all(c == 0 for c in P.coeffs)
-    P = wilson_lemma(PrimePower(2, 2), 1, [1, 0, 0, 0])
+    pp = PrimePower(2, 2)
+    P = synthesize(pp, 1, ONE, ResidueTable(pp, [1, 0, 0, 0]))
     assert P.degree < 1 * 2 + 2
 
 
@@ -189,15 +193,10 @@ def test_wilson_lemma_degree_bound_random():
         b = rng.randint(1, 3)
         pp = PrimePower(p, a)
         table = [rng.randint(-50, 50) for _ in range(pp.modulus)]
-        P = wilson_lemma(pp, b, table)
+        P = synthesize(pp, b, ONE, ResidueTable(pp, table))
         assert P.degree < b * phi_prime_power(pp) + p ** (a - 1)
         for n, c in enumerate(P.coeffs):
             assert ord_int(c, p) >= weisman_bound(n, pp)
-
-
-def test_wilson_lemma_rejects_a_zero():
-    with pytest.raises(ValueError):
-        wilson_lemma(PrimePower(2, 0), 1, [1])
 
 
 def test_residue_table_length_check():

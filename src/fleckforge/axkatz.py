@@ -37,7 +37,6 @@ the exact engine.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import TheoremViolation
@@ -54,14 +53,24 @@ from .padic import PrimePower, is_prime, ord_factorial, phi_prime_power
 from .padic import binom_int  # noqa: F401  unused here; tracers wrap it at this name
 
 
-@dataclass(frozen=True)
 class Constraint:
     """One record (f_k, a_k, F_k) with declared degree bound l_k for F_k."""
 
-    f: MultiPoly
-    a: int
-    F: IntegerValuedPoly
-    l: int | None = None
+    __slots__ = ("f", "a", "F", "l")
+
+    def __init__(self, f: MultiPoly, a: int, F: IntegerValuedPoly,
+                 l: int | None = None):
+        if f.is_zero:
+            raise ValueError("constraint polynomial must be nonzero")
+        if a < 0:
+            raise ValueError("a must be >= 0")
+        if l is not None and l < F.degree_bound:
+            raise ValueError(
+                f"declared bound l={l} below actual degree {F.degree_bound}")
+        self.f = f
+        self.a = a
+        self.F = F
+        self.l = l
 
     @property
     def l_eff(self) -> int:
@@ -69,17 +78,7 @@ class Constraint:
         declared = self.l if self.l is not None else self.F.degree_bound
         return max(declared, self.F.degree_bound, 0)
 
-    def __post_init__(self):
-        if self.f.is_zero:
-            raise ValueError("constraint polynomial must be nonzero")
-        if self.a < 0:
-            raise ValueError("a must be >= 0")
-        if self.l is not None and self.l < self.F.degree_bound:
-            raise ValueError(
-                f"declared bound l={self.l} below actual degree {self.F.degree_bound}")
 
-
-@dataclass(frozen=True)
 class CongruenceSystem:
     """The data of the gated weighted-sum statement.
 
@@ -87,30 +86,40 @@ class CongruenceSystem:
     max_k d_k * phi(p^(a_k)) is computed internally.
     """
 
-    p: int
-    b: int
-    n_vars: int
-    constraints: tuple[Constraint, ...]
+    __slots__ = ("p", "b", "n_vars", "constraints")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.b < 1:
-            raise ValueError(f"b must be >= 1, got {self.b}")
-        if self.n_vars < 0:
-            raise ValueError(f"n_vars must be >= 0, got {self.n_vars}")
-        for c in self.constraints:
-            if c.f.n_vars != self.n_vars:
+    def __init__(self, p: int, b: int, n_vars: int,
+                 constraints: tuple[Constraint, ...]):
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if b < 1:
+            raise ValueError(f"b must be >= 1, got {b}")
+        if n_vars < 0:
+            raise ValueError(f"n_vars must be >= 0, got {n_vars}")
+        for c in constraints:
+            if c.f.n_vars != n_vars:
                 raise ValueError("all constraint polynomials must share n_vars")
+        self.p = p
+        self.b = b
+        self.n_vars = n_vars
+        self.constraints = constraints
 
 
-@dataclass(frozen=True)
 class DivisibilityVerdict:
-    sum: int
-    claimed_modulus: int
-    hypothesis_holds: bool
-    hypothesis_margin: Fraction
-    divisible: bool
+    __slots__ = ("sum", "claimed_modulus", "hypothesis_holds",
+                 "hypothesis_margin", "divisible")
+
+    def __init__(self, sum: int, claimed_modulus: int, hypothesis_holds: bool,
+                 hypothesis_margin: Fraction, divisible: bool):
+        self.sum = sum
+        self.claimed_modulus = claimed_modulus
+        self.hypothesis_holds = hypothesis_holds
+        self.hypothesis_margin = hypothesis_margin
+        self.divisible = divisible
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DivisibilityVerdict) and all(
+            getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
 
 def hypothesis_16(sys: CongruenceSystem) -> Fraction:

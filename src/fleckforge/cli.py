@@ -5,7 +5,10 @@ JSON on stdout with every big integer serialized as a decimal string;
 output key order is fixed, so reports are byte-stable for a given
 instance (timing is opt-in via --timing precisely to keep them so).
 Each subcommand maps its arguments to a (report, exit code) pair;
-``main`` alone times it and prints the report.
+``main`` alone times it and prints the report.  Every request runs in a
+fresh process, so this module imports only what every subcommand needs:
+``count`` imports ``axkatz`` and ``sweep`` imports ``sweeps`` when they
+run.
 
 Instance files are checked against ``schemas/instance.schema.json`` by
 ``_violation``, which interprets the JSON Schema 2020-12 keywords that
@@ -22,16 +25,11 @@ import argparse
 import functools
 import json
 import math
-import random
+import os
 import re
 import sys
 import time
-from dataclasses import asdict
-from decimal import Decimal
-from fractions import Fraction
-from importlib import resources
 
-from . import axkatz, sweeps
 from .exceptions import CeilingExceeded, TheoremViolation
 from .fleck import check_lemma21, factorial_bound, fleck_bound, wan_bound, weisman_bound
 from .ivpoly import IntegerValuedPoly, monomials_to_ivp
@@ -54,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _load_schema(name: str) -> dict:
-    with resources.files("fleckforge.schemas").joinpath(name).open() as fh:
+    with open(os.path.join(os.path.dirname(__file__), "schemas", name)) as fh:
         return json.load(fh)
 
 
@@ -74,8 +72,6 @@ def _encode(obj):
         return str(obj)
     if isinstance(obj, float):
         return "inf" if math.isinf(obj) else obj
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, dict):
         return {k: _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -224,6 +220,8 @@ def _json_number(text: str):
     that would round to an integral float (``1e-400`` to ``0.0``) stays
     the exact Decimal, which the schema rejects too.
     """
+    from decimal import Decimal
+
     exact = Decimal(text)
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     if exact == exact.to_integral_value() and (not limit or exact.adjusted() < limit):
@@ -274,7 +272,7 @@ def _nonnegative(**flags) -> None:
 def cmd_fleck(args) -> tuple[dict, int]:
     _nonnegative(n=args.n)
     pp = PrimePower(args.p, args.a)
-    f = IntegerValuedPoly(_parse_coeff_list(args.f) if args.f else [1])
+    f = IntegerValuedPoly(_parse_coeff_list(args.f) if args.f is not None else [1])
     report = check_lemma21(args.n, args.r, pp, f)
     return {
         "kind": "fleck",
@@ -357,35 +355,39 @@ def _polys(doc, ceiling: int | None = None) -> list:
     return [parse_poly(text, n_vars, ceiling=ceiling) for text in doc["polynomials"]]
 
 
-def _congruence_system(doc, ceiling: int | None = None) -> axkatz.CongruenceSystem:
+def _congruence_system(doc, ceiling: int | None = None):
+    from .axkatz import CongruenceSystem, Constraint
+
     n_vars = _as_int(doc["n_vars"])
     constraints = tuple(
-        axkatz.Constraint(f=parse_poly(c["f"], n_vars, ceiling=ceiling),
-                          a=_as_int(c["a"]),
-                          F=_ivp_from_json(c["F"]),
-                          l=_as_int(c["l"]) if "l" in c else None)
+        Constraint(f=parse_poly(c["f"], n_vars, ceiling=ceiling),
+                   a=_as_int(c["a"]),
+                   F=_ivp_from_json(c["F"]),
+                   l=_as_int(c["l"]) if "l" in c else None)
         for c in doc["constraints"])
-    return axkatz.CongruenceSystem(p=_as_int(doc["p"]), b=_as_int(doc["b"]),
-                                   n_vars=n_vars, constraints=constraints)
+    return CongruenceSystem(p=_as_int(doc["p"]), b=_as_int(doc["b"]),
+                            n_vars=n_vars, constraints=constraints)
 
 
-# count kind -> verifier call (doc, exact, ceiling).  chevalley calls axkatz,
-# which calls corollary11, which calls theorem12: one hypothesis judges all
-# four.  Only theorem12 and corollary11 have a modular engine for `exact` to
-# switch off.  The ceiling bounds the parse and the sum alike.  The
-# polynomial kinds pass n_vars, which an empty polynomial list cannot carry.
+# count kind -> verifier call (axkatz, doc, exact, ceiling); cmd_count, the
+# one subcommand that runs the engines, imports axkatz and passes it in.
+# chevalley calls axkatz, which calls corollary11, which calls theorem12: one
+# hypothesis judges all four.  Only theorem12 and corollary11 have a modular
+# engine for `exact` to switch off.  The ceiling bounds the parse and the sum
+# alike.  The polynomial kinds pass n_vars, which an empty polynomial list
+# cannot carry.
 _COUNT_KINDS = {
-    "theorem12": lambda doc, exact, **run: axkatz.verify_theorem12(
+    "theorem12": lambda axkatz, doc, exact, **run: axkatz.verify_theorem12(
         _congruence_system(doc, **run), exact=exact, **run),
-    "corollary11": lambda doc, exact, **run: axkatz.corollary11_verify(
+    "corollary11": lambda axkatz, doc, exact, **run: axkatz.corollary11_verify(
         _polys(doc, **run), _as_int(doc["a"]), _as_int(doc["b"]), _ints(doc["ls"]),
         _as_int(doc["p"]), exact=exact, n_vars=_as_int(doc["n_vars"]), **run),
-    "chevalley": lambda doc, exact, **run: axkatz.chevalley_warning_verify(
+    "chevalley": lambda axkatz, doc, exact, **run: axkatz.chevalley_warning_verify(
         _polys(doc, **run), _as_int(doc["p"]), n_vars=_as_int(doc["n_vars"]), **run),
-    "axkatz": lambda doc, exact, **run: axkatz.axkatz_prime_verify(
+    "axkatz": lambda axkatz, doc, exact, **run: axkatz.axkatz_prime_verify(
         _polys(doc, **run), _as_int(doc["b"]), _as_int(doc["p"]),
         n_vars=_as_int(doc["n_vars"]), **run),
-    "lemma22": lambda doc, exact, **run: axkatz.lemma22_verify(
+    "lemma22": lambda axkatz, doc, exact, **run: axkatz.lemma22_verify(
         _polys(doc, **run), _ints(doc["js"]), _as_int(doc["c"]), _as_int(doc["p"]),
         n_vars=_as_int(doc["n_vars"]), **run),
 }
@@ -395,6 +397,8 @@ def cmd_count(args) -> tuple[dict, int]:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     doc = _load_instance(args.instance, _COUNT_KINDS)
+    from . import axkatz
+
     kind = doc["kind"]
     ceiling = args.ceiling if args.ceiling is not None else (
         _as_int(doc["ceiling"]) if "ceiling" in doc else None)
@@ -402,7 +406,7 @@ def cmd_count(args) -> tuple[dict, int]:
     report = {"kind": kind, "instance": doc, "workers": args.workers,
               "results": {}}
     try:
-        verdict = _COUNT_KINDS[kind](doc, exact, ceiling=ceiling)
+        verdict = _COUNT_KINDS[kind](axkatz, doc, exact, ceiling=ceiling)
     except TheoremViolation as exc:
         report["error"] = str(exc)
         return report, EXIT_VIOLATION
@@ -410,7 +414,13 @@ def cmd_count(args) -> tuple[dict, int]:
         error = f"enumeration ceiling exceeded: {exc.required} steps needed"
         return {"kind": kind, "instance": doc, "results": {},
                 "error": error}, EXIT_CEILING
-    report["verdict"] = asdict(verdict)
+    report["verdict"] = {
+        "sum": verdict.sum,
+        "claimed_modulus": verdict.claimed_modulus,
+        "hypothesis_holds": verdict.hypothesis_holds,
+        "hypothesis_margin": str(verdict.hypothesis_margin),
+        "divisible": verdict.divisible,
+    }
     return report, EXIT_OK
 
 
@@ -419,12 +429,16 @@ def cmd_sweep(args) -> tuple[dict, int]:
         raise ValueError(f"--budget must be finite and >= 0, got {args.budget}")
     if args.rounds < 0:
         raise ValueError(f"--rounds must be >= 0, got {args.rounds}")
+    import random
+
+    from . import sweeps
+
     rng = random.Random(args.seed)
     result = sweeps.run_sweeps(rng, rounds=args.rounds, budget=args.budget)
     return {
         "kind": "sweep",
         "instance": {"seed": args.seed, "rounds": args.rounds,
-                     "budget": args.budget},
+                     "budget": None if args.budget is None else str(args.budget)},
         "results": {
             "instances": result.log,
             "violations": result.violations,

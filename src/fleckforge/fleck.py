@@ -11,9 +11,6 @@ style, one via factorial valuations) that hold for every f.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .ivpoly import IntegerValuedPoly, eval_ivp
 from .padic import (
     PrimePower,
@@ -56,12 +53,11 @@ def weisman_bound(n: int, pp: PrimePower) -> int:
 def wan_bound(n: int, pp: PrimePower, l: int) -> int:
     """floor((n - l*p^a - p^(a-1))/phi(p^a)), exact for every a >= 0.
 
-    For a = 0 the term p^(a-1) = 1/p is kept as an exact rational before
-    taking the floor.
+    For a = 0 that is floor(n - l - 1/p), and 0 < 1/p < 1 makes it
+    n - l - 1.
     """
     if pp.a == 0:
-        num = Fraction(n - l) - Fraction(1, pp.p)
-        return num.numerator // num.denominator
+        return n - l - 1
     return (n - l * pp.modulus - pp.p ** (pp.a - 1)) // phi_prime_power(pp)
 
 
@@ -78,7 +74,6 @@ def factorial_bound(n: int, pp: PrimePower, l: int) -> int:
     return ord_factorial(shifted, p) - ord_factorial(l, p) - min(l, n // pp.modulus)
 
 
-@dataclass(frozen=True)
 class FleckReport:
     """Outcome of checking one restricted sum against its bounds.
 
@@ -88,14 +83,19 @@ class FleckReport:
     negative bounds are trivially satisfied, not clamped.
     """
 
-    n: int
-    r: int
-    pp: PrimePower
-    f: IntegerValuedPoly
-    sum: int
-    valuation: Valuation
-    bounds: dict[str, int]
-    satisfied: dict[str, bool]
+    __slots__ = ("n", "r", "pp", "f", "sum", "valuation", "bounds", "satisfied")
+
+    def __init__(self, n: int, r: int, pp: PrimePower, f: IntegerValuedPoly,
+                 sum: int, valuation: Valuation, bounds: dict[str, int],
+                 satisfied: dict[str, bool]):
+        self.n = n
+        self.r = r
+        self.pp = pp
+        self.f = f
+        self.sum = sum
+        self.valuation = valuation
+        self.bounds = bounds
+        self.satisfied = satisfied
 
     @property
     def all_satisfied(self) -> bool:

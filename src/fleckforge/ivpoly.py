@@ -6,12 +6,9 @@ of f at 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .padic import binom_int  # noqa: F401  unused here; tracers wrap it at this name
 
 
-@dataclass(frozen=True)
 class IntegerValuedPoly:
     """f(x) = sum_j coeffs[j] * C(x, j), with integer coefficients.
 
@@ -19,10 +16,10 @@ class IntegerValuedPoly:
     are permitted (the declared degree bound is len(coeffs) - 1).
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        self.coeffs = tuple(int(c) for c in coeffs)
 
     @property
     def degree_bound(self) -> int:

@@ -43,7 +43,6 @@ reads nothing but its arguments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import add, mod
 
@@ -295,24 +294,27 @@ def render_poly(f: MultiPoly) -> str:
 CHUNK = 1 << 16  # most points handled as one unit
 
 
-@dataclass(frozen=True)
 class CubeSpec:
     """The enumeration domain [0, p-1]^n_vars."""
 
-    p: int
-    n_vars: int
+    __slots__ = ("p", "n_vars")
+
+    def __init__(self, p: int, n_vars: int):
+        self.p = p
+        self.n_vars = n_vars
 
 
-@dataclass(frozen=True)
 class Component:
     """Variables linked through shared terms, and each polynomial's terms
     on them, with exponent vectors indexed like ``variables``."""
 
-    variables: tuple[int, ...]
-    terms: tuple[dict, ...]
+    __slots__ = ("variables", "terms")
+
+    def __init__(self, variables: tuple[int, ...], terms: tuple[dict, ...]):
+        self.variables = variables
+        self.terms = terms
 
 
-@dataclass(frozen=True)
 class Factorisation:
     """f_k(x) = constants[k] + sum over components C of f_k restricted to C.
 
@@ -320,9 +322,13 @@ class Factorisation:
     by p and is never enumerated.
     """
 
-    components: tuple[Component, ...]
-    constants: tuple[int, ...]
-    free: int
+    __slots__ = ("components", "constants", "free")
+
+    def __init__(self, components: tuple[Component, ...],
+                 constants: tuple[int, ...], free: int):
+        self.components = components
+        self.constants = constants
+        self.free = free
 
 
 def factorise(n_vars: int, polys) -> Factorisation:

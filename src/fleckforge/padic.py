@@ -7,7 +7,6 @@ arbitrary-precision integers; nothing is ever rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 #: Valuation of zero.  Compares greater than every finite valuation.
 INFINITE = math.inf
@@ -49,18 +48,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class PrimePower:
     """A prime power p^a with p prime and a >= 0."""
 
-    p: int
-    a: int
+    __slots__ = ("p", "a")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.a < 0:
-            raise ValueError(f"exponent must be >= 0, got {self.a}")
+    def __init__(self, p: int, a: int) -> None:
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if a < 0:
+            raise ValueError(f"exponent must be >= 0, got {a}")
+        self.p = p
+        self.a = a
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PrimePower)
+                and (self.p, self.a) == (other.p, other.a))
 
     @property
     def modulus(self) -> int:

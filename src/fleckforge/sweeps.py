@@ -8,7 +8,6 @@ enough budget produce identical logs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .axkatz import (
     CongruenceSystem,
@@ -25,11 +24,13 @@ from .padic import PrimePower
 from .wilson import ResidueTable, synthesize, verify_theorem11
 
 
-@dataclass
 class SweepResult:
-    log: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    truncated: bool = False
+    __slots__ = ("log", "violations", "truncated")
+
+    def __init__(self):
+        self.log = []
+        self.violations = []
+        self.truncated = False
 
     @property
     def ok(self) -> bool:

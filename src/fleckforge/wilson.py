@@ -12,31 +12,26 @@ bound M_d stays below b.  The congruence P(p^a q + r) = f(q) g(r)
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exceptions import TheoremViolation
 from .fleck import factorial_bound, wan_bound
 from .ivpoly import IntegerValuedPoly, eval_ivp, forward_differences
 from .padic import PrimePower, ord_int, phi_prime_power
 
 
-@dataclass(frozen=True)
 class ResidueTable:
     """One period [g(0), ..., g(p^a - 1)] of a function periodic mod p^a."""
 
-    pp: PrimePower
-    values: tuple[int, ...]
+    __slots__ = ("pp", "values")
 
     def __init__(self, pp: PrimePower, values):
         values = tuple(int(v) for v in values)
         if len(values) != pp.modulus:
             raise ValueError(
                 f"table must have exactly {pp.modulus} entries, got {len(values)}")
-        object.__setattr__(self, "pp", pp)
-        object.__setattr__(self, "values", values)
+        self.pp = pp
+        self.values = values
 
 
-@dataclass(frozen=True)
 class NewtonPoly:
     """P(x) = sum c_n C(x, n) with per-coefficient valuation bounds.
 
@@ -44,23 +39,30 @@ class NewtonPoly:
     ``b`` is the target modulus exponent (congruences hold mod p^b).
     """
 
-    coeffs: tuple[int, ...]
-    pp: PrimePower
-    b: int
-    bound_records: tuple[int, ...]
+    __slots__ = ("coeffs", "pp", "b", "bound_records")
+
+    def __init__(self, coeffs: tuple[int, ...], pp: PrimePower, b: int,
+                 bound_records: tuple[int, ...]):
+        self.coeffs = coeffs
+        self.pp = pp
+        self.b = b
+        self.bound_records = bound_records
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
 class CongruenceReport:
     """Result of checking P(p^a q + r) = f(q) g(r) (mod p^b) on a grid."""
 
-    ok: bool
-    checked: int
-    counterexample: tuple[int, int] | None  # (q, r), if any
+    __slots__ = ("ok", "checked", "counterexample")
+
+    def __init__(self, ok: bool, checked: int,
+                 counterexample: tuple[int, int] | None):  # (q, r), if any
+        self.ok = ok
+        self.checked = checked
+        self.counterexample = counterexample
 
 
 def bound_M(d: int, pp: PrimePower, l: int) -> int:

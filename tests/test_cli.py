@@ -43,6 +43,16 @@ def test_fleck_command(capsys):
     assert doc["results"]["bounds"]["wan"] == "3"
 
 
+@pytest.mark.parametrize("f", ["", ","])
+def test_fleck_empty_f_is_the_zero_polynomial(capsys, f):
+    # f = 1 would give C(3,0) + C(3,2) = 4
+    code, doc = run(capsys, ["fleck", "-p", "2", "-a", "1", "-n", "3", "-r", "0",
+                             "--f", f])
+    assert code == 0
+    assert doc["instance"]["f"] == []
+    assert doc["results"]["sum"] == "0"
+
+
 def test_bounds_command(capsys):
     code, doc = run(capsys, ["bounds", "-p", "2", "-a", "1", "-n", "2",
                              "-l", "0", "-b", "1"])
@@ -432,6 +442,37 @@ def test_numpy_is_imported_only_for_a_dense_component(tmp_path):
     assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0] False", "0 True False"]
 
 
+def test_start_up_loads_only_the_subcommands_code():
+    # the modules each step adds, as a diff, since the interpreter may load
+    # some of them before the program starts
+    chevalley = Path(__file__).resolve().parent / "golden" / "chevalley.json"
+    script = ("import contextlib, io, json, sys\n"
+              "seen = set(sys.modules)\n"
+              "def added():\n"
+              "    new = sorted(set(sys.modules) - seen)\n"
+              "    seen.update(new)\n"
+              "    print(json.dumps(new))\n"
+              "def run(argv):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0\n"
+              "    added()\n"
+              "from fleckforge import cli\n"
+              "added()\n"
+              f"run(['count', {str(chevalley)!r}])\n"
+              "run(['sweep', '--seed', '1', '--rounds', '1'])\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    start, count, sweep = (set(json.loads(line)) for line in proc.stdout.splitlines())
+    assert start & {"dataclasses", "inspect", "fractions", "decimal",
+                    "importlib.resources", "numpy", "fleckforge.axkatz",
+                    "fleckforge.sweeps"} == set()
+    assert "fleckforge.axkatz" in count
+    assert count & {"fleckforge.sweeps", "numpy"} == set()
+    assert "fleckforge.sweeps" in sweep
+
+
 @pytest.mark.parametrize("name", ["instance.schema.json", "report.schema.json"])
 def test_shipped_schemas_pass_the_metaschema(name):
     jsonschema.Draft202012Validator.check_schema(cli._load_schema(name))
@@ -462,6 +503,17 @@ def test_sweep_budget_and_rounds_out_of_range_are_usage_errors(capsys, argv, mes
     assert cli.main(["sweep", "--seed", "1", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, echo", [
+    ([], None),
+    (["--budget", "0"], "0.0"),
+    (["--budget", "2.5"], "2.5"),
+])
+def test_sweep_budget_is_echoed_as_a_string(capsys, argv, echo):
+    code, doc = run(capsys, ["sweep", "--seed", "1", "--rounds", "0", *argv])
+    assert code == 0
+    assert doc["instance"]["budget"] == echo
 
 
 @pytest.mark.parametrize("argv, message", [

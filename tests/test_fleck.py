@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +70,15 @@ def test_wan_bound_values():
     assert wan_bound(6, PrimePower(2, 1), 1) == 3
     assert wan_bound(6, PrimePower(2, 2), 0) == 2
     assert wan_bound(4, PrimePower(3, 0), 1) == 2  # floor(4 - 1 - 1/3)
+
+
+def test_wan_bound_at_a_0_is_the_rational_floor():
+    # floor(n - l*p^0 - p^(0-1)) / phi(1), with 1/p kept exact
+    for p in (2, 3, 5, 7, 101):
+        pp = PrimePower(p, 0)
+        for n in range(0, 40):
+            for l in range(0, 8):
+                assert wan_bound(n, pp, l) == math.floor(Fraction(n - l) - Fraction(1, p))
 
 
 def test_wan_specializes_to_weisman_and_fleck():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -117,7 +116,8 @@ def test_verify_theorem11_catches_a_wrong_coefficient():
         k = rng.randrange(len(P.coeffs))
         coeffs = list(P.coeffs)
         coeffs[k] += 1
-        wrong = dataclasses.replace(P, coeffs=tuple(coeffs))
+        wrong = NewtonPoly(coeffs=tuple(coeffs), pp=P.pp, b=P.b,
+                           bound_records=P.bound_records)
         # the first failing (q, r) of a direct scan, counting checked points
         lo, hi = -5, 5
         scan = [(q, r) for q in range(lo, hi + 1) for r in range(pp.modulus)]

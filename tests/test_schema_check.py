@@ -25,16 +25,13 @@ VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 GOLDEN = sorted((Path(__file__).resolve().parent / "golden").glob("*.json"))
 
 # the golden corpus has only `count` kinds; these add the `f` of both shapes
-SEEDS = {p.stem: json.loads(p.read_text()) for p in GOLDEN} | {
-    "synthesize-f-object": {
-        "kind": "synthesize", "p": 3, "a": 1, "b": 2, "g": ["1", "0", 2],
-        "f": {"basis": "binomial", "coeffs": ["1", 0]}, "q_range": [-3, "3"]},
-    "synthesize-f-list": {
-        "kind": "synthesize", "p": 2, "a": 1, "b": 1, "f": ["1"], "g": [1, 0]},
-    "chevalley-ceiling-exact-mode": {
-        "kind": "chevalley", "p": 3, "n_vars": 2, "polynomials": ["x1"],
-        "ceiling": 100, "exact_mode": True},
-}
+SEEDS = [json.loads(p.read_text()) for p in GOLDEN] + [
+    {"kind": "synthesize", "p": 3, "a": 1, "b": 2, "g": ["1", "0", 2],
+     "f": {"basis": "binomial", "coeffs": ["1", 0]}, "q_range": [-3, "3"]},
+    {"kind": "synthesize", "p": 2, "a": 1, "b": 1, "f": ["1"], "g": [1, 0]},
+    {"kind": "chevalley", "p": 3, "n_vars": 2, "polynomials": ["x1"],
+     "ceiling": 100, "exact_mode": True},
+]
 
 # a bool, integral and non-integral floats, strings a bigint pattern reads
 # either way, the enum and const values, nested lists and dicts
@@ -57,7 +54,7 @@ def _fresh(draw, strategy):
 
 @st.composite
 def mutated(draw):
-    doc = _fresh(draw, st.sampled_from(list(SEEDS.values())))
+    doc = _fresh(draw, st.sampled_from(SEEDS))
     for _ in range(draw(st.integers(1, 3))):
         node = doc
         # walk down a random path, stopping at some container on the way
@@ -81,7 +78,7 @@ def mutated(draw):
     return doc
 
 
-@pytest.mark.parametrize("doc", SEEDS.values(), ids=SEEDS)
+@pytest.mark.parametrize("doc", SEEDS, ids=lambda d: d["kind"])
 def test_seed_documents_conform(doc):
     assert VALIDATOR.is_valid(doc)
     assert cli._violation(SCHEMA, doc, SCHEMA) is None

@@ -411,9 +411,8 @@ def cmd_count(args) -> tuple[dict, int]:
         report["error"] = str(exc)
         return report, EXIT_VIOLATION
     except CeilingExceeded as exc:
-        error = f"enumeration ceiling exceeded: {exc.required} steps needed"
-        return {"kind": kind, "instance": doc, "results": {},
-                "error": error}, EXIT_CEILING
+        report["error"] = f"enumeration ceiling exceeded: {exc.required} steps needed"
+        return report, EXIT_CEILING
     report["verdict"] = {
         "sum": verdict.sum,
         "claimed_modulus": verdict.claimed_modulus,
@@ -467,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleck.add_argument("--f", help="comma-separated binomial-basis coefficients")
     p_fleck.set_defaults(func=cmd_fleck)
 
-    p_bounds = sub.add_parser("bounds", help="print valuation bounds at one degree")
+    p_bounds = sub.add_parser("bounds", parents=[timed],
+                              help="print valuation bounds at one degree")
     p_bounds.add_argument("-p", type=int, required=True)
     p_bounds.add_argument("-a", type=int, required=True)
     p_bounds.add_argument("-n", type=int, required=True)
@@ -515,7 +515,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "timing", False):
+    if args.timing:
         report["timing"] = {"wall_seconds": time.monotonic() - t0}
     _emit(report)
     return code

@@ -28,11 +28,11 @@ state the values of the assigned variables that a later term still
 uses, with the residues of the partial sums; a chain costs a few
 thousand state steps where its cube has millions of points.  Only a
 dense component, whose DP bound exceeds both ``CHUNK`` and its p^|C|
-points, is enumerated point by point: f_k is a sum of r_k products
-u_j(A) v_j(B) over two halves A and B of the variables, and its values
-are the matrix product of the u_j on A's sub-cube with the v_j on B's,
-taken mod m_k in blocks of rows of at most ``CHUNK`` points.  That
-row-block product is the only code that imports numpy, on first use.
+points, is enumerated point by point: f_k / g_k, g_k the gcd of its
+coefficients, is a sum of products u_j(A) v_j(B) over two halves of the
+variables, so its values mod M_k = min(m_k, width / g_k + 1) form a
+matrix product, taken in int64 blocks of at most ``CHUNK`` points.  Only
+that row-block product imports numpy, on first use.
 The counts are exact.  ``fold_poly_values`` takes each m_k one more
 than the width of f_k's range over the cube, so the residues recover the
 exact values, and returns that exact value histogram.
@@ -43,6 +43,7 @@ reads nothing but its arguments.
 """
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, prod
 from operator import add, mod
 
@@ -371,11 +372,14 @@ def factorise(n_vars: int, polys) -> Factorisation:
         free=n_vars - len(used))
 
 
-def _value_range(terms: dict, p: int) -> tuple[int, int]:
-    """Bounds on a polynomial's values over [0, p-1]^n."""
+def _value_range(terms: dict, p: int, m: int | None = None) -> tuple[int, int]:
+    """Bounds on a polynomial's values over [0, p-1]^n.  Given a modulus
+    m, a term's degree is capped at m's bit length, where (p-1)^degree
+    already exceeds m, so the window min(m, width / g + 1) stays m."""
     lo = hi = 0
     for exps, c in terms.items():
-        extreme = c * (p - 1) ** sum(exps)
+        degree = sum(exps) if m is None else min(sum(exps), m.bit_length())
+        extreme = c * (p - 1) ** degree
         lo, hi = lo + min(extreme, 0), hi + max(extreme, 0)
     return lo, hi
 
@@ -421,7 +425,7 @@ def _elimination(p, comp, mods):
         for k, group in enumerate(added[i]):
             terms.append(tuple((c, tuple((slot[j], e) for j, e in enumerate(exps) if e))
                                for exps, c in group.items()))
-            lo, hi = _value_range(group, p)
+            lo, hi = _value_range(group, p, mods[k])
             widths[k] += hi - lo
             gcds[k] = gcd(gcds[k], *group.values())
         frontier = tuple(j for j in slot if last_use[j] > i)
@@ -436,15 +440,19 @@ def _frontier_histogram(p, steps, mods):
     The states are a dict from frontier values to a dict from residue
     tuples to counts; the terms added at a step depend on the frontier
     values and the new variable only, so they are evaluated once per
-    frontier value and shift all of its residue tuples alike.
+    frontier value, from tables of powers mod m_k, and shift all of its
+    residue tuples alike.
     """
     states = {(): {(0,) * len(mods): 1}}
+    power = cache(lambda e, mk: [pow(x, e, mk) for x in range(p)])  # x^e mod m_k
     for keep, terms in steps:
+        terms = [[(c % mk, [(s, power(e, mk)) for s, e in factors]) for c, factors in group]
+                 for group, mk in zip(terms, mods)]
         out = {}
         for frontier, hist in states.items():
             for x in range(p):
                 a = frontier + (x,)
-                shift = [sum(c * prod(a[s] ** e for s, e in factors)
+                shift = [sum(c * prod(t[a[s]] for s, t in factors)
                              for c, factors in group) % mk
                          for group, mk in zip(terms, mods)]
                 target = out.setdefault(tuple([a[s] for s in keep]), {})
@@ -459,10 +467,10 @@ def _frontier_histogram(p, steps, mods):
     return states[()]
 
 
-def _subcube_values(polys, p, n, mk, dtype):
+def _subcube_values(polys, p, n, mk):
     """Values mod mk of each polynomial (a dict over n-variable exponent
-    vectors) at every point of [0, p-1]^n, one row per polynomial; the
-    last variable varies fastest."""
+    vectors) at every point of [0, p-1]^n, one int64 row per polynomial;
+    the last variable varies fastest."""
     import numpy as np
 
     size = p ** n
@@ -471,19 +479,19 @@ def _subcube_values(polys, p, n, mk, dtype):
     for j in reversed(range(n)):
         rest, digits[j] = np.divmod(rest, p)
     powers: dict = {}
-    out = np.zeros((len(polys), size), dtype=dtype)
+    out = np.zeros((len(polys), size), dtype=np.int64)
     for row, terms in zip(out, polys):
         for exps, coeff in terms.items():
-            t = np.full(size, coeff % mk, dtype=dtype)
+            t = np.full(size, coeff % mk, dtype=np.int64)
             for j, e in enumerate(exps):
                 if e:
                     dp = powers.get((j, e))
                     if dp is None:
-                        table = np.array([pow(x, e, mk) for x in range(p)], dtype=dtype)
+                        table = np.array([pow(x, e, mk) for x in range(p)], dtype=np.int64)
                         dp = powers[(j, e)] = table[digits[j]]
                     t *= dp
                     t %= mk
-            row += t  # on int64 each t < mk < 2^31, so the sum cannot overflow
+            row += t  # _windows keeps (terms) * (mk - 1)^2 below 2^63
         row %= mk
     return out
 
@@ -516,60 +524,60 @@ def _low_rank(terms, na, nb):
     return pairs + [(u, {eb: 1}) for eb, u in by_b.items()]
 
 
+def _windows(p, comp, mods):
+    """(g_k, lo_k / g_k, M_k) for each f_k on one component, or None if they
+    do not fit int64: g_k is the gcd of its coefficients there (1 if none),
+    [lo_k, hi_k] its value range, and f_k / g_k mod M_k = min(m_k,
+    (hi_k - lo_k) / g_k + 1) fixes f_k mod m_k."""
+    windows = []
+    for terms, mk in zip(comp.terms, mods):
+        g = gcd(*terms.values()) or 1
+        lo, hi = _value_range(terms, p, mk)
+        window = min(mk, (hi - lo) // g + 1)
+        if len(terms) * (window - 1) ** 2 >= 2 ** 63:
+            return None
+        windows.append((g, lo // g, window))
+    return windows if prod(w for _, _, w in windows) < 2 ** 62 else None
+
+
 def _component_histogram(p, comp, mods):
     """Counts of (f_1 mod m_1, ...) over one component's points, as row
-    blocks of a matrix product on numpy.
+    blocks of a matrix product on int64.
 
     The variables split into A and B, B the last half capped at
-    ``CHUNK`` points.  Each f_k is a sum of r_k products u_j(A) v_j(B)
-    (``_low_rank``), so its values on the component form the matrix
-    U_k V_k mod m_k, where U_k (p^|A| x r_k) and V_k (r_k x p^|B|) hold
-    the factors on the two sub-cubes.  A work unit is a block of U rows
-    covering at most ``CHUNK`` points; on int64 the product is summed
-    in column groups small enough that no sum of products overflows, and
-    reduced mod m_k after each, and where int64 cannot hold a product of
-    two residues or a residue tuple as one mixed-radix key, the arrays
-    hold Python integers.  The blocks run one after another, each merged
-    into the histogram as it ends.
+    ``CHUNK`` points.  Each f_k / g_k is a sum of r_k products
+    u_j(A) v_j(B) (``_low_rank``), so its values mod M_k (``_windows``)
+    are U_k V_k mod M_k, U_k and V_k the factors on the two sub-cubes.
+    Blocks of U rows of at most ``CHUNK`` points count window keys, and
+    each distinct key is mapped back to residues mod m_k once.
     """
     import numpy as np
 
-    fits = max(mods, default=1) ** 2 < 2 ** 62 and prod(mods) < 2 ** 62
-    dtype = np.int64 if fits else object
+    windows = _windows(p, comp, mods)
     nb = (len(comp.variables) + 1) // 2
     while p ** nb > CHUNK:
         nb -= 1
     na = len(comp.variables) - nb
     factors = []
-    for terms, mk in zip(comp.terms, mods):
-        pairs = _low_rank(terms, na, nb)
-        U = _subcube_values([u for u, _ in pairs], p, na, mk, dtype).T
-        V = _subcube_values([v for _, v in pairs], p, nb, mk, dtype)
-        # a group's products of two residues sum to at most 2^63 - 1
-        group = max(len(pairs), 1) if dtype is object else \
-            (2 ** 63 - 1) // max((mk - 1) ** 2, 1)
-        factors.append((U, V, mk, group))
+    for terms, (g, _, window) in zip(comp.terms, windows):
+        pairs = _low_rank({e: c // g for e, c in terms.items()}, na, nb)
+        factors.append((_subcube_values([u for u, _ in pairs], p, na, window).T,
+                        _subcube_values([v for _, v in pairs], p, nb, window), window))
     rows = CHUNK // p ** nb
     merged: dict = {}
     for start in range(0, p ** na, rows):
         key = 0
-        for U, V, mk, group in factors:
-            part = U[start:start + rows]
-            val = part[:, :group] @ V[:group] % mk
-            for s in range(group, len(V), group):
-                val += part[:, s:s + group] @ V[s:s + group] % mk
-                val %= mk
-            key = key * mk + val
+        for U, V, window in factors:
+            key = key * window + U[start:start + rows] @ V % window
         keys, counts = np.unique(key, return_counts=True)
         for key, count in zip(keys.tolist(), counts.tolist()):
             merged[key] = merged.get(key, 0) + count
-    hist = {}
+    places = [prod(w for *_, w in windows[k + 1:]) for k in range(len(mods))]
+    hist: dict = {}
     for key, count in merged.items():
-        residues = []
-        for mk in reversed(mods):
-            key, r = divmod(key, mk)
-            residues.append(r)
-        hist[tuple(residues[::-1])] = count
+        r = tuple(g * (base + (key // place - base) % window) % mk
+                  for mk, (g, base, window), place in zip(mods, windows, places))
+        hist[r] = hist.get(r, 0) + count  # distinct keys may share residues
     return hist
 
 
@@ -591,9 +599,9 @@ def residue_histogram(p: int, fact: Factorisation, mods,
     Each component of ``fact`` is enumerated alone, by one of two plans
     chosen from bounds computed before any work: the frontier DP
     (``_frontier_histogram``), unless its bound D (``_elimination``)
-    exceeds both ``CHUNK`` and the p^|C| points of the component, in
-    which case the row-block product (``_component_histogram``, the only
-    code that runs numpy) enumerates the points.  The component
+    exceeds both ``CHUNK`` and the component's p^|C| points and its
+    ``_windows`` fit, when the row-block product (``_component_histogram``,
+    the only code that runs numpy) enumerates the points.  The component
     histograms are combined by cyclic convolution.
 
     Every component is planned first, and CeilingExceeded refuses the sum
@@ -609,7 +617,7 @@ def residue_histogram(p: int, fact: Factorisation, mods,
     for comp in fact.components:
         work, steps, comp_widths, comp_gcds = _elimination(p, comp, mods)
         points = p ** len(comp.variables)
-        dense = work > max(CHUNK, points)
+        dense = work > max(CHUNK, points) and _windows(p, comp, mods) is not None
         size = min(points, _reach(mods, comp_widths, comp_gcds))
         widths = list(map(add, widths, comp_widths))
         gcds = list(map(gcd, gcds, comp_gcds))

@@ -202,6 +202,21 @@ def test_count_ceiling_exit_code(tmp_path, capsys):
         f"enumeration ceiling exceeded: {2 ** 40 + 2} steps needed"
 
 
+@pytest.mark.parametrize("argv,total,exit_code", [
+    ([], None, 0),
+    ([], 1, 2),  # a sum of 1 that the holding hypothesis forbids
+    (["--ceiling", "1"], None, 3),
+], ids=["exit-0", "exit-2", "exit-3"])
+def test_every_count_report_echoes_workers(capsys, monkeypatch, argv, total, exit_code):
+    chevalley = Path(__file__).resolve().parent / "golden" / "chevalley.json"
+    if total is not None:
+        monkeypatch.setattr(axkatz, "theorem12_sum", lambda system, **kw: total)
+    code, doc = run(capsys, ["count", str(chevalley), *argv, "--workers", "2"])
+    assert code == exit_code
+    validate_report(doc)
+    assert doc["workers"] == "2"
+
+
 @pytest.mark.parametrize("argv,pairs", [
     # squaring x1 + ... + x12 already takes 12 * 12 term pairs
     (["--ceiling", "100"], 12 * 12),
@@ -623,6 +638,7 @@ SYNTHESIZE = {"kind": "synthesize", "p": 2, "a": 1, "b": 1,
     ["count", "{theorem12}", "--workers", "1"],
     ["count", "{theorem12}", "--workers", "1", "--ceiling", "1"],
     ["sweep", "--seed", "1"],
+    ["bounds", "-p", "3", "-a", "2", "-n", "4", "-l", "1", "-b", "2"],
 ])
 def test_timing_adds_only_wall_seconds(tmp_path, capsys, argv):
     files = {}

@@ -283,10 +283,12 @@ def test_dense_component_of_several_row_blocks_matches_cube_walk():
 
 def test_products_summed_in_column_groups_do_not_overflow():
     # f = 3^16 * (sum of ten x1^e*x3^e + x1*x2 - x3*x4) with a = 16 and
-    # b = 3, so the modular engine counts f mod m = 3^19 on int64 and
-    # every point passes the gate.  At x1 = x3 = 2 both factors of each
-    # mixed term are residues above 0.9*m, so the ten products sum past
-    # 2^63 unless the matrix product is reduced in column groups.
+    # b = 3, so the modular engine counts f mod m = 3^19 and every point
+    # passes the gate.  At x1 = x3 = 2 both factors of each mixed term are
+    # residues above 0.9*m, so the ten products sum past 2^63.  The four
+    # variables take the frontier DP, whose power tables hold residues
+    # mod m; the row-block product could not take them either, as f / 3^16
+    # has 12 terms and a window of m, and 12 * (m - 1)^2 passes 2^63.
     m, scale = 3 ** 19, 3 ** 16
     exps = [e for e in range(31, 2000)
             if pow(2, e, m) > 0.9 * m and scale * pow(2, e, m) % m > 0.9 * m][:10]
@@ -300,6 +302,65 @@ def test_products_summed_in_column_groups_do_not_overflow():
     exact = theorem12_sum(system, exact=True)
     assert exact == _cube_sum(3, [f], lambda v: 0 if v[0] % scale else 1 + v[0] // scale)
     assert theorem12_sum(system) == exact % 27
+
+
+def _no_dp(*args, **kwargs):
+    raise AssertionError("the frontier DP ran on a dense component")
+
+
+def test_dense_component_beyond_int64_moduli_counts_in_its_window(monkeypatch):
+    # int64 cannot hold a product of two residues mod m = 3^22, but f takes
+    # only the 315 values -1..313, so the row-block product counts f mod 315,
+    # and 2^40 * f, whose terms share the factor 2^40, in the same window
+    f = _dense_system(12).constraints[0].f
+    scaled = MultiPoly(12, {e: c << 40 for e, c in f.terms.items()})
+    m = 3 ** 22
+    counts = _grid_counts(3, [f])
+    monkeypatch.setattr(multipoly, "_frontier_histogram", _no_dp)
+    for g, poly in [(1, f), (2 ** 40, scaled)]:
+        fact = factorise(12, [poly])
+        (comp,) = fact.components
+        assert multipoly._windows(3, comp, [m]) == [(g, 0, 315)]
+        hist = multipoly.residue_histogram(3, fact, [m])
+        assert hist == {(g * v % m,): c for (v,), c in counts.items()}
+
+
+def test_dense_component_beyond_its_windows_takes_the_frontier_dp(monkeypatch):
+    # coprime coefficients near 2^40: the window is all of m = 3^22, and
+    # 56 terms times (m - 1)^2 passes 2^63, so the DP runs and is charged D
+    # with the one histogram's 3^10 entries, though D exceeds the points
+    f = _dense_form(10, lambda i, j: 2 ** 40 + 7 * i + 3 * j ** 2)
+    fact = factorise(10, [f])
+    (comp,) = fact.components
+    m = 3 ** 22
+    work = multipoly._elimination(3, comp, [m])[0]
+    assert work > max(multipoly.CHUNK, 3 ** 10)
+    assert multipoly._windows(3, comp, [m]) is None
+    monkeypatch.setattr(multipoly, "_component_histogram", _no_kernel)
+    with pytest.raises(CeilingExceeded) as err:
+        multipoly.residue_histogram(3, fact, [m], ceiling=-1)
+    assert err.value.required == work + 3 ** 10
+    hist = multipoly.residue_histogram(3, fact, [m])
+    assert hist == {(v % m,): c for (v,), c in _grid_counts(3, [f]).items()}
+
+
+def test_exponents_beyond_the_modulus_form_no_full_power():
+    # x1^(10^9): the DP reads x1^e mod 27 from a table and the bound on the
+    # term's values is capped at 27's bit length, so 2^(10^9) is never formed
+    e = 10 ** 9
+    f = parse_poly(f"x1^{e}*x2 + x2", 2)
+    values = [(pow(x1, e, 27) * x2 + x2) % 27 for x1 in range(3) for x2 in range(3)]
+    assert multipoly.residue_histogram(3, factorise(2, [f]), [27]) == \
+        Counter((v,) for v in values)
+    system = CongruenceSystem(p=3, b=1, n_vars=2, constraints=(
+        Constraint(f=f, a=1, F=IntegerValuedPoly([1, 1])),))
+    assert theorem12_sum(system) == sum(1 + v // 3 for v in values if v % 3 == 0) % 3
+    # the row-block product's window is 27 only if the capped bound still
+    # exceeds 27
+    (comp,) = factorise(2, [f]).components
+    assert multipoly._windows(3, comp, [27]) == [(1, 0, 27)]
+    assert multipoly._component_histogram(3, comp, [27]) == \
+        Counter((v,) for v in values)
 
 
 @st.composite
@@ -321,14 +382,20 @@ def _chain_system(n, b=2):
         Constraint(f=parse_poly(text, n), a=1, F=IntegerValuedPoly([2, 1]), l=1),))
 
 
+def _dense_form(n, coefficient):
+    """sum over i <= j of coefficient(i, j) * x_i * x_j, plus x1 - 1."""
+    text = " + ".join(f"{coefficient(i, j)}*x{i}*x{j}" for i in range(1, n + 1)
+                      for j in range(i, n + 1))
+    return parse_poly(text + " + x1 - 1", n)
+
+
 def _dense_system(n, b=2):
     """A quadratic form in every pair of n variables: the frontier DP's
     bound, 3 * (3^n - 1) / 2, exceeds the 3^n points, so for n >= 10 the
     row-block product enumerates it."""
-    text = " + ".join(f"x{i}*x{j}" for i in range(1, n + 1)
-                      for j in range(i, n + 1)) + " + x1 - 1"
     return CongruenceSystem(p=3, b=b, n_vars=n, constraints=(
-        Constraint(f=parse_poly(text, n), a=1, F=IntegerValuedPoly([2, 1]), l=1),))
+        Constraint(f=_dense_form(n, lambda i, j: 1), a=1,
+                   F=IntegerValuedPoly([2, 1]), l=1),))
 
 
 def _no_kernel(*args, **kwargs):

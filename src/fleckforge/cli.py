@@ -31,7 +31,7 @@ import sys
 import time
 
 from .exceptions import CeilingExceeded, TheoremViolation
-from .fleck import check_lemma21, factorial_bound, fleck_bound, wan_bound, weisman_bound
+from .fleck import check_lemma21, factorial_bound, wan_bound
 from .ivpoly import IntegerValuedPoly, monomials_to_ivp
 from .multipoly import parse_poly
 from .padic import PrimePower
@@ -54,14 +54,6 @@ class _Parser(argparse.ArgumentParser):
 def _load_schema(name: str) -> dict:
     with open(os.path.join(os.path.dirname(__file__), "schemas", name)) as fh:
         return json.load(fh)
-
-
-def _as_int(x) -> int:
-    if isinstance(x, bool):
-        raise ValueError(f"expected integer, got {x!r}")
-    if isinstance(x, int):
-        return x
-    return int(x)
 
 
 def _encode(obj):
@@ -249,15 +241,18 @@ def _load_instance(path: str, expected_kinds=None) -> dict:
 
 def _ivp_from_json(spec) -> IntegerValuedPoly:
     if isinstance(spec, list):
-        return IntegerValuedPoly([_as_int(c) for c in spec])
-    coeffs = [_as_int(c) for c in spec["coeffs"]]
+        return IntegerValuedPoly([int(c) for c in spec])
+    coeffs = [int(c) for c in spec["coeffs"]]
     if spec["basis"] == "monomial":
         return monomials_to_ivp(coeffs)
     return IntegerValuedPoly(coeffs)
 
 
 def _parse_coeff_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    try:
+        return [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise ValueError(f"--f takes comma-separated integers, got {text!r}") from None
 
 
 def _nonnegative(**flags) -> None:
@@ -296,9 +291,9 @@ def cmd_bounds(args) -> tuple[dict, int]:
         "M": bound_M(args.n, pp, args.l),
     }
     if pp.a >= 1:
-        results["weisman"] = weisman_bound(args.n, pp)
+        results["weisman"] = wan_bound(args.n, pp, 0)
         if pp.a == 1:
-            results["fleck"] = fleck_bound(args.n, pp.p)
+            results["fleck"] = results["weisman"]
     if args.b is not None:
         results["max_degree"] = max_degree(pp, args.l, args.b)
     return {
@@ -311,10 +306,10 @@ def cmd_bounds(args) -> tuple[dict, int]:
 
 def cmd_synthesize(args) -> tuple[dict, int]:
     doc = _load_instance(args.instance, {"synthesize"})
-    pp = PrimePower(_as_int(doc["p"]), _as_int(doc["a"]))
-    b = _as_int(doc["b"])
+    pp = PrimePower(int(doc["p"]), int(doc["a"]))
+    b = int(doc["b"])
     f = _ivp_from_json(doc["f"])
-    g = ResidueTable(pp, [_as_int(v) for v in doc["g"]])
+    g = ResidueTable(pp, [int(v) for v in doc["g"]])
     if args.q_range is not None:
         try:
             lo, hi = (int(x) for x in args.q_range.split(":"))
@@ -322,7 +317,7 @@ def cmd_synthesize(args) -> tuple[dict, int]:
             raise ValueError("--q-range takes lo:hi, two integers, "
                              f"got {args.q_range!r}") from None
     elif "q_range" in doc:
-        lo, hi = (_as_int(x) for x in doc["q_range"])
+        lo, hi = (int(x) for x in doc["q_range"])
     else:
         lo, hi = -25, 25
     try:
@@ -346,26 +341,22 @@ def cmd_synthesize(args) -> tuple[dict, int]:
     }, EXIT_OK if check.ok else EXIT_VIOLATION
 
 
-def _ints(values) -> list[int]:
-    return [_as_int(v) for v in values]
-
-
 def _polys(doc, ceiling: int | None = None) -> list:
-    n_vars = _as_int(doc["n_vars"])
+    n_vars = int(doc["n_vars"])
     return [parse_poly(text, n_vars, ceiling=ceiling) for text in doc["polynomials"]]
 
 
 def _congruence_system(doc, ceiling: int | None = None):
     from .axkatz import CongruenceSystem, Constraint
 
-    n_vars = _as_int(doc["n_vars"])
+    n_vars = int(doc["n_vars"])
     constraints = tuple(
         Constraint(f=parse_poly(c["f"], n_vars, ceiling=ceiling),
-                   a=_as_int(c["a"]),
+                   a=int(c["a"]),
                    F=_ivp_from_json(c["F"]),
-                   l=_as_int(c["l"]) if "l" in c else None)
+                   l=int(c["l"]) if "l" in c else None)
         for c in doc["constraints"])
-    return CongruenceSystem(p=_as_int(doc["p"]), b=_as_int(doc["b"]),
+    return CongruenceSystem(p=int(doc["p"]), b=int(doc["b"]),
                             n_vars=n_vars, constraints=constraints)
 
 
@@ -380,16 +371,16 @@ _COUNT_KINDS = {
     "theorem12": lambda axkatz, doc, exact, **run: axkatz.verify_theorem12(
         _congruence_system(doc, **run), exact=exact, **run),
     "corollary11": lambda axkatz, doc, exact, **run: axkatz.corollary11_verify(
-        _polys(doc, **run), _as_int(doc["a"]), _as_int(doc["b"]), _ints(doc["ls"]),
-        _as_int(doc["p"]), exact=exact, n_vars=_as_int(doc["n_vars"]), **run),
+        _polys(doc, **run), int(doc["a"]), int(doc["b"]), list(map(int, doc["ls"])),
+        int(doc["p"]), exact=exact, n_vars=int(doc["n_vars"]), **run),
     "chevalley": lambda axkatz, doc, exact, **run: axkatz.chevalley_warning_verify(
-        _polys(doc, **run), _as_int(doc["p"]), n_vars=_as_int(doc["n_vars"]), **run),
+        _polys(doc, **run), int(doc["p"]), n_vars=int(doc["n_vars"]), **run),
     "axkatz": lambda axkatz, doc, exact, **run: axkatz.axkatz_prime_verify(
-        _polys(doc, **run), _as_int(doc["b"]), _as_int(doc["p"]),
-        n_vars=_as_int(doc["n_vars"]), **run),
+        _polys(doc, **run), int(doc["b"]), int(doc["p"]),
+        n_vars=int(doc["n_vars"]), **run),
     "lemma22": lambda axkatz, doc, exact, **run: axkatz.lemma22_verify(
-        _polys(doc, **run), _ints(doc["js"]), _as_int(doc["c"]), _as_int(doc["p"]),
-        n_vars=_as_int(doc["n_vars"]), **run),
+        _polys(doc, **run), list(map(int, doc["js"])), int(doc["c"]), int(doc["p"]),
+        n_vars=int(doc["n_vars"]), **run),
 }
 
 
@@ -401,7 +392,7 @@ def cmd_count(args) -> tuple[dict, int]:
 
     kind = doc["kind"]
     ceiling = args.ceiling if args.ceiling is not None else (
-        _as_int(doc["ceiling"]) if "ceiling" in doc else None)
+        int(doc["ceiling"]) if "ceiling" in doc else None)
     exact = args.exact or doc.get("exact_mode", False)
     report = {"kind": kind, "instance": doc, "workers": args.workers,
               "results": {}}

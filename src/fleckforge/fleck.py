@@ -4,10 +4,10 @@ The central object is
 
     S = sum over 0 <= k <= n, k = r (mod p^a) of C(n,k) (-1)^k f((k-r)/p^a)
 
-for an integer-valued polynomial f of degree at most l.  Four lower
-bounds on ord_p(S) are provided: the classical one for a = 1 and f = 1,
-its prime-power extension, and the two general bounds (one totient-floor
-style, one via factorial valuations) that hold for every f.
+for an integer-valued polynomial f of degree at most l.  Two lower
+bounds on ord_p(S) hold for every f: a totient-floor one (Lemma 2.1) and
+one via factorial valuations.  At l = 0 the first is Weisman's bound,
+and at a = 1, l = 0 it is Fleck's.
 """
 from __future__ import annotations
 
@@ -38,18 +38,6 @@ def restricted_sum(n: int, r: int, pp: PrimePower, f: IntegerValuedPoly) -> int:
     return total
 
 
-def fleck_bound(n: int, p: int) -> int:
-    """floor((n - 1)/(p - 1)); the a = 1, f = 1 valuation bound."""
-    return (n - 1) // (p - 1)
-
-
-def weisman_bound(n: int, pp: PrimePower) -> int:
-    """floor((n - p^(a-1))/phi(p^a)) for a >= 1."""
-    if pp.a < 1:
-        raise ValueError("weisman_bound requires a >= 1; use wan_bound for a = 0")
-    return (n - pp.p ** (pp.a - 1)) // phi_prime_power(pp)
-
-
 def wan_bound(n: int, pp: PrimePower, l: int) -> int:
     """floor((n - l*p^a - p^(a-1))/phi(p^a)), exact for every a >= 0.
 
@@ -77,21 +65,16 @@ def factorial_bound(n: int, pp: PrimePower, l: int) -> int:
 class FleckReport:
     """Outcome of checking one restricted sum against its bounds.
 
-    ``bounds`` holds only the bounds applicable to the instance
-    (the general pair always; the classical ones only for constant f
-    with suitable a).  ``satisfied[name]`` is valuation >= bounds[name];
-    negative bounds are trivially satisfied, not clamped.
+    ``bounds`` holds the general pair always; for constant f and a >= 1
+    also Weisman's, and at a = 1 Fleck's, each the Lemma 2.1 bound at
+    l = 0.  ``satisfied[name]`` is valuation >= bounds[name]; negative
+    bounds are trivially satisfied, not clamped.
     """
 
-    __slots__ = ("n", "r", "pp", "f", "sum", "valuation", "bounds", "satisfied")
+    __slots__ = ("sum", "valuation", "bounds", "satisfied")
 
-    def __init__(self, n: int, r: int, pp: PrimePower, f: IntegerValuedPoly,
-                 sum: int, valuation: Valuation, bounds: dict[str, int],
+    def __init__(self, sum: int, valuation: Valuation, bounds: dict[str, int],
                  satisfied: dict[str, bool]):
-        self.n = n
-        self.r = r
-        self.pp = pp
-        self.f = f
         self.sum = sum
         self.valuation = valuation
         self.bounds = bounds
@@ -116,13 +99,12 @@ def check_lemma21(n: int, r: int, pp: PrimePower, f: IntegerValuedPoly) -> Fleck
         "wan": wan_bound(n, pp, l),
         "factorial": factorial_bound(n, pp, l),
     }
-    if f.degree_bound <= 0 and pp.a >= 1:
-        bounds["weisman"] = weisman_bound(n, pp)
+    if l == 0 and pp.a >= 1:
+        bounds["weisman"] = bounds["wan"]
         if pp.a == 1:
-            bounds["fleck"] = fleck_bound(n, pp.p)
+            bounds["fleck"] = bounds["wan"]
     satisfied = {name: val >= b for name, b in bounds.items()}
-    return FleckReport(n=n, r=r, pp=pp, f=f, sum=s, valuation=val,
-                       bounds=bounds, satisfied=satisfied)
+    return FleckReport(sum=s, valuation=val, bounds=bounds, satisfied=satisfied)
 
 
 def gkp_identity_check(n: int, r: int, l: int) -> bool:
@@ -130,13 +112,11 @@ def gkp_identity_check(n: int, r: int, l: int) -> bool:
 
     sum_{k=0}^{n} C(n,k) (-1)^k C(k-r, l)  ==  [l >= n] (-1)^n C(-r, l-n)
 
-    Both sides are evaluated exactly; the identity holds for all inputs,
-    so a False return signals a bug.
+    The left side is the restricted sum at a = 0, for any p, with
+    f = C(x, l).  Both sides are evaluated exactly; the identity holds
+    for all inputs, so a False return signals a bug.
     """
-    lhs = 0
-    for k in range(n + 1):
-        term = binom_int(n, k) * binom_int(k - r, l)
-        lhs += -term if k % 2 else term
+    lhs = restricted_sum(n, r, PrimePower(2, 0), IntegerValuedPoly([0] * l + [1]))
     if l >= n:
         rhs = binom_int(-r, l - n)
         if n % 2:

@@ -81,9 +81,6 @@ class MultiPoly:
         return (isinstance(other, MultiPoly)
                 and self.n_vars == other.n_vars and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.n_vars, frozenset(self.terms.items())))
-
     def __repr__(self):
         return f"MultiPoly({self.n_vars}, {render_poly(self)!r})"
 

@@ -37,12 +37,12 @@ class SweepResult:
         return not self.violations
 
 
-def _random_ivp(rng, max_l: int, max_abs: int = 9) -> IntegerValuedPoly:
+def _random_ivp(rng, max_l: int) -> IntegerValuedPoly:
     l = rng.randint(0, max_l)
-    return IntegerValuedPoly([rng.randint(-max_abs, max_abs) for _ in range(l + 1)])
+    return IntegerValuedPoly([rng.randint(-9, 9) for _ in range(l + 1)])
 
 
-def _random_multipoly(rng, n_vars: int, max_deg: int, max_abs: int = 5) -> MultiPoly:
+def _random_multipoly(rng, n_vars: int, max_deg: int) -> MultiPoly:
     """A random nonzero sparse polynomial with total degree <= max_deg."""
     while True:
         terms = {}
@@ -51,7 +51,7 @@ def _random_multipoly(rng, n_vars: int, max_deg: int, max_abs: int = 5) -> Multi
             budget = rng.randint(0, max_deg)
             for _ in range(budget):
                 exps[rng.randrange(n_vars)] += 1
-            c = rng.randint(-max_abs, max_abs)
+            c = rng.randint(-5, 5)
             if c:
                 key = tuple(exps)
                 terms[key] = terms.get(key, 0) + c

@@ -18,3 +18,16 @@ def eval_poly(f: MultiPoly, point) -> int:
                 v *= x ** e
         total += v
     return total
+
+
+def fleck_bound(n: int, p: int) -> int:
+    """Fleck's lower bound on ord_p of the restricted sum at a = 1, f = 1:
+    floor((n - 1)/(p - 1))."""
+    return (n - 1) // (p - 1)
+
+
+def weisman_bound(n: int, pp) -> int:
+    """Weisman's lower bound on ord_p of the restricted sum at a >= 1,
+    f = 1: floor((n - p^(a-1))/phi(p^a))."""
+    p, a = pp.p, pp.a
+    return (n - p ** (a - 1)) // (p ** a - p ** (a - 1))

@@ -15,13 +15,7 @@ from fleckforge.axkatz import (
     theorem12_sum,
     verify_theorem12,
 )
-from fleckforge.fleck import (
-    check_lemma21,
-    fleck_bound,
-    gkp_identity_check,
-    restricted_sum,
-    weisman_bound,
-)
+from fleckforge.fleck import check_lemma21, gkp_identity_check, restricted_sum
 from fleckforge.ivpoly import IntegerValuedPoly
 from fleckforge.multipoly import MultiPoly, parse_poly
 from fleckforge.padic import INFINITE, PrimePower, binom_int, ord_int
@@ -31,6 +25,7 @@ from fleckforge.wilson import (
     verify_theorem11,
 )
 from fleckforge.padic import phi_prime_power
+from oracles import fleck_bound, weisman_bound
 
 ONE = IntegerValuedPoly([1])
 

@@ -497,3 +497,58 @@ def _quadratic_forms(draw):
 def test_quadratic_form_zero_count_matches_closed_form(case):
     f, p, n, expected = case
     assert axkatz_prime_verify([f], 1, p).sum == expected
+
+
+@pytest.mark.parametrize("n", [60, 200])
+def test_chain_zero_count_matches_closed_form(n):
+    # Q = x1^2 + sum_(i<n) x_i x_(i+1) is nondegenerate mod 3, so for even n
+    # Q = 1 has p^(n-1) - p^(n/2-1) eta((-1)^(n/2) det Q) solutions
+    # (Lidl-Niederreiter, Finite Fields, Thm 6.26), whose ord_p is n/2 - 1
+    p = 3
+    f = parse_poly("x1^2 + " + " + ".join(f"x{i}*x{i + 1}" for i in range(1, n))
+                   + " - 1", n)
+    # Q's symmetric matrix mod p has diagonal 1, 0, ..., 0 and 1/2 beside the
+    # diagonal; its leading minors obey D_k = a_k D_(k-1) - (1/2)^2 D_(k-2)
+    diagonal = [1] + [0] * (n - 1)
+    quarter = pow(4, -1, p)
+    before, det = 1, 1
+    for a_k in diagonal[1:]:
+        before, det = det, (a_k * det - quarter * before) % p
+    assert det
+    expected = p ** (n - 1) - p ** (n // 2 - 1) * _legendre((-1) ** (n // 2) * det, p)
+    for b, divisible in ((n // 2 - 1, True), (n // 2, False)):
+        verdict = axkatz_prime_verify([f], b, p)
+        assert verdict.sum == expected
+        assert verdict.divisible is divisible
+        assert verdict.hypothesis_margin == n - 2 * b  # 2, then 0
+
+
+@st.composite
+def _hou_cases(draw):
+    """(polynomials, p, n): one to three nonzero polynomials of degree at
+    most 2 in each of n <= 6 variables, p in {2, 3}."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6))
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exps = tuple(draw(st.integers(0, 2)) for _ in range(n))
+            terms[exps] = draw(st.integers(-4, 4).filter(bool))
+        polys.append(MultiPoly(n, terms))
+    return polys, p, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hou_cases())
+def test_hou_identity_for_systems(case):
+    # Hou: sum_k y_k f_k(x) in n + m variables has p^(m-1) (p^n + (p-1) N)
+    # zeros, where N is the common-zero count of f_1..f_m.  For a fixed x,
+    # p^m points y are zeros when every f_k(x) = 0, and p^(m-1) otherwise.
+    polys, p, n = case
+    m = len(polys)
+    terms = {exps + tuple(int(j == k) for j in range(m)): c
+             for k, f in enumerate(polys) for exps, c in f.terms.items()}
+    N = chevalley_warning_verify(polys, p, n_vars=n).sum
+    count = chevalley_warning_verify([MultiPoly(n + m, terms)], p).sum
+    assert count == p ** (m - 1) * (p ** n + (p - 1) * N)

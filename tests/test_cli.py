@@ -9,8 +9,8 @@ import jsonschema
 import pytest
 
 from fleckforge import axkatz, cli, wilson
-from fleckforge.fleck import weisman_bound
 from fleckforge.padic import PrimePower, ord_int, phi_prime_power
+from oracles import weisman_bound
 
 
 def run(capsys, argv):
@@ -540,6 +540,14 @@ def test_negative_n_or_l_names_the_flag_and_value(capsys, argv, message):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("f", ["x", "1,x", "2.5", "0x1"])
+def test_fleck_malformed_f_names_the_flag(capsys, f):
+    assert cli.main(["fleck", "-p", "2", "-a", "1", "-n", "3", "-r", "0", f"--f={f}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --f takes comma-separated integers, got {f!r}\n"
 
 
 def test_report_determinism(tmp_path, capsys):

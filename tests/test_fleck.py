@@ -2,19 +2,16 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from fleckforge.fleck import (
     check_lemma21,
     factorial_bound,
-    fleck_bound,
     gkp_identity_check,
     restricted_sum,
     wan_bound,
-    weisman_bound,
 )
 from fleckforge.ivpoly import IntegerValuedPoly, eval_ivp
 from fleckforge.padic import INFINITE, PrimePower, binom_int, ord_int
+from oracles import fleck_bound, weisman_bound
 
 ONE = IntegerValuedPoly([1])
 
@@ -53,17 +50,17 @@ def test_empty_class_is_zero():
 
 
 def test_fleck_bound_values():
-    assert fleck_bound(3, 2) == 2
-    assert fleck_bound(0, 5) == -1
-    assert fleck_bound(10, 3) == 4
+    # floor((n - 1)/(p - 1)), the bound at a = 1 and l = 0
+    assert wan_bound(3, PrimePower(2, 1), 0) == 2
+    assert wan_bound(0, PrimePower(5, 1), 0) == -1
+    assert wan_bound(10, PrimePower(3, 1), 0) == 4
 
 
 def test_weisman_bound_values():
-    assert weisman_bound(6, PrimePower(2, 2)) == 2
-    assert weisman_bound(1, PrimePower(3, 1)) == 0
-    assert weisman_bound(8, PrimePower(2, 3)) == 1
-    with pytest.raises(ValueError):
-        weisman_bound(5, PrimePower(2, 0))
+    # floor((n - p^(a-1))/phi(p^a)), the bound at l = 0
+    assert wan_bound(6, PrimePower(2, 2), 0) == 2
+    assert wan_bound(1, PrimePower(3, 1), 0) == 0
+    assert wan_bound(8, PrimePower(2, 3), 0) == 1
 
 
 def test_wan_bound_values():

@@ -1,5 +1,7 @@
-"""Golden `count` reports: each tests/golden/<name>.json instance must print
-exactly tests/golden/<name>.out with --workers 1, byte for byte."""
+"""Golden reports, byte for byte: each tests/golden/<name>.json instance
+must print exactly tests/golden/<name>.out under `count --workers 1`, and
+each tests/golden/cli/<name>.argv, one line of `fleck` or `bounds`
+arguments, exactly tests/golden/cli/<name>.out."""
 import json
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from fleckforge.axkatz import theorem12_sum
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INSTANCES = sorted(GOLDEN.glob("*.json"))
+ARGVS = sorted((GOLDEN / "cli").glob("*.argv"))
 
 
 def _count(capsys, path, workers):
@@ -35,6 +38,16 @@ def test_two_workers_differ_only_in_workers(capsys, path):
     code, two = _count(capsys, path, 2)
     assert code == 0
     assert two == one.replace('"workers": "1"', '"workers": "2"')
+
+
+@pytest.mark.parametrize("path", ARGVS, ids=lambda p: p.stem)
+def test_argv_report_matches_golden(capsys, path):
+    assert cli.main(path.read_text().split()) == 0
+    assert capsys.readouterr().out == path.with_suffix(".out").read_text()
+
+
+def test_argv_corpus_covers_fleck_and_bounds():
+    assert {p.read_text().split()[0] for p in ARGVS} == {"fleck", "bounds"}
 
 
 def test_dense_instance_takes_the_row_block_plan(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from fleckforge import wilson
 from fleckforge.exceptions import TheoremViolation
-from fleckforge.fleck import factorial_bound, wan_bound, weisman_bound
+from fleckforge.fleck import factorial_bound, wan_bound
 from fleckforge.ivpoly import IntegerValuedPoly, eval_ivp, forward_differences
 from fleckforge.padic import PrimePower, ord_int, phi_prime_power
 from fleckforge.wilson import (
@@ -16,6 +16,7 @@ from fleckforge.wilson import (
     synthesize,
     verify_theorem11,
 )
+from oracles import weisman_bound
 
 ONE = IntegerValuedPoly([1])
 

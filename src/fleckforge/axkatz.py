@@ -30,14 +30,17 @@ multiplies their counts by F_k(v_k / p^(a_k)), read from a table of
 F_k mod p^b on the modular engine and evaluated exactly once per
 distinct argument on the exact one.  The enumerator alone bounds the work
 and refuses it above the ceiling; the modular engine passes it the size of
-the F tables, and builds them only once the histogram is in.
-The zero counts and Lemma 2.2 report exact sums, so they always take
-the exact engine.
+the F tables, and builds them only once the histogram is in.  When every
+F_k is constant (l_k = 0, as in the zero counts), either engine counts
+f_k mod p^(a_k) alone: the sum is the product of the constants times the
+points in the all-zero class.  The zero counts and Lemma 2.2 report
+exact sums, so they always take the exact engine.
 """
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import prod
 
 from .exceptions import TheoremViolation
 from .ivpoly import IntegerValuedPoly, eval_ivp
@@ -172,12 +175,20 @@ def theorem12_sum(system: CongruenceSystem, exact: bool = False,
     tuple from a table of F_k mod p^b over one period and returns the
     sum mod p^b; exact mode builds the histogram of exact value tuples
     (``fold_poly_values``), evaluates F_k once at each distinct argument
-    and returns the full sum.  The two agree mod p^b.  An empty
-    constraint list means an always-open gate and weight 1, so the sum
-    is the cube size.
+    and returns the full sum.  The two agree mod p^b.  With every F_k
+    constant, both count residues mod p^(a_k) and need no F table.  An
+    empty constraint list means an always-open gate and weight 1, so the
+    sum is the cube size.
     """
     p, pb = system.p, system.p ** system.b
     polys = [c.f for c in system.constraints]
+    if all(c.l_eff == 0 for c in system.constraints):
+        # constant weights: F times the points with p^(a_k) | f_k for all k
+        hist = residue_histogram(p, factorise(system.n_vars, polys),
+                                 [p ** c.a for c in system.constraints], ceiling)
+        s = prod(eval_ivp(c.F, 0) for c in system.constraints) * hist.get(
+            (0,) * len(polys), 0)
+        return s if exact else s % pb
     if exact:
         hist = fold_poly_values(CubeSpec(p, system.n_vars), polys, ceiling=ceiling)
 

@@ -11,6 +11,8 @@ and at a = 1, l = 0 it is Fleck's.
 """
 from __future__ import annotations
 
+from math import comb
+
 from .ivpoly import IntegerValuedPoly, eval_ivp
 from .padic import (
     PrimePower,
@@ -33,7 +35,7 @@ def restricted_sum(n: int, r: int, pp: PrimePower, f: IntegerValuedPoly) -> int:
     k0 = r % q
     total = 0
     for k in range(k0, n + 1, q):
-        term = binom_int(n, k) * eval_ivp(f, (k - r) // q)
+        term = comb(n, k) * eval_ivp(f, (k - r) // q)
         total += -term if k % 2 else term
     return total
 

@@ -32,17 +32,20 @@ points, is enumerated point by point: f_k / g_k, g_k the gcd of its
 coefficients, is a sum of products u_j(A) v_j(B) over two halves of the
 variables, so its values mod M_k = min(m_k, width / g_k + 1) form a
 matrix product, taken in int64 blocks of at most ``CHUNK`` points.  Only
-that row-block product imports numpy, on first use.
+that row-block product imports numpy, on first use, with one BLAS thread
+unless the caller's environment asks for another number.
 The counts are exact.  ``fold_poly_values`` takes each m_k one more
 than the width of f_k's range over the cube, so the residues recover the
 exact values, and returns that exact value histogram.
 ``residue_histogram`` also owns the enumeration ceiling: it plans every
 component, then refuses a sum whose plans' steps plus convolution pairs
 exceed it, before any work.  All of it runs in the caller's thread and
-reads nothing but its arguments.
+reads nothing but its arguments, and the environment for numpy's thread
+count.
 """
 from __future__ import annotations
 
+import os
 from functools import cache
 from math import gcd, prod
 from operator import add, mod
@@ -546,8 +549,11 @@ def _component_histogram(p, comp, mods):
     u_j(A) v_j(B) (``_low_rank``), so its values mod M_k (``_windows``)
     are U_k V_k mod M_k, U_k and V_k the factors on the two sub-cubes.
     Blocks of U rows of at most ``CHUNK`` points count window keys, and
-    each distinct key is mapped back to residues mod m_k once.
+    each distinct key is mapped back to residues mod m_k once.  Nothing
+    here calls BLAS, so numpy's OpenBLAS starts one thread, not one per
+    CPU, unless the caller's environment says otherwise.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
 
     windows = _windows(p, comp, mods)

@@ -289,13 +289,13 @@ def test_lemma22_matches_brute_force():
 
 def test_ceiling_refusal():
     # one connected component, too dense for the frontier DP: 2^30 points
-    # plus one histogram of the 2 values 0 and 1, and a 2-entry F table
-    # on the modular engine
+    # plus one histogram of the 2 residues 0 and 1 mod p^a; F = 1 is
+    # constant, so neither engine builds an F table
     product_text = "*".join(f"x{i}" for i in range(1, 31))
     system = _system(2, 1, 30, [(product_text, 1, ONE)])
     with pytest.raises(CeilingExceeded) as err:
         theorem12_sum(system, ceiling=10 ** 6)
-    assert err.value.required == 2 ** 30 + 2 + 2
+    assert err.value.required == 2 ** 30 + 2
     with pytest.raises(CeilingExceeded) as err:
         theorem12_sum(system, exact=True, ceiling=10 ** 6)
     assert err.value.required == 2 ** 30 + 2

@@ -189,7 +189,7 @@ def test_count_lemma22(tmp_path, capsys):
 
 
 def test_count_ceiling_exit_code(tmp_path, capsys):
-    # one connected component: 2^40 points plus the exact values 0 and 1
+    # one connected component: 2^40 points plus the residues 0 and 1 mod 2
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({
         "kind": "axkatz", "p": 2, "b": 1, "n_vars": 40,
@@ -313,6 +313,10 @@ def test_invalid_instance_rejected(tmp_path, capsys):
                   "f": {"basis": "x", "coeffs": []}},
                  "instance['f']['basis']: 'x' is not one of ['binomial', "
                  "'monomial']", id="one-of-branch"),
+    pytest.param({"kind": "chevalley", "p": "3\n", "n_vars": 2,
+                  "polynomials": ["x1+x2"]},
+                 "instance['p']: '3\\n' does not match '^-?[0-9]+(?!\\\\n)$'",
+                 id="bigint-trailing-newline"),
 ])
 def test_invalid_instance_message(tmp_path, capsys, doc, line):
     # one line: where the first violation is, and why
@@ -442,19 +446,58 @@ def test_numpy_is_imported_only_for_a_dense_component(tmp_path):
               ["fleck", "-p", "3", "-a", "1", "-n", "40", "-r", "2", "--f", "1,2"],
               ["bounds", "-p", "5", "-a", "2", "-n", "90", "-l", "2", "-b", "3"],
               ["synthesize", str(synth)]]
-    script = ("import contextlib, io, sys\n"
+    script = ("import contextlib, io, os, sys\n"
               "from fleckforge import cli\n"
               "def run(argv):\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        return cli.main(argv)\n"
               f"print([run(argv) for argv in {narrow!r}], 'numpy' in sys.modules)\n"
               f"print(run(['count', {str(dense)!r}, '--workers', '2']),\n"
-              "      'numpy' in sys.modules, 'concurrent.futures' in sys.modules)\n")
+              "      'numpy' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+              "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    # numpy starts one BLAS thread unless the caller has chosen a number
+    for preset, threads in [(None, "1"), ("2", "2")]:
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**env, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0] False",
+                                            "0 True False", threads]
+
+
+@pytest.mark.parametrize("doc,flags,exit_code", [
+    (None, [], 0),
+    ({"kind": "theorem12", "p": 2}, [], 1),
+    (None, ["--ceiling", "1"], 3),
+], ids=["exit-0", "exit-1", "exit-3"])
+def test_run_is_main_as_a_process(tmp_path, capsys, doc, flags, exit_code):
+    # python -m and the console script both go through run(), which
+    # freezes the start-up objects and prints what main() prints
+    inst = Path(__file__).resolve().parent / "golden" / "chevalley.json"
+    if doc is not None:
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+    argv = ["count", str(inst), *flags]
+    assert cli.main(argv) == exit_code
+    captured = capsys.readouterr()
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0] False", "0 True False"]
+    module = subprocess.run([sys.executable, "-m", "fleckforge.cli", *argv],
+                            env=env, capture_output=True, text=True)
+    assert (module.returncode, module.stdout, module.stderr) == (
+        exit_code, captured.out, captured.err)
+    script = ("import gc, sys\n"
+              "from fleckforge import cli\n"
+              "code = cli.run()\n"
+              "print(gc.get_freeze_count() > 0, file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    entry = subprocess.run([sys.executable, "-c", script, *argv],
+                           env=env, capture_output=True, text=True)
+    assert (entry.returncode, entry.stdout, entry.stderr) == (
+        exit_code, captured.out, captured.err + "True\n")
 
 
 def test_start_up_loads_only_the_subcommands_code():

@@ -21,26 +21,27 @@ frontier DP over its variables in pure Python, or, for a dense
 component, as a numpy matrix product of the polynomials' low-rank
 factors on two half sub-cubes.  One enumerator,
 ``multipoly.residue_histogram``, serves both engines: the modular one
-counts residues mod p^(a_k + b + ord_p(l_k!)), which pin every weight
-mod p^b; the exact one counts residues modulo one more than the width
-of f_k's value range, which recover every exact value.  One step then
+counts residues mod p^(a_k) times the least period of F_k mod p^b
+(``_periods``, after Zabek, 1956), which pin every weight mod p^b; the
+exact one counts residues modulo one more than the width of f_k's value
+range, which recover every exact value.  One step then
 gates and weights either histogram (a dict from value tuples to
 counts): it keeps the tuples with p^(a_k) | v_k for every k and
 multiplies their counts by F_k(v_k / p^(a_k)), read from a table of
 F_k mod p^b on the modular engine and evaluated exactly once per
 distinct argument on the exact one.  The enumerator alone bounds the work
 and refuses it above the ceiling; the modular engine passes it the size of
-the F tables, and builds them only once the histogram is in.  When every
-F_k is constant (l_k = 0, as in the zero counts), either engine counts
-f_k mod p^(a_k) alone: the sum is the product of the constants times the
-points in the all-zero class.  The zero counts and Lemma 2.2 report
+the F tables, and builds them only once the histogram is in.  A constant
+F_k has period 1 and a one-entry table, so when every F_k is constant,
+as in the zero counts, the exact engine takes the modular path with
+exact tables and no reduction.  The zero counts and Lemma 2.2 report
 exact sums, so they always take the exact engine.
 """
 from __future__ import annotations
 
 import functools
+import sys
 from fractions import Fraction
-from math import prod
 
 from .exceptions import TheoremViolation
 from .ivpoly import IntegerValuedPoly, eval_ivp
@@ -52,12 +53,13 @@ from .multipoly import (
     residue_histogram,
     total_degree,
 )
-from .padic import PrimePower, is_prime, ord_factorial, phi_prime_power
+from .padic import PrimePower, is_prime, phi_prime_power
 from .padic import binom_int  # noqa: F401  unused here; tracers wrap it at this name
 
 
 class Constraint:
-    """One record (f_k, a_k, F_k) with declared degree bound l_k for F_k."""
+    """One record (f_k, a_k, F_k) with degree bound l_k for F_k, which only
+    the hypothesis reads: the declared one, else F_k's own (0 if constant)."""
 
     __slots__ = ("f", "a", "F", "l")
 
@@ -73,13 +75,7 @@ class Constraint:
         self.f = f
         self.a = a
         self.F = F
-        self.l = l
-
-    @property
-    def l_eff(self) -> int:
-        """Effective degree bound for F (declared, else from the coefficients)."""
-        declared = self.l if self.l is not None else self.F.degree_bound
-        return max(declared, self.F.degree_bound, 0)
+        self.l = max(F.degree_bound if l is None else l, 0)
 
 
 class CongruenceSystem:
@@ -97,6 +93,14 @@ class CongruenceSystem:
             raise ValueError(f"p must be prime, got {p}")
         if b < 1:
             raise ValueError(f"b must be >= 1, got {b}")
+        # every report prints p^b, which str() refuses past the interpreter's
+        # digit limit; 2^(3 limit) < 10^limit < 2^(4 limit) decide all but a
+        # narrow band of b before the power is formed
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        if limit and (b * (p.bit_length() - 1) > 4 * limit
+                      or b * p.bit_length() > 3 * limit and p ** b >= 10 ** limit):
+            raise ValueError(f"p^b = {p}^{b} has more than {limit} digits, "
+                             "more than a report can print")
         if n_vars < 0:
             raise ValueError(f"n_vars must be >= 0, got {n_vars}")
         for c in constraints:
@@ -120,10 +124,6 @@ class DivisibilityVerdict:
         self.hypothesis_margin = hypothesis_margin
         self.divisible = divisible
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DivisibilityVerdict) and all(
-            getattr(self, k) == getattr(other, k) for k in self.__slots__)
-
 
 def hypothesis_16(sys: CongruenceSystem) -> Fraction:
     """Exact rational margin n - RHS of the dimension hypothesis, which
@@ -141,7 +141,7 @@ def hypothesis_16(sys: CongruenceSystem) -> Fraction:
     rhs = (b - 1) * max(Fraction(dmax, p - 1), Fraction(1))
     for c in sys.constraints:
         iverson = 1 if c.a != 0 else 0
-        rhs += Fraction(((c.l_eff + 1) * p ** c.a - iverson) * total_degree(c.f),
+        rhs += Fraction(((c.l + 1) * p ** c.a - iverson) * total_degree(c.f),
                         p - 1)
     return Fraction(sys.n_vars) - rhs
 
@@ -170,26 +170,20 @@ def theorem12_sum(system: CongruenceSystem, exact: bool = False,
                   ceiling: int | None = None) -> int:
     """The gated weighted sum over the cube, factorised by variable components.
 
-    Modular mode (default) builds the histogram of
-    (f_k mod p^(a_k + b + ord_p(l_k!)))_k, weights each occurring residue
-    tuple from a table of F_k mod p^b over one period and returns the
-    sum mod p^b; exact mode builds the histogram of exact value tuples
-    (``fold_poly_values``), evaluates F_k once at each distinct argument
-    and returns the full sum.  The two agree mod p^b.  With every F_k
-    constant, both count residues mod p^(a_k) and need no F table.  An
-    empty constraint list means an always-open gate and weight 1, so the
-    sum is the cube size.
+    Modular mode (default) builds the histogram of (f_k mod m_k)_k, with
+    m_k from ``_periods``, weights each occurring residue tuple from a
+    table of F_k mod p^b over one period and returns the sum mod p^b.
+    Exact mode takes the same path, with exact tables and no reduction,
+    when every F_k is constant (its period is 1); otherwise it builds the
+    histogram of exact value tuples (``fold_poly_values``), evaluates F_k
+    once at each distinct argument and returns the full sum.  The two
+    agree mod p^b.  An empty constraint list means an always-open gate
+    and weight 1, so the sum is the cube size.
     """
     p, pb = system.p, system.p ** system.b
     polys = [c.f for c in system.constraints]
-    if all(c.l_eff == 0 for c in system.constraints):
-        # constant weights: F times the points with p^(a_k) | f_k for all k
-        hist = residue_histogram(p, factorise(system.n_vars, polys),
-                                 [p ** c.a for c in system.constraints], ceiling)
-        s = prod(eval_ivp(c.F, 0) for c in system.constraints) * hist.get(
-            (0,) * len(polys), 0)
-        return s if exact else s % pb
-    if exact:
+    periods, mods = _periods(system)
+    if exact and any(period > 1 for period in periods):
         hist = fold_poly_values(CubeSpec(p, system.n_vars), polys, ceiling=ceiling)
 
         @functools.cache
@@ -197,23 +191,33 @@ def theorem12_sum(system: CongruenceSystem, exact: bool = False,
             return eval_ivp(system.constraints[k].F, t)
 
         return _gate_and_weight(system, hist, weigh, None)
-    periods, mods = _periods(system)
     hist = residue_histogram(p, factorise(system.n_vars, polys), mods,
                              ceiling, tables=sum(periods))
-    tables = [[eval_ivp(c.F, t) % pb for t in range(period)]
+    tables = [[eval_ivp(c.F, t) if exact else eval_ivp(c.F, t) % pb
+               for t in range(period)]
               for c, period in zip(system.constraints, periods)]
-    return _gate_and_weight(system, hist, lambda k, t: tables[k][t], pb)
+    return _gate_and_weight(system, hist, lambda k, t: tables[k][t],
+                            None if exact else pb)
 
 
 def _periods(system: CongruenceSystem) -> tuple[list[int], list[int]]:
-    """Periods p^(b + ord_p(l_k!)) and moduli m_k = p^a_k * period_k.
+    """Periods of F_k mod p^b and moduli m_k = p^a_k * period_k.
 
-    Arguments of F_k equal mod its period pin F_k mod p^b, so f_k matters
-    only mod m_k.
+    C(x, i) mod p^b has least period p^(b + floor(log_p i)) for i >= 1
+    (Zabek, 1956), so F_k = sum_{i <= d_k} c_i C(x, i), with c_{d_k} its
+    last nonzero coefficient, has period p^(b + floor(log_p d_k)), and a
+    constant F_k has period 1.  Arguments of F_k equal mod its period pin
+    F_k mod p^b, so f_k matters only mod m_k.
     """
-    periods = [system.p ** (system.b + ord_factorial(c.l_eff, system.p))
-               for c in system.constraints]
-    return periods, [system.p ** c.a * period
+    p = system.p
+    periods = []
+    for c in system.constraints:
+        d = max((i for i, ci in enumerate(c.F.coeffs) if ci), default=0)
+        period = 1 if d == 0 else p ** system.b
+        while d >= p:
+            period, d = period * p, d // p
+        periods.append(period)
+    return periods, [p ** c.a * period
                      for c, period in zip(system.constraints, periods)]
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from fleckforge import axkatz
 from fleckforge.axkatz import (
     CongruenceSystem,
     Constraint,
+    DivisibilityVerdict,
     axkatz_prime_verify,
     chevalley_warning_verify,
     corollary11_verify,
@@ -290,15 +292,41 @@ def test_lemma22_matches_brute_force():
 def test_ceiling_refusal():
     # one connected component, too dense for the frontier DP: 2^30 points
     # plus one histogram of the 2 residues 0 and 1 mod p^a; F = 1 is
-    # constant, so neither engine builds an F table
+    # constant, so either engine builds a one-entry F table
     product_text = "*".join(f"x{i}" for i in range(1, 31))
     system = _system(2, 1, 30, [(product_text, 1, ONE)])
     with pytest.raises(CeilingExceeded) as err:
         theorem12_sum(system, ceiling=10 ** 6)
-    assert err.value.required == 2 ** 30 + 2
+    assert err.value.required == 2 ** 30 + 3
     with pytest.raises(CeilingExceeded) as err:
         theorem12_sum(system, exact=True, ceiling=10 ** 6)
-    assert err.value.required == 2 ** 30 + 2
+    assert err.value.required == 2 ** 30 + 3
+
+
+def test_periods_are_least_periods_of_the_weights():
+    # C(x, l) mod p^b has least period p^(b + floor(log_p l)) (Zabek, 1956)
+    f = parse_poly("x1", 1)
+
+    def period_of(p, b, F, l=None, a=0):
+        system = CongruenceSystem(p=p, b=b, n_vars=1, constraints=(
+            Constraint(f=f, a=a, F=F, l=l),))
+        (period,), (modulus,) = axkatz._periods(system)
+        assert modulus == p ** a * period
+        return period
+
+    for p, b in product([2, 3, 5], [1, 2, 3]):
+        for l in range(1, 3 * p + 1):
+            period = period_of(p, b, IntegerValuedPoly([0] * l + [1]))
+
+            def repeats(t):
+                return all((binom_int(x + t, l) - binom_int(x, l)) % p ** b == 0
+                           for x in range(-period, period))
+
+            assert repeats(period) and not repeats(period // p), (p, b, l)
+        # the declared bound l does not lengthen the period
+        assert period_of(p, b, IntegerValuedPoly([4]), l=5, a=1) == 1
+        assert period_of(p, b, IntegerValuedPoly([0, 0]), l=3) == 1
+        assert period_of(p, b, IntegerValuedPoly([2, 3, 0]), l=9, a=2) == p ** b
 
 
 def test_constraint_validation():
@@ -308,6 +336,24 @@ def test_constraint_validation():
         Constraint(f=parse_poly("x1", 1), a=1, F=X, l=0)  # l below degree
     with pytest.raises(ValueError):
         CongruenceSystem(p=4, b=1, n_vars=1, constraints=())
+
+
+def test_p_to_the_b_is_refused_past_the_digit_limit():
+    # each p^b fits in 4300 digits and p^(b+1) does not; 3^(10^9) is
+    # refused without being formed
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for p, b in [(2, 14284), (3, 9012), (10 ** 9 + 7, 477)]:
+            CongruenceSystem(p=p, b=b, n_vars=1, constraints=())
+            with pytest.raises(ValueError, match="more than 4300 digits"):
+                CongruenceSystem(p=p, b=b + 1, n_vars=1, constraints=())
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            CongruenceSystem(p=3, b=10 ** 9, n_vars=1, constraints=())
+        sys.set_int_max_str_digits(0)  # no limit
+        CongruenceSystem(p=3, b=10 ** 9, n_vars=1, constraints=())
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # one instance per verifier, each with its hypothesis holding
@@ -407,8 +453,10 @@ def test_chevalley_warning_is_axkatz_at_b_1(case):
     # Chevalley-Warning is the Ax-Katz statement with b = 1, all-constant and
     # empty polynomial lists included
     polys, p, n = case
-    assert (chevalley_warning_verify(polys, p, n_vars=n)
-            == axkatz_prime_verify(polys, 1, p, n_vars=n))
+    chevalley = chevalley_warning_verify(polys, p, n_vars=n)
+    axkatz_b1 = axkatz_prime_verify(polys, 1, p, n_vars=n)
+    assert all(getattr(chevalley, k) == getattr(axkatz_b1, k)
+               for k in DivisibilityVerdict.__slots__)
 
 
 @st.composite

@@ -189,7 +189,8 @@ def test_count_lemma22(tmp_path, capsys):
 
 
 def test_count_ceiling_exit_code(tmp_path, capsys):
-    # one connected component: 2^40 points plus the residues 0 and 1 mod 2
+    # one connected component: 2^40 points plus the residues 0 and 1 mod 2,
+    # plus the one-entry table of the constant F = 1
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({
         "kind": "axkatz", "p": 2, "b": 1, "n_vars": 40,
@@ -199,7 +200,7 @@ def test_count_ceiling_exit_code(tmp_path, capsys):
                              "--ceiling", "1000"])
     assert code == 3
     assert doc["error"] == \
-        f"enumeration ceiling exceeded: {2 ** 40 + 2} steps needed"
+        f"enumeration ceiling exceeded: {2 ** 40 + 3} steps needed"
 
 
 @pytest.mark.parametrize("argv,total,exit_code", [
@@ -364,6 +365,25 @@ def test_p_beyond_the_primality_bound_is_one_error(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err == ("error: primality is decided only below "
                             f"3317044064679887385961981, got {p}\n")
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "axkatz", "p": 3, "b": 10000, "n_vars": 2, "polynomials": ["x1 + x2"]},
+    {"kind": "theorem12", "p": 3, "b": "1000000000", "n_vars": 2,
+     "constraints": [{"f": "x1 + x2", "a": 1,
+                      "F": {"basis": "binomial", "coeffs": ["1", "1"]}}]},
+], ids=["b-10000", "b-10^9"])
+def test_claimed_modulus_past_the_digit_limit_is_one_error(tmp_path, capsys, doc):
+    # the report would print p^b, with more digits than str() converts;
+    # 3^(10^9) is refused before it is formed
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    assert cli.main(["count", str(inst)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: p^b = 3^{doc['b']} has more than "
+                            f"{sys.get_int_max_str_digits()} digits, "
+                            "more than a report can print\n")
 
 
 @pytest.mark.parametrize("doc,key", [

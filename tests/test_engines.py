@@ -107,12 +107,13 @@ def test_factorised_exact_matches_cube_walk(case):
 
 def _random_system(data, p, n, polys):
     """A theorem12 system on ``polys`` with drawn a_k, F_k and b, and its
-    gated product."""
+    gated product.  F_k has up to 2p + 2 coefficients, so its degree may
+    reach p, where its period outgrows p^b."""
     b = data.draw(st.integers(1, 3))
     constraints = tuple(
         Constraint(f=f, a=data.draw(st.integers(0, 2)),
                    F=IntegerValuedPoly(data.draw(
-                       st.lists(st.integers(-9, 9), min_size=1, max_size=3))))
+                       st.lists(st.integers(-9, 9), min_size=1, max_size=2 * p + 2))))
         for f in polys)
     system = CongruenceSystem(p=p, b=b, n_vars=n, constraints=constraints)
     return system, _leaf(system)

@@ -7,7 +7,7 @@ divisibility, and the general gated weighted sum
     sum over points with p^(a_k) | f_k(x) for all k
         of  prod_k F_k(f_k(x) / p^(a_k))        = 0 (mod p^b)
 
-under the exact-rational hypothesis on n.  Every verifier is an instance
+under the dimension hypothesis on n.  Every verifier is an instance
 of that sum: the zero counts gate each f_k on p | f_k with weight 1, and
 the binomial-weight sums weight by C(f_k / p^a, l_k).  One helper
 computes the sum and the verdict.  Chevalley-Warning is Ax-Katz at b = 1,
@@ -40,8 +40,8 @@ exact sums, so they always take the exact engine.
 from __future__ import annotations
 
 import functools
+import math
 import sys
-from fractions import Fraction
 
 from .exceptions import TheoremViolation
 from .ivpoly import IntegerValuedPoly, eval_ivp
@@ -117,7 +117,7 @@ class DivisibilityVerdict:
                  "hypothesis_margin", "divisible")
 
     def __init__(self, sum: int, claimed_modulus: int, hypothesis_holds: bool,
-                 hypothesis_margin: Fraction, divisible: bool):
+                 hypothesis_margin: str, divisible: bool):
         self.sum = sum
         self.claimed_modulus = claimed_modulus
         self.hypothesis_holds = hypothesis_holds
@@ -125,25 +125,20 @@ class DivisibilityVerdict:
         self.divisible = divisible
 
 
-def hypothesis_16(sys: CongruenceSystem) -> Fraction:
-    """Exact rational margin n - RHS of the dimension hypothesis, which
-    holds when the margin is positive, with
+def hypothesis_16(sys: CongruenceSystem) -> int:
+    """(p-1)(n - RHS), whose sign decides the dimension hypothesis n > RHS:
 
-        RHS = (b-1) * max(d1*phi(p^(a1))/(p-1), 1)
-              + (1/(p-1)) * sum_k ((l_k+1) p^(a_k) - [a_k != 0]) d_k
+        (p-1) RHS = (b-1) * max(d1*phi(p^(a1)), p-1)
+                    + sum_k ((l_k+1) p^(a_k) - [a_k != 0]) d_k
 
-    and index 1 attaining max_k d_k*phi(p^(a_k)).
+    with index 1 attaining max_k d_k*phi(p^(a_k)).
     """
-    p, b = sys.p, sys.b
-    weighted = [total_degree(c.f) * phi_prime_power(PrimePower(p, c.a))
-                for c in sys.constraints]
-    dmax = max(weighted, default=0)
-    rhs = (b - 1) * max(Fraction(dmax, p - 1), Fraction(1))
-    for c in sys.constraints:
-        iverson = 1 if c.a != 0 else 0
-        rhs += Fraction(((c.l + 1) * p ** c.a - iverson) * total_degree(c.f),
-                        p - 1)
-    return Fraction(sys.n_vars) - rhs
+    p = sys.p
+    dmax = max((total_degree(c.f) * phi_prime_power(PrimePower(p, c.a))
+                for c in sys.constraints), default=0)
+    return (sys.n_vars * (p - 1) - (sys.b - 1) * max(dmax, p - 1)
+            - sum(((c.l + 1) * p ** c.a - (c.a != 0)) * total_degree(c.f)
+                  for c in sys.constraints))
 
 
 def _gate_and_weight(system: CongruenceSystem, hist: dict, weigh,
@@ -242,30 +237,33 @@ def _binomial_system(polys, p: int, b: int, a: int, ls,
     return CongruenceSystem(p=p, b=b, n_vars=n_vars, constraints=constraints)
 
 
-def _judge(system: CongruenceSystem, modulus: int, margin: Fraction,
+def _judge(system: CongruenceSystem, modulus: int, margin: int, unit: int,
            exact: bool, ceiling: int | None) -> DivisibilityVerdict:
     """Sum the system and compare the sum with the claimed modulus.
 
-    Raises TheoremViolation if the hypothesis holds (its margin is
-    positive) and the sum is not divisible: a proved impossibility.
+    The hypothesis holds when the integer ``margin`` is positive; the
+    verdict states it as the reduced fraction margin/unit (``3/2``).
+    Raises TheoremViolation if the hypothesis holds and the sum is not
+    divisible: a proved impossibility.
     """
-    holds = margin > 0
+    g = math.gcd(margin, unit)
+    shown = str(margin // g) if g == unit else f"{margin // g}/{unit // g}"
     s = theorem12_sum(system, exact=exact, ceiling=ceiling)
     verdict = DivisibilityVerdict(sum=s, claimed_modulus=modulus,
-                                  hypothesis_holds=holds,
-                                  hypothesis_margin=margin,
+                                  hypothesis_holds=margin > 0,
+                                  hypothesis_margin=shown,
                                   divisible=s % modulus == 0)
-    if holds and not verdict.divisible:
+    if verdict.hypothesis_holds and not verdict.divisible:
         raise TheoremViolation(f"sum {s} not divisible by {modulus} although "
-                               f"the hypothesis holds with margin {margin}")
+                               f"the hypothesis holds with margin {shown}")
     return verdict
 
 
 def verify_theorem12(system: CongruenceSystem, exact: bool = False,
                      ceiling: int | None = None) -> DivisibilityVerdict:
     """The gated weighted sum against p^b under hypothesis_16."""
-    return _judge(system, system.p ** system.b, hypothesis_16(system), exact,
-                  ceiling)
+    return _judge(system, system.p ** system.b, hypothesis_16(system),
+                  system.p - 1, exact, ceiling)
 
 
 def corollary11_verify(polys, a: int, b: int, ls, p: int,
@@ -311,5 +309,5 @@ def lemma22_verify(polys, js, c: int, p: int, ceiling: int | None = None,
     # modular engine, which this exact sum never uses
     system = _binomial_system(polys, p, max(c, 1), 0, js, n_vars)
     degbound = sum(j * total_degree(f) for j, f in zip(js, polys))
-    margin = Fraction((system.n_vars - c + 1) * (p - 1) - degbound)
-    return _judge(system, p ** c, margin, True, ceiling)
+    margin = (system.n_vars - c + 1) * (p - 1) - degbound
+    return _judge(system, p ** c, margin, 1, True, ceiling)

@@ -16,8 +16,10 @@ file uses.  A rejected file gets one line, ``<location>: <reason>``, for
 the first violation, with the reason worded as jsonschema words it
 (``instance['f']['basis']: 'x' is not one of ['binomial', 'monomial']``).
 
-Exit codes: 0 success, 1 usage or validation error, 2 theorem
-violation, 3 enumeration ceiling exceeded.
+Exit codes: 0 success, 1 usage or validation error or a report value
+too long to print, 2 theorem violation, 3 work ceiling exceeded: the
+cube sum's for ``count``, and for ``bounds``, ``fleck`` and
+``synthesize`` the work they charge before they start.
 """
 from __future__ import annotations
 
@@ -34,9 +36,16 @@ import time
 from .exceptions import CeilingExceeded, TheoremViolation
 from .fleck import check_lemma21, factorial_bound, wan_bound
 from .ivpoly import IntegerValuedPoly, monomials_to_ivp
-from .multipoly import parse_poly
+from .multipoly import DEFAULT_CEILING, parse_poly
 from .padic import PrimePower
-from .wilson import ResidueTable, bound_M, max_degree, synthesize, verify_theorem11
+from .wilson import (
+    ResidueTable,
+    bound_M,
+    degree_limit,
+    max_degree,
+    synthesize,
+    verify_theorem11,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,23 +66,37 @@ def _load_schema(name: str) -> dict:
         return json.load(fh)
 
 
-def _encode(obj):
-    """Recursively convert report values to JSON-safe, string-encoded form."""
+def _encode(obj, key="report"):
+    """Recursively convert report values to JSON-safe, string-encoded form.
+
+    An integer with more digits than ``str`` converts (past
+    ``sys.get_int_max_str_digits()``; 0 is no limit) is a ValueError
+    naming the nearest key above it.
+    """
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError:
+            raise ValueError(f"{key} has more than {sys.get_int_max_str_digits()} "
+                             "digits, more than a report can print") from None
     if isinstance(obj, float):
         return "inf" if math.isinf(obj) else obj
     if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
+        return {k: _encode(v, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
+        return [_encode(v, key) for v in obj]
     return obj
 
 
 def _emit(report: dict) -> None:
     print(json.dumps(_encode(report), indent=2, sort_keys=True))
+
+
+def _exceeded(report: dict, required: int) -> tuple[dict, int]:
+    report["error"] = f"enumeration ceiling exceeded: {required} steps needed"
+    return report, EXIT_CEILING
 
 
 _TYPES = {
@@ -269,23 +292,37 @@ def cmd_fleck(args) -> tuple[dict, int]:
     _nonnegative(n=args.n)
     pp = PrimePower(args.p, args.a)
     f = IntegerValuedPoly(_parse_coeff_list(args.f) if args.f is not None else [1])
-    report = check_lemma21(args.n, args.r, pp, f)
-    return {
-        "kind": "fleck",
-        "instance": {"p": args.p, "a": args.a, "n": args.n, "r": args.r,
-                     "f": list(f.coeffs)},
-        "results": {
-            "sum": report.sum,
-            "valuation": report.valuation,
-            "bounds": dict(sorted(report.bounds.items())),
-            "satisfied": dict(sorted(report.satisfied.items())),
-        },
-    }, EXIT_OK if report.all_satisfied else EXIT_VIOLATION
+    report = {"kind": "fleck",
+              "instance": {"p": args.p, "a": args.a, "n": args.n, "r": args.r,
+                           "f": list(f.coeffs)},
+              "results": {}}
+    # the sum steps C(n, k) through about 2n small factors and the
+    # valuation divides the sum about n times, each step on the words of
+    # an n-bit number
+    required = (args.n + 1) * (args.n // 64 + 1)
+    if required > DEFAULT_CEILING:
+        return _exceeded(report, required)
+    lemma = check_lemma21(args.n, args.r, pp, f)
+    report["results"] = {
+        "sum": lemma.sum,
+        "valuation": lemma.valuation,
+        "bounds": dict(sorted(lemma.bounds.items())),
+        "satisfied": dict(sorted(lemma.satisfied.items())),
+    }
+    return report, EXIT_OK if lemma.all_satisfied else EXIT_VIOLATION
 
 
 def cmd_bounds(args) -> tuple[dict, int]:
     _nonnegative(n=args.n, l=args.l)
     pp = PrimePower(args.p, args.a)
+    report = {"kind": "bounds",
+              "instance": {"p": args.p, "a": args.a, "n": args.n, "l": args.l,
+                           "b": args.b},
+              "results": {}}
+    # max_degree scans the degrees 0..degree_limit
+    scan = 0 if args.b is None else degree_limit(pp, args.l, args.b) + 1
+    if scan > DEFAULT_CEILING:
+        return _exceeded(report, scan)
     results = {
         "wan": wan_bound(args.n, pp, args.l),
         "factorial": factorial_bound(args.n, pp, args.l),
@@ -297,12 +334,8 @@ def cmd_bounds(args) -> tuple[dict, int]:
             results["fleck"] = results["weisman"]
     if args.b is not None:
         results["max_degree"] = max_degree(pp, args.l, args.b)
-    return {
-        "kind": "bounds",
-        "instance": {"p": args.p, "a": args.a, "n": args.n, "l": args.l,
-                     "b": args.b},
-        "results": dict(sorted(results.items())),
-    }, EXIT_OK
+    report["results"] = dict(sorted(results.items()))
+    return report, EXIT_OK
 
 
 def cmd_synthesize(args) -> tuple[dict, int]:
@@ -321,25 +354,34 @@ def cmd_synthesize(args) -> tuple[dict, int]:
         lo, hi = (int(x) for x in doc["q_range"])
     else:
         lo, hi = -25, 25
+    report = {"kind": "synthesize", "instance": doc, "results": {}}
+    ceiling = int(doc["ceiling"]) if "ceiling" in doc else DEFAULT_CEILING
+    # the scan takes a step per degree up to degree_limit, which bounds the
+    # degree d; the table, its differences, the check's starting values and
+    # their differences, and its d + 1 terms at every point (p^a per q, plus
+    # one direct value) handle numbers of up to ~d bits, since the n-th
+    # difference of a table grows like 2^n
+    entries = degree_limit(pp, max(f.degree_bound, 0), b) + 1
+    points = max(hi - lo + 1, 0) * (pp.modulus + 1)
+    required = entries + (entries // 64 + 1) * entries * (2 * entries + 1 + points)
+    if required > ceiling:
+        return _exceeded(report, required)
     try:
         P = synthesize(pp, b, f, g)
     except TheoremViolation as exc:
-        return {"kind": "synthesize", "instance": doc, "results": {},
-                "error": str(exc)}, EXIT_VIOLATION
+        report["error"] = str(exc)
+        return report, EXIT_VIOLATION
     check = verify_theorem11(P, f, g, q_range=(lo, hi))
-    return {
-        "kind": "synthesize",
-        "instance": doc,
-        "results": {
-            "coeffs": list(P.coeffs),
-            "bound_records": list(P.bound_records),
-            "degree": P.degree,
-            "verified": check.ok,
-            "checked_points": check.checked,
-            "q_range": [lo, hi],
-            "counterexample": check.counterexample,
-        },
-    }, EXIT_OK if check.ok else EXIT_VIOLATION
+    report["results"] = {
+        "coeffs": list(P.coeffs),
+        "bound_records": list(P.bound_records),
+        "degree": P.degree,
+        "verified": check.ok,
+        "checked_points": check.checked,
+        "q_range": [lo, hi],
+        "counterexample": check.counterexample,
+    }
+    return report, EXIT_OK if check.ok else EXIT_VIOLATION
 
 
 def _polys(doc, ceiling: int | None = None) -> list:
@@ -403,13 +445,12 @@ def cmd_count(args) -> tuple[dict, int]:
         report["error"] = str(exc)
         return report, EXIT_VIOLATION
     except CeilingExceeded as exc:
-        report["error"] = f"enumeration ceiling exceeded: {exc.required} steps needed"
-        return report, EXIT_CEILING
+        return _exceeded(report, exc.required)
     report["verdict"] = {
         "sum": verdict.sum,
         "claimed_modulus": verdict.claimed_modulus,
         "hypothesis_holds": verdict.hypothesis_holds,
-        "hypothesis_margin": str(verdict.hypothesis_margin),
+        "hypothesis_margin": verdict.hypothesis_margin,
         "divisible": verdict.divisible,
     }
     return report, EXIT_OK
@@ -509,7 +550,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args.timing:
         report["timing"] = {"wall_seconds": time.monotonic() - t0}
-    _emit(report)
+    try:
+        _emit(report)
+    except ValueError as exc:  # a value too long to print, refused unprinted
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION if code == EXIT_VIOLATION else EXIT_USAGE
     return code
 
 

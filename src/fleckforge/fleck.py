@@ -11,7 +11,7 @@ and at a = 1, l = 0 it is Fleck's.
 """
 from __future__ import annotations
 
-from math import comb
+from math import comb, perm
 
 from .ivpoly import IntegerValuedPoly, eval_ivp
 from .padic import (
@@ -29,13 +29,19 @@ def restricted_sum(n: int, r: int, pp: PrimePower, f: IntegerValuedPoly) -> int:
 
     For each included k, (k - r)/p^a is an exact integer; the empty
     congruence class gives 0.  With f = 1 this is the classical
-    alternating sum over a residue class.
+    alternating sum over a residue class.  C(n, k) steps from one k to
+    the next by p^a factors above and below, so the binomials of one sum
+    take about 2n products and quotients of an n-bit number by small
+    factors, not a fresh binomial per term.
     """
     q = pp.modulus
     k0 = r % q
+    binomial = comb(n, k0)
     total = 0
     for k in range(k0, n + 1, q):
-        term = comb(n, k) * eval_ivp(f, (k - r) // q)
+        if k > k0:  # C(n, k) from C(n, k - q)
+            binomial = binomial * perm(n - k + q, q) // perm(k, q)
+        term = binomial * eval_ivp(f, (k - r) // q)
         total += -term if k % 2 else term
     return total
 

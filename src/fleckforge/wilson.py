@@ -71,19 +71,23 @@ def bound_M(d: int, pp: PrimePower, l: int) -> int:
     return max(wan_bound(d, pp, l), factorial_bound(d, pp, l))
 
 
-def max_degree(pp: PrimePower, l: int, b: int) -> int:
-    """The maximal d with M_d < b, found by exhaustive scan.
-
-    M_d is not assumed monotone; the scan runs to
-    D* = l*p^a + ceil(p^(a-1)) + b*phi(p^a), beyond which the
-    totient-floor term alone is >= b.  The result exists since M_0 <= 0.
-    """
+def degree_limit(pp: PrimePower, l: int, b: int) -> int:
+    """D* = l*p^a + ceil(p^(a-1)) + b*phi(p^a), beyond which the
+    totient-floor term of M_d alone is >= b."""
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     half = pp.p ** (pp.a - 1) if pp.a >= 1 else 1  # ceil(p^(a-1))
-    limit = l * pp.modulus + half + b * phi_prime_power(pp)
+    return l * pp.modulus + half + b * phi_prime_power(pp)
+
+
+def max_degree(pp: PrimePower, l: int, b: int) -> int:
+    """The maximal d with M_d < b, found by exhaustive scan.
+
+    M_d is not assumed monotone; the scan runs to ``degree_limit``.  The
+    result exists since M_0 <= 0.
+    """
     best = None
-    for d in range(limit + 1):
+    for d in range(degree_limit(pp, l, b) + 1):
         if bound_M(d, pp, l) < b:
             best = d
     if best is None:

@@ -53,18 +53,21 @@ def _system(p, b, n, triples):
 
 
 def test_hypothesis_16_examples():
+    # the margin is (p - 1)(n - RHS)
     sys1 = _system(2, 2, 3, [("x1+x2+x3", 1, ONE)])
     assert hypothesis_16(sys1) == 1  # RHS = 2, n = 3
 
     sys2 = _system(3, 1, 2, [("x1+x2", 1, ONE)])
-    assert hypothesis_16(sys2) == 1  # RHS = 1, n = 2
+    assert hypothesis_16(sys2) == 2 * 1  # RHS = 1, n = 2
 
     empty = CongruenceSystem(p=5, b=1, n_vars=3, constraints=())
-    assert hypothesis_16(empty) == 3  # RHS = 0
+    assert hypothesis_16(empty) == 4 * 3  # RHS = 0
 
-    # a margin, not a verdict: exact, and negative when the hypothesis fails
+    # a margin, not a verdict: an integer, and not positive when the
+    # hypothesis fails
     short = _system(2, 2, 2, [("x1+x2", 1, ONE)])
-    assert hypothesis_16(short) == 0 and isinstance(hypothesis_16(short), Fraction)
+    assert hypothesis_16(short) == 0 and isinstance(hypothesis_16(short), int)
+    assert hypothesis_16(_system(3, 3, 2, [("x1+x2", 1, ONE)])) == 2 * -1
 
 
 def test_theorem12_sum_examples():
@@ -416,9 +419,9 @@ def test_theorem12_where_its_hypothesis_has_slack():
     terms[(0,) * n] = rng.randint(1, 24)
     system = CongruenceSystem(p=5, b=1, n_vars=n, constraints=(
         Constraint(f=MultiPoly(n, terms), a=2, F=IntegerValuedPoly([3, 2]), l=1),))
-    assert hypothesis_16(system) == Fraction(3, 2)
+    assert hypothesis_16(system) == 4 * Fraction(3, 2)  # (p - 1)(n - RHS)
     verdict = verify_theorem12(system)  # raises on a violation
-    assert verdict.divisible
+    assert verdict.divisible and verdict.hypothesis_margin == "3/2"
     assert theorem12_sum(system, exact=True) % 5 == verdict.sum == 0
 
 
@@ -477,33 +480,41 @@ def _corollary11_cases(draw, max_degree=2):
 @example(([], 2, 4, 2, 4, []))
 def test_constant_systems_hypothesis_implies_divisible(case):
     # with only constants the count is 0 or p^n times a constant, and
-    # hypothesis_16's margin n - b + 1 is positive only when p^b divides p^n;
-    # a violation would raise here
+    # hypothesis_16's margin (p - 1)(n - b + 1) is positive only when p^b
+    # divides p^n; a violation would raise here
     polys, p, n, a, b, ls = case
     for v in (corollary11_verify(polys, a, b, ls, p, n_vars=n),
               corollary11_verify(polys, a, b, ls, p, exact=True, n_vars=n),
               axkatz_prime_verify(polys, b, p, n_vars=n),
               chevalley_warning_verify(polys, p, n_vars=n)):
         assert v.divisible or not v.hypothesis_holds
-    assert axkatz_prime_verify(polys, b, p, n_vars=n).hypothesis_margin == n - b + 1
+    system = axkatz._binomial_system(polys, p, b, 1, [0] * len(polys), n)
+    assert hypothesis_16(system) == (p - 1) * (n - b + 1)
+    assert axkatz_prime_verify(polys, b, p, n_vars=n).hypothesis_margin == str(n - b + 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_corollary11_cases())
 def test_margins_equal_the_papers_formulas(case):
-    # oracles: the paper's Ax-Katz and Corollary 1.1 hypotheses, written out;
-    # with some d_k >= 1 they are hypothesis_16 of the binomial system
+    # oracles: the paper's Ax-Katz and Corollary 1.1 hypotheses, written out
+    # and multiplied by p - 1; with some d_k >= 1 they are hypothesis_16 of
+    # the binomial system, and the verdict states them divided by p - 1
     polys, p, n, a, b, ls = case
     degrees = [total_degree(f) for f in polys]
     d1 = max(degrees, default=0)
     assume(d1 >= 1)
-    axkatz_margin = n - ((b - 1) * d1 + sum(degrees))
-    assert axkatz_prime_verify(polys, b, p).hypothesis_margin == axkatz_margin
-    corollary_margin = n - ((b - 1) * d1 * p ** (a - 1)
-                            + Fraction((p ** a - 1) * sum(degrees), p - 1)
-                            + Fraction(p ** a * sum(l * d for l, d in zip(ls, degrees)),
-                                       p - 1))
-    assert corollary11_verify(polys, a, b, ls, p).hypothesis_margin == corollary_margin
+    axkatz_margin = (p - 1) * (n - ((b - 1) * d1 + sum(degrees)))
+    assert hypothesis_16(axkatz._binomial_system(polys, p, b, 1, [0] * len(polys),
+                                                 None)) == axkatz_margin
+    assert (axkatz_prime_verify(polys, b, p).hypothesis_margin
+            == str(axkatz_margin // (p - 1)))
+    corollary_margin = ((p - 1) * n - ((b - 1) * d1 * p ** (a - 1) * (p - 1)
+                                       + (p ** a - 1) * sum(degrees)
+                                       + p ** a * sum(l * d for l, d in zip(ls, degrees))))
+    assert hypothesis_16(axkatz._binomial_system(polys, p, b, a, ls,
+                                                 None)) == corollary_margin
+    assert (corollary11_verify(polys, a, b, ls, p).hypothesis_margin
+            == str(Fraction(corollary_margin, p - 1)))
 
 
 def _legendre(x, p):
@@ -547,28 +558,71 @@ def test_quadratic_form_zero_count_matches_closed_form(case):
     assert axkatz_prime_verify([f], 1, p).sum == expected
 
 
-@pytest.mark.parametrize("n", [60, 200])
-def test_chain_zero_count_matches_closed_form(n):
-    # Q = x1^2 + sum_(i<n) x_i x_(i+1) is nondegenerate mod 3, so for even n
-    # Q = 1 has p^(n-1) - p^(n/2-1) eta((-1)^(n/2) det Q) solutions
-    # (Lidl-Niederreiter, Finite Fields, Thm 6.26), whose ord_p is n/2 - 1
-    p = 3
-    f = parse_poly("x1^2 + " + " + ".join(f"x{i}*x{i + 1}" for i in range(1, n))
+def _det_mod(rows, p):
+    """det of the n x n matrix mod p by Gaussian elimination; ``rows`` holds
+    each row as a dict column -> entry, so a band matrix stays sparse."""
+    rows = [dict(row) for row in rows]
+    det = 1
+    for j in range(len(rows)):
+        pivot = next((i for i in range(j, len(rows)) if rows[i].get(j, 0) % p), None)
+        if pivot is None:
+            return 0
+        if pivot != j:
+            rows[j], rows[pivot] = rows[pivot], rows[j]
+            det = -det
+        det = det * rows[j][j] % p
+        inverse = pow(rows[j][j], -1, p)
+        for i in range(j + 1, len(rows)):
+            factor = rows[i].get(j, 0) * inverse % p
+            if factor:
+                for k, v in rows[j].items():
+                    rows[i][k] = (rows[i].get(k, 0) - factor * v) % p
+    return det % p
+
+
+def _check_form_equals_one(coeffs, p, n):
+    """Q = sum c_ij x_i x_j (i <= j, ``coeffs`` maps (i, j) -> c_ij, 1-based)
+    is nondegenerate mod p, so for even n, Q = 1 has
+    p^(n-1) - p^(n/2-1) eta((-1)^(n/2) Delta) solutions (Lidl-Niederreiter,
+    Finite Fields, Thm 6.26), Delta the determinant of Q's symmetric matrix,
+    so the count's ord_p is n/2 - 1."""
+    f = parse_poly(" + ".join(f"{c}*x{i}*x{j}" for (i, j), c in coeffs.items())
                    + " - 1", n)
-    # Q's symmetric matrix mod p has diagonal 1, 0, ..., 0 and 1/2 beside the
-    # diagonal; its leading minors obey D_k = a_k D_(k-1) - (1/2)^2 D_(k-2)
-    diagonal = [1] + [0] * (n - 1)
-    quarter = pow(4, -1, p)
-    before, det = 1, 1
-    for a_k in diagonal[1:]:
-        before, det = det, (a_k * det - quarter * before) % p
-    assert det
-    expected = p ** (n - 1) - p ** (n // 2 - 1) * _legendre((-1) ** (n // 2) * det, p)
+    half = pow(2, -1, p)
+    rows = [{} for _ in range(n)]
+    for (i, j), c in coeffs.items():
+        if i == j:
+            rows[i - 1][i - 1] = c % p
+        else:
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = c * half % p
+    delta = _det_mod(rows, p)
+    assert delta  # the theorem's hypothesis
+    expected = p ** (n - 1) - p ** (n // 2 - 1) * _legendre((-1) ** (n // 2) * delta, p)
     for b, divisible in ((n // 2 - 1, True), (n // 2, False)):
         verdict = axkatz_prime_verify([f], b, p)
         assert verdict.sum == expected
         assert verdict.divisible is divisible
-        assert verdict.hypothesis_margin == n - 2 * b  # 2, then 0
+        # (p - 1)(n - RHS) with RHS = 2b: 2(p - 1), then 0
+        system = axkatz._binomial_system([f], p, b, 1, [0], None)
+        assert hypothesis_16(system) == (p - 1) * (n - 2 * b)
+        assert verdict.hypothesis_margin == str(n - 2 * b)
+
+
+@pytest.mark.parametrize("p, n", [pytest.param(3, 60, id="60"),
+                                  pytest.param(3, 200, id="200"),
+                                  pytest.param(7, 300, id="p7-300")])
+def test_chain_zero_count_matches_closed_form(p, n):
+    # Q = x1^2 + sum_(i<n) x_i x_(i+1)
+    _check_form_equals_one({(1, 1): 1} | {(i, i + 1): 1 for i in range(1, n)}, p, n)
+
+
+def test_band_zero_count_matches_closed_form():
+    # a quadratic form in which x_i meets only x_(i+1) and x_(i+2), with
+    # nonzero coefficients mod 5
+    p, n = 5, 120
+    rng = random.Random(7)
+    _check_form_equals_one({(i, j): rng.randrange(1, p) for i in range(1, n + 1)
+                            for j in range(i, min(i + 2, n) + 1)}, p, n)
 
 
 @st.composite

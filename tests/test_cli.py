@@ -386,6 +386,93 @@ def test_claimed_modulus_past_the_digit_limit_is_one_error(tmp_path, capsys, doc
                             "more than a report can print\n")
 
 
+# each report's sum has more digits than str() converts by default (4300):
+# 3^9099, 2^20000 + 2 and 2^14999
+TOO_LONG = {
+    "chevalley": (["count", "{doc}"],
+                  {"kind": "chevalley", "p": 3, "n_vars": 9100, "polynomials": ["x1"]},
+                  3 ** 9099),
+    "theorem12-exact": (["count", "{doc}", "--exact"],
+                        {"kind": "theorem12", "p": 2, "b": 1, "n_vars": 1,
+                         "constraints": [{"f": "2^20000*x1 + 1", "a": 0,
+                                          "F": {"basis": "binomial",
+                                                "coeffs": ["0", "1"]}}]},
+                        2 ** 20000 + 2),
+    "fleck": (["fleck", "-p", "2", "-a", "1", "-n", "15000", "-r", "0"], None,
+              2 ** 14999),
+}
+
+
+@pytest.fixture
+def digit_limit():
+    """Sets sys.set_int_max_str_digits for one test, then restores it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("integer string conversion has no digit limit before Python 3.11")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("case", TOO_LONG)
+def test_report_value_past_the_digit_limit_is_one_error(tmp_path, capsys,
+                                                        digit_limit, case):
+    argv, doc, total = TOO_LONG[case]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    argv = [arg.format(doc=inst) for arg in argv]
+    digit_limit(4300)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sum has more than 4300 digits, "
+                            "more than a report can print\n")
+    # 0 is no limit
+    digit_limit(0)
+    code, report = run(capsys, argv)
+    assert code == 0
+    assert (report.get("verdict") or report["results"])["sum"] == str(total)
+
+
+def test_violation_too_long_to_print_stays_a_violation(capsys, monkeypatch,
+                                                       digit_limit):
+    from fleckforge.fleck import FleckReport
+
+    digit_limit(4300)
+    monkeypatch.setattr(cli, "check_lemma21", lambda n, r, pp, f: FleckReport(
+        sum=10 ** 5000, valuation=0, bounds={"wan": 1}, satisfied={"wan": False}))
+    assert cli.main(["fleck", "-p", "2", "-a", "1", "-n", "3", "-r", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,doc,required", [
+    # max_degree would scan the degrees 0..1 + 10^8
+    (["bounds", "-p", "2", "-a", "1", "-n", "5", "-l", "0", "-b", "100000000"],
+     None, 10 ** 8 + 2),
+    # n + 1 steps on words of n bits
+    (["fleck", "-p", "2", "-a", "0", "-n", "300000", "-r", "0"], None,
+     300001 * (300000 // 64 + 1)),
+    # degrees 0..3001 scanned, then 3002 * (2 * 3002 + 1 + 51 * 3) steps on
+    # 47 words
+    (["synthesize", "{doc}"],
+     {"kind": "synthesize", "p": 2, "a": 1, "b": 3000, "f": ["1"], "g": [1, 0]},
+     3002 + 47 * 3002 * (2 * 3002 + 1 + 51 * 3)),
+    # the document's own ceiling
+    (["synthesize", "{doc}"],
+     {"kind": "synthesize", "p": 2, "a": 1, "b": 3, "f": ["1"], "g": [1, 0],
+      "ceiling": 80, "q_range": [0, 1]},
+     5 + 5 * (2 * 5 + 1 + 2 * 3)),
+], ids=["bounds", "fleck", "synthesize", "synthesize-ceiling"])
+def test_large_work_is_refused_before_it_starts(tmp_path, capsys, argv, doc, required):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    code, report = run(capsys, [arg.format(doc=inst) for arg in argv])
+    assert code == 3
+    validate_report(report)
+    assert report["results"] == {}
+    assert report["error"] == f"enumeration ceiling exceeded: {required} steps needed"
+
+
 @pytest.mark.parametrize("doc,key", [
     ({"kind": "theorem12", "p": 2, "b": 2, "n_vars": 3, "exact-mode": True,
       "constraints": [{"f": "x1+x2+x3", "a": 1,
@@ -543,9 +630,11 @@ def test_start_up_loads_only_the_subcommands_code():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     start, count, sweep = (set(json.loads(line)) for line in proc.stdout.splitlines())
-    assert start & {"dataclasses", "inspect", "fractions", "decimal",
+    assert start & {"dataclasses", "inspect", "fractions", "decimal", "numbers",
                     "importlib.resources", "numpy", "fleckforge.axkatz",
                     "fleckforge.sweeps"} == set()
+    # the hypotheses are integer inequalities: no rational arithmetic
+    assert (count | sweep) & {"fractions", "decimal", "numbers"} == set()
     assert "fleckforge.axkatz" in count
     assert count & {"fleckforge.sweeps", "numpy"} == set()
     assert "fleckforge.sweeps" in sweep

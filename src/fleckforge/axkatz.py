@@ -254,8 +254,8 @@ def _judge(system: CongruenceSystem, modulus: int, margin: int, unit: int,
                                   hypothesis_margin=shown,
                                   divisible=s % modulus == 0)
     if verdict.hypothesis_holds and not verdict.divisible:
-        raise TheoremViolation(f"sum {s} not divisible by {modulus} although "
-                               f"the hypothesis holds with margin {shown}")
+        raise TheoremViolation(f"sum = {s % modulus} mod {modulus}, not divisible, "
+                               f"although the hypothesis holds with margin {shown}")
     return verdict
 
 

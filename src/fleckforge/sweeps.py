@@ -130,7 +130,7 @@ def sweep_theorem11(rng, iterations: int, result: SweepResult, deadline=None):
         except TheoremViolation as exc:
             result.violations.append({**entry, "error": str(exc)})
             continue
-        check = verify_theorem11(P, f, g, q_range=(-8, 8))
+        check = verify_theorem11(P, f, g)
         if not check.ok:
             result.violations.append({**entry,
                                       "counterexample": check.counterexample})

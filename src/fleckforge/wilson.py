@@ -54,7 +54,7 @@ class NewtonPoly:
 
 
 class CongruenceReport:
-    """Result of checking P(p^a q + r) = f(q) g(r) (mod p^b) on a grid."""
+    """Result of checking P(p^a q + r) = f(q) g(r) (mod p^b) for every q."""
 
     __slots__ = ("ok", "checked", "counterexample")
 
@@ -81,18 +81,23 @@ def degree_limit(pp: PrimePower, l: int, b: int) -> int:
 
 
 def max_degree(pp: PrimePower, l: int, b: int) -> int:
-    """The maximal d with M_d < b, found by exhaustive scan.
+    """The maximal d with M_d < b, found by bisection below ``degree_limit``.
 
-    M_d is not assumed monotone; the scan runs to ``degree_limit``.  The
-    result exists since M_0 <= 0.
+    M_d is nondecreasing in d: ``wan_bound`` is the floor of an increasing
+    function, and in ``factorial_bound`` min(l, floor(d/p^a)) rises, by 1,
+    only where p^a | d + 1, where s = floor(d/p^(a-1)) rises onto a
+    multiple of p, so ord_p(s!) rises by at least 1 (at a = 0, s = d*p
+    rises by p).  So the d with M_d < b run from 0, as M_0 <= 0 < b, to
+    below ``degree_limit``, where wan_bound(d) < b stops holding.
     """
-    best = None
-    for d in range(degree_limit(pp, l, b) + 1):
-        if bound_M(d, pp, l) < b:
-            best = d
-    if best is None:
-        raise TheoremViolation("no degree with M_d < b; M_0 <= 0 should make d = 0 valid")
-    return best
+    lo, hi = 0, degree_limit(pp, l, b)  # M_lo < b <= M_hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound_M(mid, pp, l) < b:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _table_of_F(pp: PrimePower, f: IntegerValuedPoly, g: ResidueTable, d: int) -> list[int]:
@@ -121,40 +126,43 @@ def synthesize(pp: PrimePower, b: int, f: IntegerValuedPoly, g: ResidueTable) ->
     return NewtonPoly(coeffs=tuple(coeffs), pp=pp, b=b, bound_records=records)
 
 
-def verify_theorem11(P: NewtonPoly, f: IntegerValuedPoly, g: ResidueTable,
-                     q_range: tuple[int, int] = (-25, 25)) -> CongruenceReport:
-    """Check P(p^a q + r) = f(q) g(r) (mod p^b), b = P.b, over a finite q grid.
+def verify_theorem11(P: NewtonPoly, f: IntegerValuedPoly,
+                     g: ResidueTable) -> CongruenceReport:
+    """Check P(p^a q + r) = f(q) g(r) (mod p^b), b = P.b, for every integer q.
 
-    ``q_range`` is inclusive and should straddle 0; every residue r in
-    [0, p^a - 1] is checked for each q.  An empty range (lo > hi) checks
-    nothing and raises ValueError.  The congruence is a theorem, so
-    failure means a bug; the first counterexample is reported.
+    For each r, h_r(q) = P(p^a q + r) - f(q) g(r) is an integer-valued
+    polynomial of degree at most D = max(deg P, deg f, 0) in q, so h_r(q)
+    = sum_{i <= D} (Delta^i h_r)(0) C(q, i), each difference an integer
+    combination of h_r(0..D): checking x = p^a q + r for q = 0..D proves
+    it for every q.  Failure means a bug; the first counterexample is
+    reported.
 
-    The points x = p^a q + r are consecutive, so P is stepped through its
-    difference table mod p^b: d + 1 direct evaluations give the
-    differences at the first x, and each later x costs d additions.  At
-    r = 0 of every q, P is also evaluated directly, and a value that
-    differs from the stepped one fails the check there.
+    P's coefficients are its difference table at x = 0, held mod p^b as
+    one integer with a w-bit field per difference, P(x) in the lowest: a
+    step adds to each field the one above it, then takes p^b off every
+    field that reached it.  At r = 0 of every q, P is also evaluated
+    directly, and a value that differs from the stepped one fails there.
     """
     pp = P.pp
     mod = pp.p ** P.b
-    lo, hi = q_range
-    if lo > hi:
-        raise ValueError(f"q_range ({lo}, {hi}) is empty: lo must be <= hi")
+    w = mod.bit_length() + 1
+    ones = ((1 << (w * len(P.coeffs))) - 1) // ((1 << w) - 1)  # 1 at each field's foot
+    bump = ((1 << (w - 1)) - mod) * ones  # lifts a field >= mod to bit w - 1
+    mods = mod * ones
+    low = (1 << w) - 1
+    t = sum((c % mod) << (w * i) for i, c in enumerate(P.coeffs))
     poly = IntegerValuedPoly(P.coeffs)
-    start = pp.modulus * lo
-    diffs = [v % mod for v in forward_differences(
-        [eval_ivp(poly, start + i) for i in range(max(len(P.coeffs), 1))])]
     checked = 0
-    for q in range(lo, hi + 1):
+    for q in range(max(len(P.coeffs) - 1, f.degree_bound, 0) + 1):
         fq = eval_ivp(f, q)
-        for r in range(pp.modulus):
+        for r, gr in enumerate(g.values):
             checked += 1
-            value = diffs[0]
-            if ((value - fq * g.values[r]) % mod
+            value = t & low
+            if ((value - fq * gr) % mod
                     or r == 0 and eval_ivp(poly, pp.modulus * q) % mod != value):
                 return CongruenceReport(ok=False, checked=checked,
                                         counterexample=(q, r))
-            for j in range(len(diffs) - 1):
-                diffs[j] = (diffs[j] + diffs[j + 1]) % mod
+            t += t >> w
+            reached = (t + bump) >> (w - 1) & ones
+            t -= ((reached << w) - reached) & mods
     return CongruenceReport(ok=True, checked=checked, counterexample=None)

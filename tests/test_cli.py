@@ -72,8 +72,10 @@ def test_synthesize_command(tmp_path, capsys):
     assert code == 0
     validate_report(doc)
     assert doc["results"]["coeffs"] == ["1", "-1"]
+    # P = 1 - x has degree D = 1, so q = 0, 1 at both residues prove it
     assert doc["results"]["verified"] is True
-    assert doc["results"]["q_range"] == ["-25", "25"]
+    assert doc["results"]["checked_points"] == "4"
+    assert "q_range" not in doc["results"]
 
 
 def test_synthesize_with_f_one_is_wilsons_lemma(tmp_path, capsys):
@@ -105,18 +107,26 @@ def test_synthesize_failed_bound_exit_code(tmp_path, capsys, monkeypatch):
     assert doc["results"] == {} and "below its bound" in doc["error"]
 
 
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # a usage error, raised by the argument parser
+        return exc.code
+
+
 @pytest.mark.parametrize("argv,q_range", [
     ([], [5, -5]),
     (["--q-range=5:-5"], None),
 ])
 def test_synthesize_empty_q_range_is_an_error(tmp_path, capsys, argv, q_range):
-    # an empty range checks no point, so it cannot verify anything
+    # the check covers every q, so a range is refused, as a field or a flag
     doc = {"kind": "synthesize", "p": 2, "a": 1, "b": 1, "f": ["1"], "g": [1, 0]}
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({**doc, "q_range": q_range} if q_range else doc))
-    assert cli.main(["synthesize", str(inst), *argv]) == 1
+    assert _exit_code(["synthesize", str(inst), *argv]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "is empty" in captured.err
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "q_range" in captured.err if q_range else "--q-range" in captured.err
 
 
 @pytest.mark.parametrize("value", ["5", "a:b", "1:2:3", ""])
@@ -124,8 +134,9 @@ def test_synthesize_malformed_q_range_names_the_option(tmp_path, capsys, value):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"kind": "synthesize", "p": 2, "a": 1, "b": 1,
                                 "f": ["1"], "g": [1, 0]}))
-    assert cli.main(["synthesize", str(inst), f"--q-range={value}"]) == 1
-    assert "--q-range takes lo:hi" in capsys.readouterr().err
+    assert _exit_code(["synthesize", str(inst), f"--q-range={value}"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: unrecognized arguments: --q-range={value}\n")
 
 
 def test_synthesize_zero_table(tmp_path, capsys):
@@ -446,22 +457,25 @@ def test_violation_too_long_to_print_stays_a_violation(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("argv,doc,required", [
-    # max_degree would scan the degrees 0..1 + 10^8
-    (["bounds", "-p", "2", "-a", "1", "-n", "5", "-l", "0", "-b", "100000000"],
-     None, 10 ** 8 + 2),
+    # max_degree would bisect below 1 + 10^999, of L = 3319 bits: L steps of
+    # L divisions on L-bit numbers
+    (["bounds", "-p", "2", "-a", "1", "-n", "5", "-l", "0", "-b", str(10 ** 999)],
+     None, 3319 * 3319 * (3319 // 64 + 1)),
     # n + 1 steps on words of n bits
     (["fleck", "-p", "2", "-a", "0", "-n", "300000", "-r", "0"], None,
      300001 * (300000 // 64 + 1)),
-    # degrees 0..3001 scanned, then 3002 * (2 * 3002 + 1 + 51 * 3) steps on
-    # 47 words
+    # the bisection below 3001, of 12 bits; then d = D = 3000: 3001 * (3001 +
+    # 3001) steps on 3001 * 3 bits, and 2 * 3001 steps of 3001 fields of
+    # 3000 * 2 + 1 bits
     (["synthesize", "{doc}"],
      {"kind": "synthesize", "p": 2, "a": 1, "b": 3000, "f": ["1"], "g": [1, 0]},
-     3002 + 47 * 3002 * (2 * 3002 + 1 + 51 * 3)),
-    # the document's own ceiling
+     12 * 12 + 3001 * 6002 * (3001 * 3 // 64 + 1)
+     + 2 * 3001 * (3001 * 6001 // 64 + 1)),
+    # the document's own ceiling: the bisection below 4, then d = D = 3
     (["synthesize", "{doc}"],
      {"kind": "synthesize", "p": 2, "a": 1, "b": 3, "f": ["1"], "g": [1, 0],
-      "ceiling": 80, "q_range": [0, 1]},
-     5 + 5 * (2 * 5 + 1 + 2 * 3)),
+      "ceiling": 40},
+     3 * 3 + 4 * 8 + 2 * 4),
 ], ids=["bounds", "fleck", "synthesize", "synthesize-ceiling"])
 def test_large_work_is_refused_before_it_starts(tmp_path, capsys, argv, doc, required):
     inst = tmp_path / "inst.json"
@@ -756,6 +770,19 @@ def test_count_violation_exit_code(tmp_path, capsys, monkeypatch, kind):
     assert code == 2
     validate_report(doc)
     assert "not divisible" in doc["error"] and "verdict" not in doc
+
+
+def test_count_violation_with_a_sum_too_long_to_print_exits_2(capsys, monkeypatch,
+                                                             digit_limit):
+    # the message gives the residue mod the claimed modulus, which prints
+    digit_limit(4300)
+    golden = Path(__file__).resolve().parent / "golden" / "chevalley.json"
+    monkeypatch.setattr(axkatz, "theorem12_sum", lambda system, **kw: 2 ** 20000 + 1)
+    code, doc = run(capsys, ["count", str(golden)])
+    assert code == 2
+    validate_report(doc)
+    assert doc["error"].startswith("sum = 2 mod 3, not divisible")
+    assert "verdict" not in doc
 
 
 @pytest.mark.parametrize("kind", ["chevalley", "axkatz", "lemma22"])

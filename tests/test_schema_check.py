@@ -27,7 +27,7 @@ GOLDEN = sorted((Path(__file__).resolve().parent / "golden").glob("*.json"))
 # the golden corpus has only `count` kinds; these add the `f` of both shapes
 SEEDS = [json.loads(p.read_text()) for p in GOLDEN] + [
     {"kind": "synthesize", "p": 3, "a": 1, "b": 2, "g": ["1", "0", 2],
-     "f": {"basis": "binomial", "coeffs": ["1", 0]}, "q_range": [-3, "3"]},
+     "f": {"basis": "binomial", "coeffs": ["1", 0]}},
     {"kind": "synthesize", "p": 2, "a": 1, "b": 1, "f": ["1"], "g": [1, 0]},
     {"kind": "chevalley", "p": 3, "n_vars": 2, "polynomials": ["x1"],
      "ceiling": 100, "exact_mode": True},

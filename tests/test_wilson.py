@@ -1,7 +1,10 @@
 import math
 import random
+from itertools import zip_longest
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fleckforge import wilson
 from fleckforge.exceptions import TheoremViolation
@@ -58,7 +61,7 @@ def test_synthesize_parity_indicator():
     g = ResidueTable(pp, [1, 0])
     P = synthesize(pp, 1, ONE, g)
     assert P.coeffs == (1, -1)
-    assert verify_theorem11(P, ONE, g, q_range=(-10, 10)).ok
+    assert verify_theorem11(P, ONE, g).ok
 
 
 def test_synthesize_zero_table():
@@ -66,7 +69,7 @@ def test_synthesize_zero_table():
     g = ResidueTable(pp, [0, 0, 0])
     P = synthesize(pp, 2, ONE, g)
     assert all(c == 0 for c in P.coeffs)
-    assert verify_theorem11(P, ONE, g, q_range=(-5, 5)).ok
+    assert verify_theorem11(P, ONE, g).ok
 
 
 def test_synthesize_identity_no_period():
@@ -75,7 +78,7 @@ def test_synthesize_identity_no_period():
     g = ResidueTable(pp, [1])
     P = synthesize(pp, 1, f, g)
     assert P.coeffs == (0, 1)
-    assert verify_theorem11(P, f, g, q_range=(-30, 30)).ok
+    assert verify_theorem11(P, f, g).ok
 
 
 def test_eval_newton_values():
@@ -106,7 +109,7 @@ def test_congruence_on_random_instances():
         P = synthesize(pp, b, f, g)
         for n, c in enumerate(P.coeffs):
             assert ord_int(c, pp.p) >= P.bound_records[n]
-        assert verify_theorem11(P, f, g, q_range=(-25, 25)).ok
+        assert verify_theorem11(P, f, g).ok
 
 
 def test_verify_theorem11_catches_a_wrong_coefficient():
@@ -119,25 +122,59 @@ def test_verify_theorem11_catches_a_wrong_coefficient():
         coeffs[k] += 1
         wrong = NewtonPoly(coeffs=tuple(coeffs), pp=P.pp, b=P.b,
                            bound_records=P.bound_records)
-        # the first failing (q, r) of a direct scan, counting checked points
-        lo, hi = -5, 5
-        scan = [(q, r) for q in range(lo, hi + 1) for r in range(pp.modulus)]
+        # the first failing (q, r) of a direct scan over q = 0..D, counting
+        # checked points
+        top = max(wrong.degree, f.degree_bound, 0)
+        scan = [(q, r) for q in range(top + 1) for r in range(pp.modulus)]
         checked, first = next(
             (i, qr) for i, qr in enumerate(scan, 1)
             if (eval_ivp(IntegerValuedPoly(wrong.coeffs), pp.modulus * qr[0] + qr[1])
                 - eval_ivp(f, qr[0]) * g.values[qr[1]]) % pp.p ** b)
-        report = verify_theorem11(wrong, f, g, q_range=(lo, hi))
+        report = verify_theorem11(wrong, f, g)
         assert (report.ok, report.counterexample, report.checked) == (
             False, first, checked)
 
 
+@pytest.mark.parametrize("p,a,b", [(2, 1, 2), (3, 1, 2), (5, 1, 1), (2, 2, 3)])
+def test_verify_theorem11_refuses_a_polynomial_that_passes_a_grid(p, a, b):
+    # C(x + 8 p^a, 17 p^a) vanishes at x = p^a q + r for q in [-8, 8] and is
+    # 1 at x = 9 p^a, so P plus it passes the grid q in [-8, 8] but not q = 9,
+    # which lies in [0, D] since its degree is 17 p^a
+    pp = PrimePower(p, a)
+    rng = random.Random(p * 100 + a * 10 + b)
+    f = IntegerValuedPoly([rng.randint(-50, 50) for _ in range(2)])
+    g = ResidueTable(pp, [rng.randint(-50, 50) for _ in range(pp.modulus)])
+    P = synthesize(pp, b, f, g)
+    shift, top = 8 * pp.modulus, 17 * pp.modulus
+    # Vandermonde: C(x + s, t) = sum_j C(s, t - j) C(x, j)
+    extra = [math.comb(shift, top - j) if j <= top else 0 for j in range(top + 1)]
+    coeffs = [c + e for c, e in zip_longest(P.coeffs, extra, fillvalue=0)]
+    wrong = NewtonPoly(coeffs=tuple(coeffs), pp=pp, b=b,
+                       bound_records=P.bound_records)
+    poly = IntegerValuedPoly(coeffs)
+    assert all((eval_ivp(poly, pp.modulus * q + r) - eval_ivp(f, q) * g.values[r])
+               % p ** b == 0 for q in range(-8, 9) for r in range(pp.modulus))
+    report = verify_theorem11(wrong, f, g)
+    assert (report.ok, report.counterexample) == (False, (9, 0))
+    assert verify_theorem11(P, f, g).ok
+
+
 def test_verify_theorem11_refuses_an_empty_range():
+    # it takes no range: every check covers q = 0..D, here D = deg P = 1
     pp = PrimePower(2, 1)
     g = ResidueTable(pp, [1, 0])
     P = synthesize(pp, 1, ONE, g)
-    assert verify_theorem11(P, ONE, g, q_range=(3, 3)).checked == pp.modulus
-    with pytest.raises(ValueError, match="empty"):
+    assert verify_theorem11(P, ONE, g).checked == pp.modulus * 2
+    with pytest.raises(TypeError):
         verify_theorem11(P, ONE, g, q_range=(5, -5))
+
+
+@given(st.integers(0, 2000), st.sampled_from([2, 3, 5, 7]), st.integers(0, 3),
+       st.integers(0, 6))
+def test_bound_M_is_nondecreasing(d, p, a, l):
+    # max_degree's bisection rests on this
+    pp = PrimePower(p, a)
+    assert bound_M(d, pp, l) <= bound_M(d + 1, pp, l)
 
 
 def test_truncated_tail_differences_have_high_valuation():

@@ -80,8 +80,6 @@ def _encode(obj, key="report"):
         except ValueError:
             raise ValueError(f"{key} has more than {sys.get_int_max_str_digits()} "
                              "digits, more than a report can print") from None
-    if isinstance(obj, float):
-        return "inf" if math.isinf(obj) else obj
     if isinstance(obj, dict):
         return {k: _encode(v, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -90,7 +88,7 @@ def _encode(obj, key="report"):
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(_encode(report), indent=2, sort_keys=True))
+    print(json.dumps(_encode(report), indent=2, sort_keys=True), flush=True)
 
 
 def _bisection_steps(pp: PrimePower, l: int, b: int) -> int:
@@ -307,7 +305,7 @@ def cmd_fleck(args) -> tuple[dict, int]:
     lemma = check_lemma21(args.n, args.r, pp, f)
     report["results"] = {
         "sum": lemma.sum,
-        "valuation": lemma.valuation,
+        "valuation": "inf" if lemma.valuation is None else lemma.valuation,
         "bounds": dict(sorted(lemma.bounds.items())),
         "satisfied": dict(sorted(lemma.satisfied.items())),
     }
@@ -547,6 +545,11 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a value too long to print, refused unprinted
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION if code == EXIT_VIOLATION else EXIT_USAGE
+    except BrokenPipeError:
+        # stdout's reader has gone, so the exit code alone answers; with
+        # stdout on os.devnull the interpreter's last flush reports nothing
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return code
 
 

@@ -16,7 +16,6 @@ from math import comb, perm
 from .ivpoly import IntegerValuedPoly, eval_ivp
 from .padic import (
     PrimePower,
-    Valuation,
     binom_int,
     ord_factorial,
     ord_int,
@@ -75,13 +74,15 @@ class FleckReport:
 
     ``bounds`` holds the general pair always; for constant f and a >= 1
     also Weisman's, and at a = 1 Fleck's, each the Lemma 2.1 bound at
-    l = 0.  ``satisfied[name]`` is valuation >= bounds[name]; negative
-    bounds are trivially satisfied, not clamped.
+    l = 0.  ``valuation`` is ord_p(sum), or None for a zero sum, which
+    every power of p divides.  ``satisfied[name]`` is valuation >=
+    bounds[name], always True for a zero sum; negative bounds are
+    trivially satisfied, not clamped.
     """
 
     __slots__ = ("sum", "valuation", "bounds", "satisfied")
 
-    def __init__(self, sum: int, valuation: Valuation, bounds: dict[str, int],
+    def __init__(self, sum: int, valuation: int | None, bounds: dict[str, int],
                  satisfied: dict[str, bool]):
         self.sum = sum
         self.valuation = valuation
@@ -101,7 +102,7 @@ def check_lemma21(n: int, r: int, pp: PrimePower, f: IntegerValuedPoly) -> Fleck
     implementation bug, not a counterexample.
     """
     s = restricted_sum(n, r, pp, f)
-    val = ord_int(s, pp.p)
+    val = ord_int(s, pp.p) if s else None
     l = max(f.degree_bound, 0)
     bounds = {
         "wan": wan_bound(n, pp, l),
@@ -111,7 +112,7 @@ def check_lemma21(n: int, r: int, pp: PrimePower, f: IntegerValuedPoly) -> Fleck
         bounds["weisman"] = bounds["wan"]
         if pp.a == 1:
             bounds["fleck"] = bounds["wan"]
-    satisfied = {name: val >= b for name, b in bounds.items()}
+    satisfied = {name: val is None or val >= b for name, b in bounds.items()}
     return FleckReport(sum=s, valuation=val, bounds=bounds, satisfied=satisfied)
 
 

@@ -80,10 +80,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MultiPoly)
-                and self.n_vars == other.n_vars and self.terms == other.terms)
-
     def __repr__(self):
         return f"MultiPoly({self.n_vars}, {render_poly(self)!r})"
 

@@ -6,15 +6,6 @@ arbitrary-precision integers; nothing is ever rounded.
 """
 from __future__ import annotations
 
-import math
-
-#: Valuation of zero.  Compares greater than every finite valuation.
-INFINITE = math.inf
-
-#: A p-adic valuation: a non-negative int, or INFINITE for the zero value.
-Valuation = int | float
-
-
 #: Miller-Rabin with the prime bases 2..41 decides primality below this
 #: bound (Sorenson and Webster, Math. Comp. 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -71,20 +62,16 @@ class PrimePower:
         return self.p ** self.a
 
 
-def ord_int(v: int, p: int) -> Valuation:
-    """p-adic valuation of an integer.
-
-    Returns INFINITE for v = 0, otherwise the largest e such that p^e
-    divides v.
+def ord_int(v: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer: the largest e such that p^e
+    divides v.  Every power of p divides 0, so v = 0 is a ValueError.
 
     Examples:
         >>> ord_int(12, 2)
         2
-        >>> ord_int(0, 5)
-        inf
     """
     if v == 0:
-        return INFINITE
+        raise ValueError("ord_p(0) is not an integer: every p^e divides 0")
     v = abs(v)
     e = 0
     while v % p == 0:

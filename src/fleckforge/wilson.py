@@ -110,8 +110,8 @@ def synthesize(pp: PrimePower, b: int, f: IntegerValuedPoly, g: ResidueTable) ->
     """Construct the truncated interpolating polynomial for f(q)g(r) mod p^b.
 
     Coefficients are forward differences of F at 0; before returning,
-    ord_p(c_n) >= M_n is asserted for every n (this is a theorem, so a
-    failure raises TheoremViolation).
+    ord_p(c_n) >= M_n is asserted for every nonzero c_n (every power of p
+    divides 0; this is a theorem, so a failure raises TheoremViolation).
     """
     if g.pp != pp:
         raise ValueError("residue table built for a different prime power")
@@ -120,7 +120,7 @@ def synthesize(pp: PrimePower, b: int, f: IntegerValuedPoly, g: ResidueTable) ->
     coeffs = forward_differences(_table_of_F(pp, f, g, d))
     records = tuple(bound_M(n, pp, l) for n in range(d + 1))
     for n, (c, m) in enumerate(zip(coeffs, records)):
-        if ord_int(c, pp.p) < m:
+        if c and ord_int(c, pp.p) < m:
             raise TheoremViolation(
                 f"coefficient c_{n} = {c} has ord_{pp.p} below its bound {m}")
     return NewtonPoly(coeffs=tuple(coeffs), pp=pp, b=b, bound_records=records)

@@ -18,7 +18,7 @@ from fleckforge.axkatz import (
 from fleckforge.fleck import check_lemma21, gkp_identity_check, restricted_sum
 from fleckforge.ivpoly import IntegerValuedPoly
 from fleckforge.multipoly import MultiPoly, parse_poly
-from fleckforge.padic import INFINITE, PrimePower, binom_int, ord_int
+from fleckforge.padic import PrimePower, binom_int, ord_int
 from fleckforge.wilson import (
     ResidueTable,
     synthesize,
@@ -65,7 +65,10 @@ def test_criterion_2_fleck_weisman_specializations():
             pp = PrimePower(p, a)
             for n in range(0, 61):
                 for r in (0, 1, pp.modulus - 1, -3):
-                    val = ord_int(restricted_sum(n, r, pp, ONE), p)
+                    s = restricted_sum(n, r, pp, ONE)
+                    if s == 0:  # every power of p divides 0
+                        continue
+                    val = ord_int(s, p)
                     assert val >= weisman_bound(n, pp), (p, a, n, r)
                     if a == 1:
                         assert val >= fleck_bound(n, p), (p, n, r)
@@ -105,7 +108,7 @@ def test_criterion_4_theorem11_instances():
         g = ResidueTable(pp, [rng.randint(-50, 50) for _ in range(pp.modulus)])
         P = synthesize(pp, b, f, g)  # raises if any ord_p(c_n) < M_n
         for n, c in enumerate(P.coeffs):
-            assert ord_int(c, p) >= P.bound_records[n]
+            assert c == 0 or ord_int(c, p) >= P.bound_records[n]
         check = verify_theorem11(P, f, g)
         assert check.ok, (i, p, a, b, f.coeffs, g.values, check.counterexample)
     elapsed = time.monotonic() - t0
@@ -123,7 +126,7 @@ def test_criterion_5_wilson_degree_bound():
         P = synthesize(pp, b, ONE, ResidueTable(pp, table))
         assert P.degree < b * phi_prime_power(pp) + p ** (a - 1)
         for n, c in enumerate(P.coeffs):
-            assert ord_int(c, p) >= weisman_bound(n, pp)
+            assert c == 0 or ord_int(c, p) >= weisman_bound(n, pp)
     report(5, True, "100 periodic tables, degree and coefficient bounds hold")
 
 

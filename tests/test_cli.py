@@ -91,7 +91,7 @@ def test_synthesize_with_f_one_is_wilsons_lemma(tmp_path, capsys):
     assert int(results["degree"]) < 2 * phi_prime_power(pp) + 3
     assert results["verified"] is True
     for n, c in enumerate(results["coeffs"]):
-        assert ord_int(int(c), 3) >= weisman_bound(n, pp)
+        assert int(c) == 0 or ord_int(int(c), 3) >= weisman_bound(n, pp)
 
 
 def test_synthesize_failed_bound_exit_code(tmp_path, capsys, monkeypatch):
@@ -619,6 +619,40 @@ def test_run_is_main_as_a_process(tmp_path, capsys, doc, flags, exit_code):
                            env=env, capture_output=True, text=True)
     assert (entry.returncode, entry.stdout, entry.stderr) == (
         exit_code, captured.out, captured.err + "True\n")
+
+
+def _into_closed_pipe(args, buffered):
+    """Exit code and stderr of ``python *args`` run with stdout a pipe whose
+    reader has already closed it, stdout block-buffered or unbuffered."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, *args], stdout=write,
+                              stderr=subprocess.PIPE, env={**env, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_report_nobody_reads_keeps_its_exit_code(tmp_path, buffered):
+    # a sweep's report overfills the pipe and a violation's fits in it; the
+    # write fails either way, and the exit code alone carries the verdict
+    sweep = ["-m", "fleckforge.cli", "sweep", "--seed", "1", "--rounds", "1"]
+    assert _into_closed_pipe(sweep, buffered) == (0, b"")
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "synthesize", "p": 2, "a": 1, "b": 1,
+                                "f": ["1"], "g": ["1", "0"]}))
+    script = ("import math, sys\n"
+              "from fleckforge import cli, wilson\n"
+              "wilson.ord_int = lambda v, p: -math.inf\n"
+              "sys.exit(cli.run())\n")
+    assert _into_closed_pipe(["-c", script, "synthesize", str(inst)], buffered) == (
+        2, b"")
 
 
 def test_start_up_loads_only_the_subcommands_code():

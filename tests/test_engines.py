@@ -242,7 +242,7 @@ def test_low_rank_pairs_multiply_back_to_the_terms(split, data):
         for ea, cu in u.items():
             for eb, cv in v.items():
                 total[ea + eb] = total.get(ea + eb, 0) + cu * cv
-    assert MultiPoly(n, total) == MultiPoly(n, terms)
+    assert MultiPoly(n, total).terms == MultiPoly(n, terms).terms
 
 
 def _grid_counts(p, polys):
@@ -374,7 +374,8 @@ def polynomials(draw):
 
 @given(polynomials())
 def test_render_parse_round_trip(f):
-    assert parse_poly(render_poly(f), f.n_vars) == f
+    g = parse_poly(render_poly(f), f.n_vars)
+    assert (g.n_vars, g.terms) == (f.n_vars, f.terms)
 
 
 def _chain_system(n, b=2):

@@ -50,6 +50,30 @@ def test_argv_corpus_covers_fleck_and_bounds():
     assert {p.read_text().split()[0] for p in ARGVS} == {"fleck", "bounds"}
 
 
+def _floats(value, path=()):
+    """The path of every float in a decoded JSON document."""
+    if isinstance(value, float):
+        return [path]
+    if isinstance(value, dict):
+        return [q for k, v in value.items() for q in _floats(v, (*path, k))]
+    if isinstance(value, list):
+        return [q for i, v in enumerate(value) for q in _floats(v, (*path, i))]
+    return []
+
+
+def test_no_report_value_is_a_float(capsys):
+    # every verdict is an integer, printed as a decimal string; --timing's
+    # wall-clock seconds are the one float a report may hold
+    outs = sorted(GOLDEN.glob("*.out")) + sorted((GOLDEN / "cli").glob("*.out"))
+    assert len(outs) == len(INSTANCES) + len(ARGVS)
+    for out in outs:
+        assert _floats(json.loads(out.read_text())) == [], out.name
+    assert cli.main(["sweep", "--seed", "1", "--timing"]) == 0
+    sweep = json.loads(capsys.readouterr().out)
+    assert sweep["results"]["instances"]
+    assert _floats(sweep) == [("timing", "wall_seconds")]
+
+
 def test_dense_instance_takes_the_row_block_plan(capsys, monkeypatch):
     # its one component's DP bound, 3 * (3^11 - 1) / 2 = 265719, exceeds both
     # CHUNK and the 3^11 points, so its report pins the row-block product

@@ -79,12 +79,13 @@ def test_parse_is_charged_its_term_pairs(text, pairs):
     with pytest.raises(CeilingExceeded) as err:
         parse_poly(text, 3, ceiling=pairs - 1)
     assert (err.value.required, err.value.ceiling) == (pairs, pairs - 1)
-    assert parse_poly(text, 3, ceiling=pairs) == parse_poly(text, 3)
+    assert parse_poly(text, 3, ceiling=pairs).terms == parse_poly(text, 3).terms
 
 
 def test_150_nested_parentheses_and_minuses_parse():
-    assert parse_poly("(" * 150 + "x1 - 2" + ")" * 150, 1) == parse_poly("x1 - 2", 1)
-    assert parse_poly("-" * 150 + "x1", 1) == parse_poly("x1", 1)
+    assert (parse_poly("(" * 150 + "x1 - 2" + ")" * 150, 1).terms
+            == parse_poly("x1 - 2", 1).terms)
+    assert parse_poly("-" * 150 + "x1", 1).terms == parse_poly("x1", 1).terms
 
 
 # precedence of a rendered expression: a literal, a variable or a
@@ -154,7 +155,8 @@ def test_render_parse_round_trip():
     for _ in range(200):
         n_vars = rng.randint(1, 5)
         f = _random_poly(rng, n_vars)
-        assert parse_poly(render_poly(f), n_vars) == f
+        g = parse_poly(render_poly(f), n_vars)
+        assert (g.n_vars, g.terms) == (f.n_vars, f.terms)
 
 
 def test_eval_examples():

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from fleckforge.padic import (
-    INFINITE,
     PrimePower,
     binom_int,
     is_prime,
@@ -14,9 +13,8 @@ from fleckforge.padic import (
 
 
 def ord_by_division(v, p):
-    """Independent oracle: strip factors of p one at a time."""
-    if v == 0:
-        return INFINITE
+    """Independent oracle: strip factors of p one at a time (v != 0)."""
+    assert v != 0
     v = abs(v)
     e = 0
     while v % p == 0:
@@ -27,7 +25,8 @@ def ord_by_division(v, p):
 
 def test_ord_int_examples():
     assert ord_int(12, 2) == 2
-    assert ord_int(0, 5) == INFINITE
+    with pytest.raises(ValueError):
+        ord_int(0, 5)
     assert ord_int(48, 2) == ord_by_division(48, 2) == 4
 
 
@@ -35,7 +34,8 @@ def test_ord_int_matches_divisibility():
     for p in (2, 3, 5, 7):
         for v in range(-200, 201):
             if v == 0:
-                assert ord_int(v, p) == INFINITE
+                with pytest.raises(ValueError):
+                    ord_int(v, p)
                 continue
             e = ord_int(v, p)
             assert v % p ** e == 0
@@ -43,8 +43,12 @@ def test_ord_int_matches_divisibility():
 
 
 def test_infinite_orders_above_every_finite():
-    assert INFINITE > 10 ** 100
-    assert ord_int(0, 2) > ord_int(2 ** 64, 2)
+    # every power of p divides 0, so no integer is ord_p(0)
+    for p in (2, 3, 5):
+        assert all(0 % p ** k == 0 for k in (0, 1, 64, 1000))
+        with pytest.raises(ValueError):
+            ord_int(0, p)
+    assert ord_int(2 ** 64, 2) == 64
 
 
 def test_ord_factorial_examples():

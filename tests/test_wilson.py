@@ -108,7 +108,7 @@ def test_congruence_on_random_instances():
         pp, b, f, g = _random_instance(rng)
         P = synthesize(pp, b, f, g)
         for n, c in enumerate(P.coeffs):
-            assert ord_int(c, pp.p) >= P.bound_records[n]
+            assert c == 0 or ord_int(c, pp.p) >= P.bound_records[n]
         assert verify_theorem11(P, f, g).ok
 
 
@@ -192,7 +192,7 @@ def test_truncated_tail_differences_have_high_valuation():
         for n in range(d + 1, top + 1):
             m = bound_M(n, pp, l)
             if m >= b:
-                assert ord_int(tail[n], pp.p) >= m
+                assert tail[n] == 0 or ord_int(tail[n], pp.p) >= m
 
 
 def test_periodicity_modulo_prime_power():
@@ -234,7 +234,7 @@ def test_wilson_lemma_degree_bound_random():
         P = synthesize(pp, b, ONE, ResidueTable(pp, table))
         assert P.degree < b * phi_prime_power(pp) + p ** (a - 1)
         for n, c in enumerate(P.coeffs):
-            assert ord_int(c, p) >= weisman_bound(n, pp)
+            assert c == 0 or ord_int(c, p) >= weisman_bound(n, pp)
 
 
 def test_residue_table_length_check():

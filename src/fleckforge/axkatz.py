@@ -15,27 +15,26 @@ Ax-Katz is Corollary 1.1 at a = 1, l_k = 0, and Corollary 1.1 is
 Theorem 1.2 on its binomial system, so ``hypothesis_16`` judges all
 four; Lemma 2.2 has its own margin.  The sum depends only on the
 histogram of (f_1(x), ..., f_m(x)) over the cube, which is the
-convolution of the histograms of the connected components of the variables
-(``multipoly.factorise``), so each component is enumerated alone: by a
-frontier DP over its variables in pure Python, or, for a dense
-component, as a numpy matrix product of the polynomials' low-rank
-factors on two half sub-cubes.  One enumerator,
-``multipoly.residue_histogram``, serves both engines: the modular one
-counts residues mod p^(a_k) times the least period of F_k mod p^b
-(``_periods``, after Zabek, 1956), which pin every weight mod p^b; the
-exact one counts residues modulo one more than the width of f_k's value
-range, which recover every exact value.  One step then
-gates and weights either histogram (a dict from value tuples to
-counts): it keeps the tuples with p^(a_k) | v_k for every k and
-multiplies their counts by F_k(v_k / p^(a_k)), read from a table of
+convolution of the histograms of the connected components of the
+variables (``multipoly.factorise``), so each component is enumerated
+alone, on Python integers: by a frontier DP over its variables, or, for
+a dense component, as a product of the polynomials' low-rank factors on
+two half sub-cubes.  One enumerator, ``multipoly.residue_histogram``,
+serves both engines: the modular one counts residues mod p^(a_k) times
+the least period of F_k mod p^b (``_periods``, after Zabek, 1956), which
+pin every weight mod p^b; the exact one counts residues modulo one more
+than the width of f_k's value range, which recover every exact value.
+One step then gates and weights either histogram (a dict from value
+tuples to counts): it keeps the tuples with p^(a_k) | v_k for every k
+and multiplies their counts by F_k(v_k / p^(a_k)), read from a table of
 F_k mod p^b on the modular engine and evaluated exactly once per
-distinct argument on the exact one.  The enumerator alone bounds the work
-and refuses it above the ceiling; the modular engine passes it the size of
-the F tables, and builds them only once the histogram is in.  A constant
-F_k has period 1 and a one-entry table, so when every F_k is constant,
-as in the zero counts, the exact engine takes the modular path with
-exact tables and no reduction.  The zero counts and Lemma 2.2 report
-exact sums, so they always take the exact engine.
+distinct argument on the exact one.  The enumerator alone bounds the
+work and refuses it above the ceiling; the modular engine passes it the
+size of the F tables, and builds them only once the histogram is in.  A
+constant F_k has period 1 and a one-entry table, so when every F_k is
+constant, as in the zero counts, the exact engine takes the modular path
+with exact tables and no reduction.  The zero counts and Lemma 2.2
+report exact sums, so they always take the exact engine.
 """
 from __future__ import annotations
 

@@ -546,10 +546,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION if code == EXIT_VIOLATION else EXIT_USAGE
     except BrokenPipeError:
-        # stdout's reader has gone, so the exit code alone answers; with
-        # stdout on os.devnull the interpreter's last flush reports nothing
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        pass  # stdout's reader has gone, so the exit code alone answers (see run)
     return code
 
 
@@ -561,13 +558,19 @@ def run() -> int:
     is out, lives until exit, so both points move it to the permanent
     generation: the cyclic collector then never walks it again, neither
     during the request nor at interpreter exit.  Finalization still runs
-    as usual, with its flushes and atexit hooks.
+    as usual, with its flushes and atexit hooks; stdout whose reader has
+    gone moves to os.devnull first, so that the exit code stands.
     """
     gc.freeze()
     try:
         return main()
     finally:
         gc.freeze()
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

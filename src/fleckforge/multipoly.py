@@ -17,36 +17,26 @@ against the same ceiling as the cube sums.
 A sum over [0, p-1]^n of a function of (f_1(x), ..., f_m(x)) depends
 only on how often each value tuple occurs.  ``factorise`` splits the
 variables into the connected components of the graph that links two
-variables sharing a term; the value histogram over the cube is then the
-convolution of the per-component histograms.  ``residue_histogram`` is
-the one enumerator: it counts the tuples (f_k(x) mod m_k)_k over each
-component, convolves the component histograms (dicts from residue
-tuples to counts) and returns the result.  Each component takes one of
-two plans, chosen from bounds computed before any work.  The frontier
-DP, in pure Python, assigns the variables in order and keeps as its
-state the values of the assigned variables that a later term still
-uses, with the residues of the partial sums; a chain costs a few
-thousand state steps where its cube has millions of points.  Only a
-dense component, whose DP bound exceeds both ``CHUNK`` and its p^|C|
-points, is enumerated point by point: f_k / g_k, g_k the gcd of its
-coefficients, is a sum of products u_j(A) v_j(B) over two halves of the
-variables, so its values mod M_k = min(m_k, width / g_k + 1) form a
-matrix product, taken in int64 blocks of at most ``CHUNK`` points.  Only
-that row-block product imports numpy, on first use, with one BLAS thread
-unless the caller's environment asks for another number.
-The counts are exact.  ``fold_poly_values`` takes each m_k one more
-than the width of f_k's range over the cube, so the residues recover the
-exact values, and returns that exact value histogram.
-``residue_histogram`` also owns the enumeration ceiling: it plans every
-component, then refuses a sum whose plans' steps plus convolution pairs
-exceed it, before any work.  All of it runs in the caller's thread and
-reads nothing but its arguments, and the environment for numpy's thread
-count.
+variables sharing a term, and ``residue_histogram``, the one enumerator,
+counts the tuples (f_k(x) mod m_k)_k over each component and convolves
+the component histograms (dicts from residue tuples to counts).  It
+plans each component before any work, and refuses a sum whose plans
+exceed the ceiling: the frontier DP, whose state is the values of the
+assigned variables that a later term still uses with the residues of
+the partial sums, so a chain costs a few thousand steps where its cube
+has millions of points; or, for a dense component, whose DP bound
+exceeds both ``CHUNK`` and its p^|C| points, rows of packed byte fields
+(``_component_histogram``).  The counts are exact, on Python integers,
+in the caller's thread, from nothing but the arguments.
+``fold_poly_values`` takes each m_k one more than the width of f_k's
+range over the cube, so the residues recover the exact values.
 """
 from __future__ import annotations
 
-import os
+import sys
+from collections import Counter
 from functools import cache
+from itertools import islice
 from math import gcd, prod
 from operator import add, mod
 
@@ -463,33 +453,19 @@ def _frontier_histogram(p, steps, mods):
     return states[()]
 
 
-def _subcube_values(polys, p, n, mk):
-    """Values mod mk of each polynomial (a dict over n-variable exponent
-    vectors) at every point of [0, p-1]^n, one int64 row per polynomial;
-    the last variable varies fastest."""
-    import numpy as np
-
-    size = p ** n
-    rest = np.arange(size, dtype=np.int64)
-    digits = [None] * n
-    for j in reversed(range(n)):
-        rest, digits[j] = np.divmod(rest, p)
-    powers: dict = {}
-    out = np.zeros((len(polys), size), dtype=np.int64)
-    for row, terms in zip(out, polys):
-        for exps, coeff in terms.items():
-            t = np.full(size, coeff % mk, dtype=np.int64)
-            for j, e in enumerate(exps):
-                if e:
-                    dp = powers.get((j, e))
-                    if dp is None:
-                        table = np.array([pow(x, e, mk) for x in range(p)], dtype=np.int64)
-                        dp = powers[(j, e)] = table[digits[j]]
-                    t *= dp
-                    t %= mk
-            row += t  # _windows keeps (terms) * (mk - 1)^2 below 2^63
-        row %= mk
-    return out
+def _cube_values(terms, p, n, m):
+    """Values mod m of a polynomial (a dict over n-variable exponent
+    vectors) at every point of [0, p-1]^n, the last variable fastest."""
+    if n == 0:
+        return [sum(terms.values()) % m]
+    parts: dict = {}  # f = sum_e x_n^e g_e, each g_e in one variable fewer
+    for exps, c in terms.items():
+        parts.setdefault(exps[-1], {})[exps[:-1]] = c
+    out = [0] * p ** n
+    for e, g in parts.items():
+        xe = [pow(x, e, m) for x in range(p)]
+        out = list(map(add, out, [y * z for y in _cube_values(g, p, n - 1, m) for z in xe]))
+    return [v % m for v in out]
 
 
 def _low_rank(terms, na, nb):
@@ -521,61 +497,87 @@ def _low_rank(terms, na, nb):
 
 
 def _windows(p, comp, mods):
-    """(g_k, lo_k / g_k, M_k) for each f_k on one component, or None if they
-    do not fit int64: g_k is the gcd of its coefficients there (1 if none),
-    [lo_k, hi_k] its value range, and f_k / g_k mod M_k = min(m_k,
-    (hi_k - lo_k) / g_k + 1) fixes f_k mod m_k."""
+    """(g_k, lo_k / g_k, M_k) for each f_k on one component: g_k is the gcd of
+    its coefficients there (1 if none), [lo_k, hi_k] its value range, and
+    f_k / g_k mod M_k = min(m_k, (hi_k - lo_k) / g_k + 1) fixes f_k mod m_k."""
     windows = []
     for terms, mk in zip(comp.terms, mods):
         g = gcd(*terms.values()) or 1
         lo, hi = _value_range(terms, p, mk)
-        window = min(mk, (hi - lo) // g + 1)
-        if len(terms) * (window - 1) ** 2 >= 2 ** 63:
-            return None
-        windows.append((g, lo // g, window))
-    return windows if prod(w for _, _, w in windows) < 2 ** 62 else None
+        windows.append((g, lo // g, min(mk, (hi - lo) // g + 1)))
+    return windows
 
 
 def _component_histogram(p, comp, mods):
-    """Counts of (f_1 mod m_1, ...) over one component's points, as row
-    blocks of a matrix product on int64.
+    """Counts of (f_1 mod m_1, ...) over one component's points, on Python
+    integers.
 
-    The variables split into A and B, B the last half capped at
-    ``CHUNK`` points.  Each f_k / g_k is a sum of r_k products
-    u_j(A) v_j(B) (``_low_rank``), so its values mod M_k (``_windows``)
-    are U_k V_k mod M_k, U_k and V_k the factors on the two sub-cubes.
-    Blocks of U rows of at most ``CHUNK`` points count window keys, and
-    each distinct key is mapped back to residues mod m_k once.  Nothing
-    here calls BLAS, so numpy's OpenBLAS starts one thread, not one per
-    CPU, unless the caller's environment says otherwise.
+    The variables split into A and B, B the last half capped at ``CHUNK``
+    points.  Each f_k / g_k is a sum of products u_j(A) v_j(B)
+    (``_low_rank``), and its values mod M_k (``_windows``) fix f_k mod m_k.
+    The row of an A-point is one integer with a field of whole bytes per
+    B-point, and in it a sub-field per f_k for the sum of its pairs'
+    residues; a pair has a row per value of u, or scales one mask of ones
+    when v is constant.  Blocks of at most ``CHUNK`` points are counted in
+    ``sys.byteorder``: one-byte sub-fields are reduced mod M_k by
+    ``bytes.translate``, and a joint key of at most 256 values is counted
+    by ``bytes.count``.  Each distinct key is mapped back once.
     """
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    import numpy as np
-
     windows = _windows(p, comp, mods)
-    nb = (len(comp.variables) + 1) // 2
-    while p ** nb > CHUNK:
-        nb -= 1
+    moduli = [window for *_, window in windows]
+    nb = next(k for k in range((len(comp.variables) + 1) // 2, -1, -1) if p ** k <= CHUNK)
     na = len(comp.variables) - nb
-    factors = []
-    for terms, (g, _, window) in zip(comp.terms, windows):
-        pairs = _low_rank({e: c // g for e, c in terms.items()}, na, nb)
-        factors.append((_subcube_values([u for u, _ in pairs], p, na, window).T,
-                        _subcube_values([v for _, v in pairs], p, nb, window), window))
-    rows = CHUNK // p ** nb
-    merged: dict = {}
-    for start in range(0, p ** na, rows):
-        key = 0
-        for U, V, window in factors:
-            key = key * window + U[start:start + rows] @ V % window
-        keys, counts = np.unique(key, return_counts=True)
-        for key, count in zip(keys.tolist(), counts.tolist()):
-            merged[key] = merged.get(key, 0) + count
-    places = [prod(w for *_, w in windows[k + 1:]) for k in range(len(mods))]
+    pairs = [_low_rank({e: c // g for e, c in terms.items()}, na, nb)
+             for terms, (g, *_) in zip(comp.terms, windows)]
+    sizes = [max(1, -(-(len(js) * (m - 1)).bit_length() // 8))
+             for js, m in zip(pairs, moduli)]
+    offsets = [sum(sizes[:k]) for k in range(len(sizes))]
+    width = sum(sizes) if sum(sizes) > 8 else 1 << (sum(sizes) - 1).bit_length()
+
+    def pack(values, at):  # the row with each value at byte ``at`` of its field
+        return int.from_bytes(bytes(values) if width == 1 else b"".join(
+            v.to_bytes(width, "little") for v in values), "little") << 8 * at
+
+    addends = []  # per pair: u's values on A, and the row of each value
+    for js, at, m in zip(pairs, offsets, moduli):
+        for u, v in js:
+            us, vs = _cube_values(u, p, na, m), _cube_values(v, p, nb, m)
+            if len(set(vs)) == 1:  # a multiple of one mask, formed for each A-point
+                mask = pack([1] * len(vs), at)
+                addends.append((us, lambda t, c=vs[0], m=m, mask=mask: t * c % m * mask))
+            else:
+                addends.append((us, {t: pack([t * x % m for x in vs], at)
+                                     for t in set(us)}.__getitem__))
+
+    joint = max(sizes) == 1 and prod(moduli) <= 256  # one byte holds the joint key
+    places = [prod(moduli[k + 1:]) if joint else 1 for k in range(len(moduli))]
+    digits = (list(zip(places, moduli)) if joint else
+              [(256 ** at, 256 ** size) for at, size in zip(offsets, sizes)])
+    ends = [at if sys.byteorder == "little" else width - 1 - at for at in offsets]
+    tables = [bytes(v % m * place for v in range(256)) for m, place in zip(moduli, places)]
+    rows = (sum(row_of(us[a]) for us, row_of in addends) for a in range(p ** na))
+    per_block, merged = CHUNK // p ** nb, Counter()
+    while blob := b"".join(row.to_bytes(width * p ** nb, sys.byteorder)
+                           for row in islice(rows, per_block)):
+        if joint:
+            keys = blob.translate(tables[0]) if width == 1 else sum(
+                int.from_bytes(blob[end::width].translate(table), "little")
+                for end, table in zip(ends, tables)).to_bytes(len(blob) // width, "little")
+            merged.update({k: n for k in range(prod(moduli)) if (n := keys.count(k))})
+            continue
+        if max(sizes) == 1:  # every sub-field one byte, reduced mod M_k
+            blob = bytearray(blob)
+            for end, table in zip(ends, tables):
+                blob[end::width] = blob[end::width].translate(table)
+        if width <= 8:
+            merged.update(memoryview(blob).cast({2: "H", 4: "I", 8: "Q"}[width]))
+        else:
+            merged.update(int.from_bytes(blob[i:i + width], sys.byteorder)
+                          for i in range(0, len(blob), width))
     hist: dict = {}
     for key, count in merged.items():
-        r = tuple(g * (base + (key // place - base) % window) % mk
-                  for mk, (g, base, window), place in zip(mods, windows, places))
+        r = tuple(g * (base + (key // place % radix - base) % window) % mk
+                  for mk, (g, base, window), (place, radix) in zip(mods, windows, digits))
         hist[r] = hist.get(r, 0) + count  # distinct keys may share residues
     return hist
 
@@ -598,37 +600,33 @@ def residue_histogram(p: int, fact: Factorisation, mods,
     Each component of ``fact`` is enumerated alone, by one of two plans
     chosen from bounds computed before any work: the frontier DP
     (``_frontier_histogram``), unless its bound D (``_elimination``)
-    exceeds both ``CHUNK`` and the component's p^|C| points and its
-    ``_windows`` fit, when the row-block product (``_component_histogram``,
-    the only code that runs numpy) enumerates the points.  The component
-    histograms are combined by cyclic convolution.
+    exceeds both ``CHUNK`` and the component's p^|C| points, when the
+    row-block product (``_component_histogram``) enumerates the points.
+    The component histograms are combined by cyclic convolution.
 
     Every component is planned first, and CeilingExceeded refuses the sum
-    before any work if its bound exceeds ``ceiling`` (None:
-    ``DEFAULT_CEILING``):
+    before any work if its bound exceeds ``ceiling`` (None: ``DEFAULT_CEILING``):
     each plan's D steps or p^|C| points, plus the ``tables`` entries the
-    caller builds afterwards, plus the entry pairs of each convolution,
-    with each histogram no larger than its points and the residue tuples
-    its sums can reach (``_reach``).
+    caller builds afterwards, plus the entry pairs of each convolution, with
+    each histogram no larger than its points and the residue tuples its
+    sums can reach (``_reach``).
     """
     plans, required, acc = [], tables, 1
     widths, gcds = [0] * len(mods), [0] * len(mods)  # of the components so far
     for comp in fact.components:
         work, steps, comp_widths, comp_gcds = _elimination(p, comp, mods)
         points = p ** len(comp.variables)
-        dense = work > max(CHUNK, points) and _windows(p, comp, mods) is not None
+        dense = work > max(CHUNK, points)
         size = min(points, _reach(mods, comp_widths, comp_gcds))
         widths = list(map(add, widths, comp_widths))
         gcds = list(map(gcd, gcds, comp_gcds))
         required += (points if dense else work) + acc * size
         acc = min(acc * size, _reach(mods, widths, gcds))
         plans.append((comp, None if dense else steps))
-    if ceiling is None:
-        ceiling = DEFAULT_CEILING
+    ceiling = DEFAULT_CEILING if ceiling is None else ceiling
     if required > ceiling:
         raise CeilingExceeded(required=required, ceiling=ceiling)
-    hist = {tuple(c % mk for c, mk in zip(fact.constants, mods)):
-            p ** fact.free}
+    hist = {tuple(c % mk for c, mk in zip(fact.constants, mods)): p ** fact.free}
     for comp, steps in plans:
         part = (_frontier_histogram(p, steps, mods) if steps else
                 _component_histogram(p, comp, mods))

@@ -548,10 +548,11 @@ def test_non_integral_number_is_rejected(tmp_path, capsys, text):
     assert "is not of type 'integer', 'string'" in capsys.readouterr().err
 
 
-def test_numpy_is_imported_only_for_a_dense_component(tmp_path):
-    # the frontier DP takes every narrow component in pure Python; only a
-    # dense quadratic form (n = 12, p = 3) runs the row-block product, in
-    # this thread whatever --workers says
+def test_no_request_imports_numpy(tmp_path):
+    # the frontier DP takes every narrow component and the row-block
+    # product a dense quadratic form (n = 12, p = 3), both on Python
+    # integers in this thread whatever --workers says: no request imports
+    # numpy or touches its thread count
     golden = sorted((Path(__file__).resolve().parent / "golden").glob("*.json"))
     synth = tmp_path / "synth.json"
     synth.write_text(json.dumps({"kind": "synthesize", "p": 3, "a": 1, "b": 2,
@@ -567,26 +568,27 @@ def test_numpy_is_imported_only_for_a_dense_component(tmp_path):
               ["fleck", "-p", "3", "-a", "1", "-n", "40", "-r", "2", "--f", "1,2"],
               ["bounds", "-p", "5", "-a", "2", "-n", "90", "-l", "2", "-b", "3"],
               ["synthesize", str(synth)]]
-    script = ("import contextlib, io, os, sys\n"
-              "from fleckforge import cli\n"
+    script = ("import contextlib, io, os, sys, threading\n"
+              "from fleckforge import cli, multipoly\n"
+              "kernel, threads = multipoly._component_histogram, []\n"
+              "def traced(*args):\n"
+              "    threads.append(threading.current_thread() is threading.main_thread())\n"
+              "    return kernel(*args)\n"
+              "multipoly._component_histogram = traced\n"
               "def run(argv):\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        return cli.main(argv)\n"
               f"print([run(argv) for argv in {narrow!r}], 'numpy' in sys.modules)\n"
               f"print(run(['count', {str(dense)!r}, '--workers', '2']),\n"
               "      'numpy' in sys.modules, 'concurrent.futures' in sys.modules)\n"
-              "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+              "print(threads, os.environ.get('OPENBLAS_NUM_THREADS'))\n")
     src = Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    # numpy starts one BLAS thread unless the caller has chosen a number
-    for preset, threads in [(None, "1"), ("2", "2")]:
-        if preset is not None:
-            env["OPENBLAS_NUM_THREADS"] = preset
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env={**env, "PYTHONPATH": str(src)},
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0] False",
-                                            "0 True False", threads]
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**env, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0] False", "0 False False",
+                                        "[True] None"]
 
 
 @pytest.mark.parametrize("doc,flags,exit_code", [
@@ -653,6 +655,14 @@ def test_a_report_nobody_reads_keeps_its_exit_code(tmp_path, buffered):
               "sys.exit(cli.run())\n")
     assert _into_closed_pipe(["-c", script, "synthesize", str(inst)], buffered) == (
         2, b"")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["count", "--help"]], ids=["main", "count"])
+def test_help_nobody_reads_exits_0(argv, buffered):
+    # argparse prints the help into the buffer, swallowing a failed write,
+    # and exits 0; the flush that follows fails, and quietly
+    assert _into_closed_pipe(["-m", "fleckforge.cli", *argv], buffered) == (0, b"")
 
 
 def test_start_up_loads_only_the_subcommands_code():

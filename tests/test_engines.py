@@ -263,7 +263,7 @@ def _grid_counts(p, polys):
 
 
 def test_dense_component_of_several_row_blocks_matches_cube_walk():
-    # 3^11 points: B is x6..x11 (729 points), so blocks of 89 U rows
+    # 3^11 points: B is x6..x11 (729 points), so blocks of 89 A-point rows
     # cover the 243 points of A in three blocks
     n = 11
     quadratic = " + ".join(f"{(i * j) % 7 - 3}*x{i}*x{j}"
@@ -280,6 +280,34 @@ def test_dense_component_of_several_row_blocks_matches_cube_walk():
     assert _histogram(multipoly.fold_poly_values(spec, polys)) == counts
     assert theorem12_sum(system, exact=True) == gated
     assert theorem12_sum(system) == gated % 27
+    # then each way the row-block product counts its fields, on dense forms
+    # in 8 variables with 6 pairs each, against the DP and the walk: a
+    # sub-field of one byte holds 6 * (M - 1) for M <= 43
+    small, wide, wider = (_dense_form(8, c) for c in (
+        lambda i, j: (7 * i + 3 * j) % 4 + 1, lambda i, j: 2 ** 20 + i + j * j,
+        lambda i, j: 2 ** 40 + 7 * i + 3 * j * j))
+    other = _dense_form(8, lambda i, j: (5 * i + j) % 3 + 1)
+    for polys, mods, windows in [
+            ([small], [27], [27]),  # a joint key of one byte
+            ([small, other], [3, 3], [3, 3]),  # zero counts: a joint key of 9
+            ([small, other], [27, 27], [27, 27]),  # 2 reduced bytes
+            ([small], [81], [81]),  # 2 bytes, 6 * 80 past one
+            ([wide], [3 ** 12], [3 ** 12]),  # 3 bytes in 4
+            ([wider], [3 ** 22], [3 ** 22]),  # 5 bytes in 8
+            ([wide, wider, small], [3 ** 12, 3 ** 22, 3 ** 12],
+             [3 ** 12, 3 ** 22, 355])]:  # 3 + 5 + 2 bytes in 10
+        fact = factorise(8, polys)
+        (comp,) = fact.components
+        assert [len(multipoly._low_rank(t, 4, 4)) for t in comp.terms] == [6] * len(polys)
+        assert [w for *_, w in multipoly._windows(3, comp, mods)] == windows
+        rows = multipoly._component_histogram(3, comp, mods)
+        assert rows == multipoly._frontier_histogram(
+            3, multipoly._elimination(3, comp, mods)[1], mods)
+        walk = Counter()
+        for values, count in _grid_counts(3, polys).items():
+            walk[tuple(v % m for v, m in zip(values, mods))] += count
+        start = {tuple(c % m for c, m in zip(fact.constants, mods)): 1}
+        assert multipoly._convolve(start, rows, mods) == walk
 
 
 def test_products_summed_in_column_groups_do_not_overflow():
@@ -288,8 +316,7 @@ def test_products_summed_in_column_groups_do_not_overflow():
     # passes the gate.  At x1 = x3 = 2 both factors of each mixed term are
     # residues above 0.9*m, so the ten products sum past 2^63.  The four
     # variables take the frontier DP, whose power tables hold residues
-    # mod m; the row-block product could not take them either, as f / 3^16
-    # has 12 terms and a window of m, and 12 * (m - 1)^2 passes 2^63.
+    # mod m.
     m, scale = 3 ** 19, 3 ** 16
     exps = [e for e in range(31, 2000)
             if pow(2, e, m) > 0.9 * m and scale * pow(2, e, m) % m > 0.9 * m][:10]
@@ -326,21 +353,21 @@ def test_dense_component_beyond_int64_moduli_counts_in_its_window(monkeypatch):
         assert hist == {(g * v % m,): c for (v,), c in counts.items()}
 
 
-def test_dense_component_beyond_its_windows_takes_the_frontier_dp(monkeypatch):
-    # coprime coefficients near 2^40: the window is all of m = 3^22, and
-    # 56 terms times (m - 1)^2 passes 2^63, so the DP runs and is charged D
-    # with the one histogram's 3^10 entries, though D exceeds the points
+def test_dense_component_of_a_full_window_takes_the_kernel(monkeypatch):
+    # coprime coefficients near 2^40: the window is all of m = 3^22, and a
+    # product of two residues passes 2^63, yet the kernel counts it in
+    # 8-byte fields, charged the 3^10 points with the one histogram's 3^10
+    # entries, and the DP never runs
     f = _dense_form(10, lambda i, j: 2 ** 40 + 7 * i + 3 * j ** 2)
     fact = factorise(10, [f])
     (comp,) = fact.components
     m = 3 ** 22
-    work = multipoly._elimination(3, comp, [m])[0]
-    assert work > max(multipoly.CHUNK, 3 ** 10)
-    assert multipoly._windows(3, comp, [m]) is None
-    monkeypatch.setattr(multipoly, "_component_histogram", _no_kernel)
+    assert multipoly._elimination(3, comp, [m])[0] > max(multipoly.CHUNK, 3 ** 10)
+    assert multipoly._windows(3, comp, [m]) == [(1, 0, m)]
+    monkeypatch.setattr(multipoly, "_frontier_histogram", _no_dp)
     with pytest.raises(CeilingExceeded) as err:
         multipoly.residue_histogram(3, fact, [m], ceiling=-1)
-    assert err.value.required == work + 3 ** 10
+    assert err.value.required == 2 * 3 ** 10
     hist = multipoly.residue_histogram(3, fact, [m])
     assert hist == {(v % m,): c for (v,), c in _grid_counts(3, [f]).items()}
 

@@ -22,8 +22,9 @@ a dense component, as a product of the polynomials' low-rank factors on
 two half sub-cubes.  One enumerator, ``multipoly.residue_histogram``,
 serves both engines: the modular one counts residues mod p^(a_k) times
 the least period of F_k mod p^b (``_periods``, after Zabek, 1956), which
-pin every weight mod p^b; the exact one counts residues modulo one more
-than the width of f_k's value range, which recover every exact value.
+pin every weight mod p^b; the exact one counts residues modulo a power of
+two above twice the largest |f_k| its terms allow, which recover every
+exact value.
 One step then gates and weights either histogram (a dict from value
 tuples to counts): it keeps the tuples with p^(a_k) | v_k for every k
 and multiplies their counts by F_k(v_k / p^(a_k)), read from a table of

@@ -108,8 +108,6 @@ _TYPES = {
     "boolean": lambda x: isinstance(x, bool),
     "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
                           or isinstance(x, float) and x.is_integer()),
-    "null": lambda x: x is None,
-    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
     "object": lambda x: isinstance(x, dict),
     "string": lambda x: isinstance(x, str),
 }
@@ -140,22 +138,6 @@ def _type(v, x, *_):
         return f"{x!r} is not of type {', '.join(map(repr, names))}"
 
 
-def _one_of(v, x, node, root, path):
-    found = [_walk(s, x, root, path) for s in v]
-    valid = [s for s, violation in zip(v, found) if violation is None]
-    if len(valid) > 1:
-        # worded as jsonschema does: the first valid branch comes last
-        reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
-        return f"{x!r} is valid under each of {reprs}"
-    if not valid:
-        # a branch that wants another type than x's says nothing about x;
-        # when exactly one branch wants x's type, its violation says why
-        typed = [violation for violation in found if violation[:2] != (path, "type")]
-        return typed[0] if len(typed) == 1 else (
-            f"{x!r} is not valid under any of the given schemas")
-    return None
-
-
 def _additional(v, x, node, root, path):
     extra = sorted(k for k in x if k not in node.get("properties", {}))
     if v is False and extra:
@@ -169,19 +151,19 @@ def _additional(v, x, node, root, path):
 # check(value, x, node, root, path)).  A check returns None when x
 # satisfies the keyword, the reason as jsonschema words it when the
 # keyword itself fails, or the (path, keyword, reason) of the first
-# violation inside a subschema.  "then" is read by "if".
+# violation inside a subschema.  "then" and "else" are read by "if".
 _KEYWORDS = {
     "$ref": (None, lambda v, x, node, root, path: _walk(_ref(v, root), x, root, path)),
     "type": (None, _type),
     "enum": (None, lambda v, x, *_: None if any(_same(x, e) for e in v)
              else f"{x!r} is not one of {v!r}"),
     "const": (None, lambda v, x, *_: None if _same(x, v) else f"{v!r} was expected"),
-    "oneOf": (None, _one_of),
     "allOf": (None, lambda v, x, node, root, path: _first(
         _walk(s, x, root, path) for s in v)),
-    "if": (None, lambda v, x, node, root, path: None if _walk(v, x, root, path)
-           else _walk(node.get("then", True), x, root, path)),
+    "if": (None, lambda v, x, node, root, path: _walk(
+        node.get("else" if _walk(v, x, root, path) else "then", True), x, root, path)),
     "then": (None, lambda *_: None),
+    "else": (None, lambda *_: None),
     "pattern": (str, lambda v, x, *_: None if re.search(v, x)
                 else f"{x!r} does not match {v!r}"),
     "required": (dict, lambda v, x, *_: next(
@@ -218,7 +200,7 @@ def _violation(node, x, root):
     Sound against jsonschema's Draft 2020-12 validator: None only when it
     would accept ``x``, and otherwise one of the errors it reports.
     Anything outside the interpreted subset rejects the whole document,
-    never just a branch of ``oneOf`` or ``if``, whose verdicts are negated.
+    even inside an ``if``, whose verdict is negated.
     """
     try:
         return _walk(node, x, root, ())

@@ -28,11 +28,12 @@ has millions of points; or, for a dense component, whose DP bound
 exceeds both ``CHUNK`` and its p^|C| points, rows of packed byte fields
 (``_component_histogram``).  The counts are exact, on Python integers,
 in the caller's thread, from nothing but the arguments.
-``fold_poly_values`` takes each m_k one more than the width of f_k's
-range over the cube, so the residues recover the exact values.
+``fold_poly_values`` takes each m_k a power of two above twice the
+largest |f_k| its terms allow, so the residues recover the exact values.
 """
 from __future__ import annotations
 
+import re
 import sys
 from collections import Counter
 from functools import cache
@@ -89,33 +90,27 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {pos})")
 
 
+# space, then an integer, a variable, an operator or a stray character; \d is
+# a decimal digit, as int() reads it (str.isdigit also passes superscripts)
+_TOKEN = re.compile(r"\s*(?:(\d+)|x(\d*)|([-+*^()])|(\S))")
+
+
 def _tokenize(text: str):
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif ch == "x":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("variable needs an index, e.g. x1", i)
-            tokens.append(("var", int(text[i + 1:j]), i))
-            i = j
-        elif ch in "+-*^()":
-            tokens.append((ch, ch, i))
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        token, at = m[kind], m.start(kind)
+        if kind == 1:
+            tokens.append(("int", int(token), at))
+        elif kind == 2 and token:
+            tokens.append(("var", int(token), at - 1))
+        elif kind == 2:
+            raise ParseError("variable needs an index, e.g. x1", at - 1)
+        elif kind == 3:
+            tokens.append((token, token, at))
         else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+            raise ParseError(f"unexpected character {token!r}", at)
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -358,13 +353,13 @@ def factorise(n_vars: int, polys) -> Factorisation:
         free=n_vars - len(used))
 
 
-def _value_range(terms: dict, p: int, m: int | None = None) -> tuple[int, int]:
-    """Bounds on a polynomial's values over [0, p-1]^n.  Given a modulus
-    m, a term's degree is capped at m's bit length, where (p-1)^degree
-    already exceeds m, so the window min(m, width / g + 1) stays m."""
+def _value_range(terms: dict, p: int, m: int) -> tuple[int, int]:
+    """Bounds on a polynomial's values over [0, p-1]^n, for a modulus m: a
+    term's degree is capped at m's bit length, where (p-1)^degree already
+    exceeds m, so the window min(m, width / g + 1) stays m."""
     lo = hi = 0
     for exps, c in terms.items():
-        degree = sum(exps) if m is None else min(sum(exps), m.bit_length())
+        degree = min(sum(exps), m.bit_length())
         extreme = c * (p - 1) ** degree
         lo, hi = lo + min(extreme, 0), hi + max(extreme, 0)
     return lo, hi
@@ -592,26 +587,22 @@ def _convolve(hist_a, hist_b, mods):
     return out
 
 
-def residue_histogram(p: int, fact: Factorisation, mods,
-                      ceiling: int | None = None, tables: int = 0) -> dict:
-    """Exact counts of (f_1 mod m_1, ..., f_K mod m_K) over the cube, as a
-    dict from each occurring residue tuple to its count.
+def _plan(p: int, fact: Factorisation, mods, words: int,
+          ceiling: int | None, tables: int = 0) -> list:
+    """Each component of ``fact`` with its plan, chosen from bounds computed
+    before any work: the frontier DP's steps (``_elimination``), or None
+    when its bound D exceeds both ``CHUNK`` and the component's p^|C| points
+    and the row-block product (``_component_histogram``) enumerates them.
 
-    Each component of ``fact`` is enumerated alone, by one of two plans
-    chosen from bounds computed before any work: the frontier DP
-    (``_frontier_histogram``), unless its bound D (``_elimination``)
-    exceeds both ``CHUNK`` and the component's p^|C| points, when the
-    row-block product (``_component_histogram``) enumerates the points.
-    The component histograms are combined by cyclic convolution.
-
-    Every component is planned first, and CeilingExceeded refuses the sum
-    before any work if its bound exceeds ``ceiling`` (None: ``DEFAULT_CEILING``):
-    each plan's D steps or p^|C| points, plus the ``tables`` entries the
-    caller builds afterwards, plus the entry pairs of each convolution, with
-    each histogram no larger than its points and the residue tuples its
-    sums can reach (``_reach``).
+    CeilingExceeded refuses the sum if its bound exceeds ``ceiling`` (None:
+    ``DEFAULT_CEILING``): each plan's D steps or p^|C| points, plus the
+    entry pairs of each convolution, with each histogram no larger than
+    its points and the residue tuples its sums can reach (``_reach``), all
+    charged ``words`` 64-bit words, plus the ``tables`` entries the caller
+    builds afterwards.  The bounds read each m_k only up to the number of
+    points, so moduli capped at p^n give the same plans and charge.
     """
-    plans, required, acc = [], tables, 1
+    plans, required, acc = [], 0, 1
     widths, gcds = [0] * len(mods), [0] * len(mods)  # of the components so far
     for comp in fact.components:
         work, steps, comp_widths, comp_gcds = _elimination(p, comp, mods)
@@ -623,9 +614,24 @@ def residue_histogram(p: int, fact: Factorisation, mods,
         required += (points if dense else work) + acc * size
         acc = min(acc * size, _reach(mods, widths, gcds))
         plans.append((comp, None if dense else steps))
+    required = words * required + tables
     ceiling = DEFAULT_CEILING if ceiling is None else ceiling
     if required > ceiling:
         raise CeilingExceeded(required=required, ceiling=ceiling)
+    return plans
+
+
+def residue_histogram(p: int, fact: Factorisation, mods,
+                      ceiling: int | None = None, tables: int = 0,
+                      plans: list | None = None) -> dict:
+    """Exact counts of (f_1 mod m_1, ..., f_K mod m_K) over the cube, as a
+    dict from each occurring residue tuple to its count: each component by
+    its plan (``_plan``, charged the 64-bit words of the largest m_k, unless
+    the caller has planned and passes ``plans``), the histograms combined
+    by cyclic convolution."""
+    if plans is None:
+        words = -(-max(mods, default=1).bit_length() // 64)
+        plans = _plan(p, fact, mods, words, ceiling, tables)
     hist = {tuple(c % mk for c, mk in zip(fact.constants, mods)): p ** fact.free}
     for comp, steps in plans:
         part = (_frontier_histogram(p, steps, mods) if steps else
@@ -638,18 +644,23 @@ def fold_poly_values(spec: CubeSpec, polys, ceiling: int | None = None) -> dict:
     """Exact histogram of (f_1(x), ..., f_m(x)) over the cube: a dict from
     each occurring value tuple to its exact count.
 
-    Over the cube f_k takes values in a box [lo_k, lo_k + w_k], so its
-    residue mod m_k = w_k + 1 recovers it.
+    Over the cube a term c*x^e is below 2^(bitlen(c) + |e| * L), L =
+    bitlen(p - 2) = ceil(log2(p - 1)), so with T_k the largest such bound
+    of f_k's terms, |f_k| < 2^(T_k + bitlen(#terms)) = m_k / 2, and f_k mod
+    m_k recovers f_k.  The sum is planned and charged the words of the
+    largest m_k on moduli capped at 2^(n * bitlen(p)) >= p^n, before any
+    m_k is formed.
     """
     for f in polys:
         if f.n_vars != spec.n_vars:
             raise ValueError("polynomial variable count does not match cube")
-    p = spec.p
-    fact = factorise(spec.n_vars, polys)
-    boxes = [_value_range({e: c for e, c in f.terms.items() if any(e)}, p)
-             for f in polys]
-    lows = [c + lo for c, (lo, _) in zip(fact.constants, boxes)]
-    mods = [hi - lo + 1 for lo, hi in boxes]
-    hist = residue_histogram(p, fact, mods, ceiling)
-    return {tuple((r - low) % mk + low for r, low, mk in zip(residues, lows, mods)):
-            count for residues, count in hist.items()}
+    p, fact = spec.p, factorise(spec.n_vars, polys)
+    bits = [max((c.bit_length() + sum(e) * (p - 2).bit_length() for e, c in f.terms.items()),
+                default=0) + len(f.terms).bit_length() + 1 for f in polys]
+    cap = spec.n_vars * p.bit_length()
+    plans = _plan(p, fact, [1 << min(b, cap) for b in bits],
+                  max(bits, default=0) // 64 + 1, ceiling)
+    mods = [1 << b for b in bits]
+    hist = residue_histogram(p, fact, mods, plans=plans)
+    return {tuple((r + m // 2) % m - m // 2 for r, m in zip(residues, mods)): count
+            for residues, count in hist.items()}

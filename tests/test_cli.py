@@ -325,6 +325,12 @@ def test_invalid_instance_rejected(tmp_path, capsys):
                   "f": {"basis": "x", "coeffs": []}},
                  "instance['f']['basis']: 'x' is not one of ['binomial', "
                  "'monomial']", id="one-of-branch"),
+    pytest.param({"kind": "synthesize", "p": 3, "a": 1, "b": 2, "g": [1], "f": "x"},
+                 "instance['f']: 'x' is not of type 'object'", id="f-neither-shape"),
+    pytest.param({"kind": "synthesize", "p": 3, "a": 1, "b": 2, "g": [1],
+                  "f": ["1", True]},
+                 "instance['f'][1]: True is not of type 'integer', 'string'",
+                 id="f-list-item"),
     pytest.param({"kind": "chevalley", "p": "3\n", "n_vars": 2,
                   "polynomials": ["x1+x2"]},
                  "instance['p']: '3\\n' does not match '^-?[0-9]+(?!\\\\n)$'",
@@ -484,6 +490,37 @@ def test_large_work_is_refused_before_it_starts(tmp_path, capsys, argv, doc, req
     assert code == 3
     validate_report(report)
     assert report["results"] == {}
+    assert report["error"] == f"enumeration ceiling exceeded: {required} steps needed"
+
+
+@pytest.mark.parametrize("exponent,ceiling,required", [
+    (10 ** 7, 1000, 105 * 468751),
+    (10 ** 9, None, 105 * 46875001),
+], ids=["10^7", "10^9"])
+def test_exact_weighted_count_charges_its_moduli_first(tmp_path, exponent, ceiling,
+                                                       required):
+    # f = x1^e*x2 + x2 at p = 7 is below 2^(3e + 6): the exact engine counts
+    # it mod 2^(3e + 7), and each of its 56 DP steps and 49 convolution pairs
+    # is charged that modulus' 64-bit words, (3e + 7) // 64 + 1, before it is
+    # formed; so both are refused at once, with no enumerator called
+    doc = {"kind": "theorem12", "p": 7, "b": 2, "n_vars": 2, "exact_mode": True,
+           "constraints": [{"f": f"x1^{exponent}*x2 + x2", "a": 1,
+                            "F": {"basis": "binomial", "coeffs": ["3", "7"]}}]}
+    if ceiling is not None:
+        doc["ceiling"] = ceiling
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    script = ("import sys\n"
+              "from fleckforge import cli, multipoly\n"
+              "def refuse(*args):\n"
+              "    raise AssertionError('enumerated')\n"
+              "multipoly._frontier_histogram = multipoly._component_histogram = refuse\n"
+              f"sys.exit(cli.main(['count', {str(inst)!r}]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    report = json.loads(proc.stdout)
     assert report["error"] == f"enumeration ceiling exceeded: {required} steps needed"
 
 

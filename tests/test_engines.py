@@ -207,12 +207,12 @@ def test_coupled_components_match_cube_walk(case, data):
 def test_both_plans_match_cube_walk(case, box, data):
     # the frontier DP and the row-block product on the same component,
     # with the modular engine's prime-power moduli (3^45 and 2^70 exceed
-    # int64) or the exact engine's box moduli
+    # int64) or one more than the width of each value box
     p, polys, variables = case
     n = polys[0].n_vars
     if box:
-        mods = [hi - lo + 1 for lo, hi in
-                (multipoly._value_range(f.terms, p) for f in polys)]
+        mods = [sum(abs(c) * (p - 1) ** sum(e) for e, c in f.terms.items()) + 1
+                for f in polys]
     else:
         mods = [p ** data.draw(st.sampled_from([1, 2, 4, 45 if p == 3 else 70]))
                 for _ in polys]

@@ -50,6 +50,13 @@ def test_parse_errors_carry_position():
         parse_poly("x1 ^ -2", 2)
     with pytest.raises(ParseError):
         parse_poly("(x1 + 2", 2)
+    # a digit that str.isdigit passes but int() does not read is a stray
+    # character; a decimal digit of any script is read
+    for text, pos in [("x1\u00b2", 2), ("2\u00b2*x1", 1)]:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, 1)
+        assert err.value.pos == pos
+    assert parse_poly("x\u0661", 1).terms == {(1,): 1}
 
 
 def test_parse_builds_one_multipoly_whatever_the_length(monkeypatch):

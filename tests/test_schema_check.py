@@ -112,8 +112,8 @@ def test_mutated_documents_agree(doc):
 
 
 def _oracle(errors):
-    """(path, keyword) of jsonschema's errors, and of the errors inside
-    each one's ``oneOf`` branches, which give the cause of a failed oneOf."""
+    """(path, keyword) of jsonschema's errors, and of the errors in each
+    one's context."""
     for error in errors:
         yield tuple(error.absolute_path), error.validator
         yield from _oracle(error.context)
@@ -129,34 +129,57 @@ def test_reported_violation_is_one_jsonschema_reports(doc):
         assert (path, keyword) in set(_oracle(VALIDATOR.iter_errors(doc)))
 
 
-def _keywords(node):
-    """Every keyword used by a schema node and its subschemas."""
+def _subschemas(node):
+    """A schema node and every subschema in it."""
     if not isinstance(node, dict):
-        return set()
-    found = set(node)
+        return
+    yield node
     for key, value in node.items():
         if key in ("properties", "$defs"):
             children = value.values()
-        elif key in ("oneOf", "allOf"):
+        elif key == "allOf":
             children = value
-        else:
+        elif key in ("if", "then", "else", "items", "additionalProperties"):
             children = [value]
+        else:
+            children = []
         for child in children:
-            found |= _keywords(child)
-    return found
+            yield from _subschemas(child)
+
+
+def _keywords(node):
+    """Every keyword used by a schema node and its subschemas."""
+    return {key for sub in _subschemas(node) for key in sub}
+
+
+def _types(node):
+    """Every type name used by a schema node and its subschemas."""
+    names = set()
+    for sub in _subschemas(node):
+        if "type" in sub:
+            names |= {sub["type"]} if isinstance(sub["type"], str) else set(sub["type"])
+    return names
 
 
 def test_every_schema_keyword_is_interpreted():
     # a keyword the built-in check does not know would send every document
     # to jsonschema, slowly and silently
     assert _keywords(SCHEMA) - set(cli._KEYWORDS) - cli._IGNORED == set()
+    assert _types(SCHEMA) - set(cli._TYPES) == set()
+
+
+def test_the_check_holds_nothing_its_schema_does_not_use():
+    # the converse: every keyword and type the check interprets occurs in
+    # the shipped instance schema
+    assert set(cli._KEYWORDS) - _keywords(SCHEMA) == set()
+    assert set(cli._TYPES) - _types(SCHEMA) == set()
 
 
 def test_unknown_keyword_is_never_accepted():
     assert cli._violation({"type": "string", "format": "email"}, "a", {}) is not None
-    # inside a branch whose verdict is negated, too
-    assert cli._violation({"oneOf": [{"type": "string"},
-                                     {"minLength": 5}]}, "a", {}) is not None
+    # inside an if, whose verdict is negated, too
+    assert cli._violation({"if": {"minLength": 5},
+                           "then": {"type": "string"}}, "a", {}) is not None
     assert cli._violation({"$ref": "#/$defs/missing"}, 1, {"$defs": {}}) is not None
 
 

@@ -97,7 +97,9 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|x(\d*)|([-+*^()])|(\S))")
 
 def _tokenize(text: str):
     tokens = []
-    for m in _TOKEN.finditer(text):
+    # the scan stops before trailing space (rstrip strips what \s matches):
+    # finditer would retry \s* from each of its positions, k^2 / 2 steps
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
         kind = m.lastindex
         token, at = m[kind], m.start(kind)
         if kind == 1:
@@ -587,7 +589,7 @@ def _convolve(hist_a, hist_b, mods):
     return out
 
 
-def _plan(p: int, fact: Factorisation, mods, words: int,
+def _plan(p: int, fact: Factorisation, mods, bits: int,
           ceiling: int | None, tables: int = 0) -> list:
     """Each component of ``fact`` with its plan, chosen from bounds computed
     before any work: the frontier DP's steps (``_elimination``), or None
@@ -598,9 +600,10 @@ def _plan(p: int, fact: Factorisation, mods, words: int,
     ``DEFAULT_CEILING``): each plan's D steps or p^|C| points, plus the
     entry pairs of each convolution, with each histogram no larger than
     its points and the residue tuples its sums can reach (``_reach``), all
-    charged ``words`` 64-bit words, plus the ``tables`` entries the caller
-    builds afterwards.  The bounds read each m_k only up to the number of
-    points, so moduli capped at p^n give the same plans and charge.
+    charged the 64-bit words of a ``bits``-bit number (the largest m_k),
+    plus the ``tables`` entries the caller builds afterwards.  The bounds
+    read each m_k only up to the number of points, so moduli capped at p^n
+    give the same plans and charge.
     """
     plans, required, acc = [], 0, 1
     widths, gcds = [0] * len(mods), [0] * len(mods)  # of the components so far
@@ -614,7 +617,7 @@ def _plan(p: int, fact: Factorisation, mods, words: int,
         required += (points if dense else work) + acc * size
         acc = min(acc * size, _reach(mods, widths, gcds))
         plans.append((comp, None if dense else steps))
-    required = words * required + tables
+    required = -(-bits // 64) * required + tables
     ceiling = DEFAULT_CEILING if ceiling is None else ceiling
     if required > ceiling:
         raise CeilingExceeded(required=required, ceiling=ceiling)
@@ -630,8 +633,7 @@ def residue_histogram(p: int, fact: Factorisation, mods,
     the caller has planned and passes ``plans``), the histograms combined
     by cyclic convolution."""
     if plans is None:
-        words = -(-max(mods, default=1).bit_length() // 64)
-        plans = _plan(p, fact, mods, words, ceiling, tables)
+        plans = _plan(p, fact, mods, max(mods, default=1).bit_length(), ceiling, tables)
     hist = {tuple(c % mk for c, mk in zip(fact.constants, mods)): p ** fact.free}
     for comp, steps in plans:
         part = (_frontier_histogram(p, steps, mods) if steps else
@@ -644,23 +646,25 @@ def fold_poly_values(spec: CubeSpec, polys, ceiling: int | None = None) -> dict:
     """Exact histogram of (f_1(x), ..., f_m(x)) over the cube: a dict from
     each occurring value tuple to its exact count.
 
-    Over the cube a term c*x^e is below 2^(bitlen(c) + |e| * L), L =
-    bitlen(p - 2) = ceil(log2(p - 1)), so with T_k the largest such bound
-    of f_k's terms, |f_k| < 2^(T_k + bitlen(#terms)) = m_k / 2, and f_k mod
-    m_k recovers f_k.  The sum is planned and charged the words of the
-    largest m_k on moduli capped at 2^(n * bitlen(p)) >= p^n, before any
-    m_k is formed.
+    Over the cube a term c*x^e is below 2^(bitlen(c) + ceil(|e| * L / 64)),
+    where (p - 1)^64 <= 2^L, so L / 64 exceeds log2(p - 1) by less than
+    1/64.  With T_k the largest such bound of f_k's nonconstant terms,
+    |f_k - c_k| < 2^(T_k + bitlen(#terms)) = m_k / 2, c_k the constant
+    term, so f_k mod m_k recovers f_k.  The sum is planned and charged the
+    words of the largest m_k on moduli capped at 2^(n * bitlen(p)) >= p^n,
+    before any m_k is formed.
     """
     for f in polys:
         if f.n_vars != spec.n_vars:
             raise ValueError("polynomial variable count does not match cube")
     p, fact = spec.p, factorise(spec.n_vars, polys)
-    bits = [max((c.bit_length() + sum(e) * (p - 2).bit_length() for e, c in f.terms.items()),
+    L = ((p - 1) ** 64 - 1).bit_length()
+    bits = [max((c.bit_length() + -(-sum(e) * L // 64) for e, c in f.terms.items() if any(e)),
                 default=0) + len(f.terms).bit_length() + 1 for f in polys]
     cap = spec.n_vars * p.bit_length()
-    plans = _plan(p, fact, [1 << min(b, cap) for b in bits],
-                  max(bits, default=0) // 64 + 1, ceiling)
+    plans = _plan(p, fact, [1 << min(b, cap) for b in bits], max(bits, default=0) + 1, ceiling)
     mods = [1 << b for b in bits]
     hist = residue_histogram(p, fact, mods, plans=plans)
-    return {tuple((r + m // 2) % m - m // 2 for r, m in zip(residues, mods)): count
+    return {tuple((r - c + m // 2) % m - m // 2 + c
+                  for r, c, m in zip(residues, fact.constants, mods)): count
             for residues, count in hist.items()}

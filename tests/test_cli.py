@@ -494,14 +494,15 @@ def test_large_work_is_refused_before_it_starts(tmp_path, capsys, argv, doc, req
 
 
 @pytest.mark.parametrize("exponent,ceiling,required", [
-    (10 ** 7, 1000, 105 * 468751),
-    (10 ** 9, None, 105 * 46875001),
+    (10 ** 7, 1000, 105 * 405274),
+    (10 ** 9, None, 105 * 40527344),
 ], ids=["10^7", "10^9"])
 def test_exact_weighted_count_charges_its_moduli_first(tmp_path, exponent, ceiling,
                                                        required):
-    # f = x1^e*x2 + x2 at p = 7 is below 2^(3e + 6): the exact engine counts
-    # it mod 2^(3e + 7), and each of its 56 DP steps and 49 convolution pairs
-    # is charged that modulus' 64-bit words, (3e + 7) // 64 + 1, before it is
+    # at p = 7, 6^64 <= 2^166, so both terms of f = x1^e*x2 + x2 are below
+    # 2^T, T = 1 + ceil(166 (e + 1) / 64): the exact engine counts f mod
+    # 2^(T + 3), and each of its 56 DP steps and 49 convolution pairs is
+    # charged that modulus' 64-bit words, ceil((T + 4) / 64), before it is
     # formed; so both are refused at once, with no enumerator called
     doc = {"kind": "theorem12", "p": 7, "b": 2, "n_vars": 2, "exact_mode": True,
            "constraints": [{"f": f"x1^{exponent}*x2 + x2", "a": 1,

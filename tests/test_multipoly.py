@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -57,6 +58,18 @@ def test_parse_errors_carry_position():
             parse_poly(text, 1)
         assert err.value.pos == pos
     assert parse_poly("x\u0661", 1).terms == {(1,): 1}
+
+
+def test_trailing_space_is_read_in_linear_time():
+    # a scan that retried its leading space at each position of a run at
+    # the end would take about k^2 / 2 steps: seconds at k = 2 * 10^4
+    space = " \t\u2028" * 7000
+    t0 = time.monotonic()
+    assert parse_poly("x1" + space, 1).terms == {(1,): 1}
+    with pytest.raises(ParseError) as err:
+        parse_poly(space, 1)
+    assert err.value.pos == len(space)
+    assert time.monotonic() - t0 < 1
 
 
 def test_parse_builds_one_multipoly_whatever_the_length(monkeypatch):
@@ -239,6 +252,12 @@ def test_fold_poly_values_matches_direct():
             g = _random_poly(rng, n, max_deg=2, max_abs=9)
             got = fold_poly_values(CubeSpec(p, n), [f, g])
             assert _histogram(got) == _direct_counts(p, [f, g])
+    # constant terms far above the others, and primes where the bound on
+    # log2(p - 1) per degree is not exact
+    f = parse_poly("2^100 - 3*x1*x2^3 + 5*x2", 2)
+    g = parse_poly("-2^70 + x1^2 - x2", 2)
+    for p in (7, 11):
+        assert _histogram(fold_poly_values(CubeSpec(p, 2), [f, g])) == _direct_counts(p, [f, g])
 
 
 def test_fold_poly_values_worker_independence():

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 
 from .exceptions import TheoremViolation
 from .ivpoly import IntegerValuedPoly, eval_ivp
@@ -53,7 +52,7 @@ from .multipoly import (
     residue_histogram,
     total_degree,
 )
-from .padic import PrimePower, is_prime, phi_prime_power
+from .padic import PrimePower, is_prime, phi_prime_power, refuse_unprintable_power
 from .padic import binom_int  # noqa: F401  unused here; tracers wrap it at this name
 
 
@@ -93,14 +92,10 @@ class CongruenceSystem:
             raise ValueError(f"p must be prime, got {p}")
         if b < 1:
             raise ValueError(f"b must be >= 1, got {b}")
-        # every report prints p^b, which str() refuses past the interpreter's
-        # digit limit; 2^(3 limit) < 10^limit < 2^(4 limit) decide all but a
-        # narrow band of b before the power is formed
-        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-        if limit and (b * (p.bit_length() - 1) > 4 * limit
-                      or b * p.bit_length() > 3 * limit and p ** b >= 10 ** limit):
-            raise ValueError(f"p^b = {p}^{b} has more than {limit} digits, "
-                             "more than a report can print")
+        # every report prints p^b, and the hypothesis margin each p^(a_k)
+        refuse_unprintable_power("p^b", p, b)
+        for c in constraints:
+            refuse_unprintable_power("p^a", p, c.a)
         if n_vars < 0:
             raise ValueError(f"n_vars must be >= 0, got {n_vars}")
         for c in constraints:

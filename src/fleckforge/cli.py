@@ -4,11 +4,13 @@ Subcommands: fleck | synthesize | count | sweep | bounds.  Reports are
 JSON on stdout with every big integer serialized as a decimal string;
 output key order is fixed, so reports are byte-stable for a given
 instance (timing is opt-in via --timing precisely to keep them so).
-Each subcommand maps its arguments to a (report, exit code) pair;
-``main`` alone times it and prints the report, and ``run`` wraps it as
-the process entry point.  Every request runs in a fresh process, so this
-module imports only what every subcommand needs: ``count`` imports
-``axkatz`` and ``sweep`` imports ``sweeps`` when they run.
+Each subcommand fills in the report that ``main`` hands it, its skeleton
+before any work, and returns the exit code; ``main`` alone times it,
+turns a CeilingExceeded or a TheoremViolation into the report's error
+and prints the report, and ``run`` wraps it as the process entry point.
+Every request runs in a fresh process, so this module imports only what
+every subcommand needs: ``count`` imports ``axkatz`` and ``sweep``
+imports ``sweeps`` when they run.
 
 Instance files are checked against ``schemas/instance.schema.json`` by
 ``_violation``, which interprets the JSON Schema 2020-12 keywords that
@@ -17,9 +19,9 @@ the first violation, with the reason worded as jsonschema words it
 (``instance['f']['basis']: 'x' is not one of ['binomial', 'monomial']``).
 
 Exit codes: 0 success, 1 usage or validation error or a report value
-too long to print, 2 theorem violation, 3 work ceiling exceeded: the
-cube sum's for ``count``, and for ``bounds``, ``fleck`` and
-``synthesize`` the work they charge before they start.
+too long to print, 2 theorem violation, 3 work ceiling exceeded: each
+function that does work charges it before it starts, and refuses it
+above the ceiling.
 """
 from __future__ import annotations
 
@@ -36,16 +38,9 @@ import time
 from .exceptions import CeilingExceeded, TheoremViolation
 from .fleck import check_lemma21, factorial_bound, wan_bound
 from .ivpoly import IntegerValuedPoly, monomials_to_ivp
-from .multipoly import DEFAULT_CEILING, parse_poly
-from .padic import PrimePower
-from .wilson import (
-    ResidueTable,
-    bound_M,
-    degree_limit,
-    max_degree,
-    synthesize,
-    verify_theorem11,
-)
+from .multipoly import parse_poly
+from .padic import PrimePower, refuse_unprintable_power
+from .wilson import ResidueTable, bound_M, max_degree, synthesize, verify_theorem11
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,18 +84,6 @@ def _encode(obj, key="report"):
 
 def _emit(report: dict) -> None:
     print(json.dumps(_encode(report), indent=2, sort_keys=True), flush=True)
-
-
-def _bisection_steps(pp: PrimePower, l: int, b: int) -> int:
-    """The charge of ``max_degree``: L bisection steps of L divisions of an
-    L-bit number each, L being ``degree_limit``'s bit length."""
-    L = degree_limit(pp, l, b).bit_length()
-    return L * L * (L // 64 + 1)
-
-
-def _exceeded(report: dict, required: int) -> tuple[dict, int]:
-    report["error"] = f"enumeration ceiling exceeded: {required} steps needed"
-    return report, EXIT_CEILING
 
 
 _TYPES = {
@@ -270,40 +253,28 @@ def _nonnegative(**flags) -> None:
 
 # --- subcommands ------------------------------------------------------------
 
-def cmd_fleck(args) -> tuple[dict, int]:
+def cmd_fleck(args, report: dict) -> int:
     _nonnegative(n=args.n)
-    pp = PrimePower(args.p, args.a)
     f = IntegerValuedPoly(_parse_coeff_list(args.f) if args.f is not None else [1])
-    report = {"kind": "fleck",
-              "instance": {"p": args.p, "a": args.a, "n": args.n, "r": args.r,
-                           "f": list(f.coeffs)},
-              "results": {}}
-    # the sum steps C(n, k) through about 2n small factors and the
-    # valuation divides the sum about n times, each step on the words of
-    # an n-bit number
-    required = (args.n + 1) * (args.n // 64 + 1)
-    if required > DEFAULT_CEILING:
-        return _exceeded(report, required)
-    lemma = check_lemma21(args.n, args.r, pp, f)
+    report.update(kind="fleck", results={},
+                  instance={"p": args.p, "a": args.a, "n": args.n, "r": args.r,
+                            "f": list(f.coeffs)})
+    lemma = check_lemma21(args.n, args.r, PrimePower(args.p, args.a), f)
     report["results"] = {
         "sum": lemma.sum,
         "valuation": "inf" if lemma.valuation is None else lemma.valuation,
         "bounds": dict(sorted(lemma.bounds.items())),
         "satisfied": dict(sorted(lemma.satisfied.items())),
     }
-    return report, EXIT_OK if lemma.all_satisfied else EXIT_VIOLATION
+    return EXIT_OK if lemma.all_satisfied else EXIT_VIOLATION
 
 
-def cmd_bounds(args) -> tuple[dict, int]:
+def cmd_bounds(args, report: dict) -> int:
     _nonnegative(n=args.n, l=args.l)
+    report.update(kind="bounds", results={},
+                  instance={"p": args.p, "a": args.a, "n": args.n, "l": args.l,
+                            "b": args.b})
     pp = PrimePower(args.p, args.a)
-    report = {"kind": "bounds",
-              "instance": {"p": args.p, "a": args.a, "n": args.n, "l": args.l,
-                           "b": args.b},
-              "results": {}}
-    required = 0 if args.b is None else _bisection_steps(pp, args.l, args.b)
-    if required > DEFAULT_CEILING:
-        return _exceeded(report, required)
     results = {
         "wan": wan_bound(args.n, pp, args.l),
         "factorial": factorial_bound(args.n, pp, args.l),
@@ -316,36 +287,19 @@ def cmd_bounds(args) -> tuple[dict, int]:
     if args.b is not None:
         results["max_degree"] = max_degree(pp, args.l, args.b)
     report["results"] = dict(sorted(results.items()))
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_synthesize(args) -> tuple[dict, int]:
+def cmd_synthesize(args, report: dict) -> int:
     doc = _load_instance(args.instance, {"synthesize"})
-    pp = PrimePower(int(doc["p"]), int(doc["a"]))
-    b = int(doc["b"])
+    report.update(kind="synthesize", instance=doc, results={})
+    p, a = int(doc["p"]), int(doc["a"])
+    refuse_unprintable_power("p^a", p, a)  # g's length would name it
+    pp = PrimePower(p, a)
     f = _ivp_from_json(doc["f"])
     g = ResidueTable(pp, [int(v) for v in doc["g"]])
-    report = {"kind": "synthesize", "instance": doc, "results": {}}
-    ceiling = int(doc["ceiling"]) if "ceiling" in doc else DEFAULT_CEILING
-    l = max(f.degree_bound, 0)
-    required = _bisection_steps(pp, l, b)
-    if required > ceiling:
-        return _exceeded(report, required)
-    # the table of F, its differences and the check's D + 1 direct values
-    # of P take n steps each on numbers of up to ~n bits(2 p^a) bits, and the
-    # check steps p^a (D + 1) points through n packed fields wider than p^b
-    n = max_degree(pp, l, b) + 1
-    points = max(n - 1, l) + 1
-    words = n * (2 * pp.modulus).bit_length() // 64 + 1
-    fields = n * (b * pp.p.bit_length() + 1) // 64 + 1
-    required += n * (n + points) * words + pp.modulus * points * fields
-    if required > ceiling:
-        return _exceeded(report, required)
-    try:
-        P = synthesize(pp, b, f, g)
-    except TheoremViolation as exc:
-        report["error"] = str(exc)
-        return report, EXIT_VIOLATION
+    P = synthesize(pp, int(doc["b"]), f, g,
+                   int(doc["ceiling"]) if "ceiling" in doc else None)
     check = verify_theorem11(P, f, g)
     report["results"] = {
         "coeffs": list(P.coeffs),
@@ -355,7 +309,7 @@ def cmd_synthesize(args) -> tuple[dict, int]:
         "checked_points": check.checked,
         "counterexample": check.counterexample,
     }
-    return report, EXIT_OK if check.ok else EXIT_VIOLATION
+    return EXIT_OK if check.ok else EXIT_VIOLATION
 
 
 def _polys(doc, ceiling: int | None = None) -> list:
@@ -401,7 +355,7 @@ _COUNT_KINDS = {
 }
 
 
-def cmd_count(args) -> tuple[dict, int]:
+def cmd_count(args, report: dict) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     doc = _load_instance(args.instance, _COUNT_KINDS)
@@ -411,15 +365,8 @@ def cmd_count(args) -> tuple[dict, int]:
     ceiling = args.ceiling if args.ceiling is not None else (
         int(doc["ceiling"]) if "ceiling" in doc else None)
     exact = args.exact or doc.get("exact_mode", False)
-    report = {"kind": kind, "instance": doc, "workers": args.workers,
-              "results": {}}
-    try:
-        verdict = _COUNT_KINDS[kind](axkatz, doc, exact, ceiling=ceiling)
-    except TheoremViolation as exc:
-        report["error"] = str(exc)
-        return report, EXIT_VIOLATION
-    except CeilingExceeded as exc:
-        return _exceeded(report, exc.required)
+    report.update(kind=kind, instance=doc, workers=args.workers, results={})
+    verdict = _COUNT_KINDS[kind](axkatz, doc, exact, ceiling=ceiling)
     report["verdict"] = {
         "sum": verdict.sum,
         "claimed_modulus": verdict.claimed_modulus,
@@ -427,10 +374,10 @@ def cmd_count(args) -> tuple[dict, int]:
         "hypothesis_margin": verdict.hypothesis_margin,
         "divisible": verdict.divisible,
     }
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_sweep(args) -> tuple[dict, int]:
+def cmd_sweep(args, report: dict) -> int:
     if args.budget is not None and not 0 <= args.budget < math.inf:  # nan too
         raise ValueError(f"--budget must be finite and >= 0, got {args.budget}")
     if args.rounds < 0:
@@ -439,19 +386,18 @@ def cmd_sweep(args) -> tuple[dict, int]:
 
     from . import sweeps
 
-    rng = random.Random(args.seed)
-    result = sweeps.run_sweeps(rng, rounds=args.rounds, budget=args.budget)
-    return {
-        "kind": "sweep",
-        "instance": {"seed": args.seed, "rounds": args.rounds,
-                     "budget": None if args.budget is None else str(args.budget)},
-        "results": {
-            "instances": result.log,
-            "violations": result.violations,
-            "truncated": result.truncated,
-            "ok": result.ok,
-        },
-    }, EXIT_OK if result.ok else EXIT_VIOLATION
+    report.update(kind="sweep", results={},
+                  instance={"seed": args.seed, "rounds": args.rounds,
+                            "budget": None if args.budget is None else str(args.budget)})
+    result = sweeps.run_sweeps(random.Random(args.seed), rounds=args.rounds,
+                               budget=args.budget)
+    report["results"] = {
+        "instances": result.log,
+        "violations": result.violations,
+        "truncated": result.truncated,
+        "ok": result.ok,
+    }
+    return EXIT_OK if result.ok else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,8 +461,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
+    report: dict = {}
     try:
-        report, code = args.func(args)
+        code = args.func(args, report)
+    except CeilingExceeded as exc:
+        report["error"] = f"enumeration ceiling exceeded: {exc.required} steps needed"
+        code = EXIT_CEILING
+    except TheoremViolation as exc:
+        report["error"] = str(exc)
+        code = EXIT_VIOLATION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

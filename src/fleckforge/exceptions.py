@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types, and the work ceiling that one of them enforces."""
+from __future__ import annotations
+
+DEFAULT_CEILING = 10 ** 8  # steps a computation may be charged, unless its caller says
 
 
 class TheoremViolation(Exception):
@@ -9,15 +12,22 @@ class TheoremViolation(Exception):
 
 
 class CeilingExceeded(Exception):
-    """A cube sum's work bound (the planned enumeration's steps, the
-    convolution pairs and, on the modular engine, the F-table entries,
-    whatever the moduli), or a parse's charge (per product, the 64-bit
-    coefficient words of one factor times those of the other), is above
-    the ceiling: the one its caller passed, else
-    ``multipoly.DEFAULT_CEILING``."""
+    """The work a function charges before doing it is above the ceiling:
+    the one its caller passed, else ``DEFAULT_CEILING``.  Each function
+    that does the work charges it (``charge``); what each one charges is
+    stated in its docstring."""
 
     def __init__(self, required: int, ceiling: int):
         self.required = required
         self.ceiling = ceiling
         super().__init__(
             f"enumeration needs {required} steps, ceiling is {ceiling}")
+
+
+def charge(required: int, ceiling: int | None = None) -> None:
+    """Refuse ``required`` steps of work above ``ceiling`` (None:
+    ``DEFAULT_CEILING``) with CeilingExceeded."""
+    if ceiling is None:
+        ceiling = DEFAULT_CEILING
+    if required > ceiling:
+        raise CeilingExceeded(required=required, ceiling=ceiling)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from math import comb, perm
 
+from .exceptions import charge
 from .ivpoly import IntegerValuedPoly, eval_ivp
 from .padic import (
     PrimePower,
@@ -32,7 +33,12 @@ def restricted_sum(n: int, r: int, pp: PrimePower, f: IntegerValuedPoly) -> int:
     the next by p^a factors above and below, so the binomials of one sum
     take about 2n products and quotients of an n-bit number by small
     factors, not a fresh binomial per term.
+
+    Charged against the default ceiling before it starts: n + 1 steps on
+    the 64-bit words of an n-bit number, which also covers the at most n
+    divisions that take ord_p of the sum (``check_lemma21``).
     """
+    charge((n + 1) * (n // 64 + 1))
     q = pp.modulus
     k0 = r % q
     binomial = comb(n, k0)
@@ -53,7 +59,7 @@ def wan_bound(n: int, pp: PrimePower, l: int) -> int:
     """
     if pp.a == 0:
         return n - l - 1
-    return (n - l * pp.modulus - pp.p ** (pp.a - 1)) // phi_prime_power(pp)
+    return (n - l * pp.modulus - pp.modulus // pp.p) // phi_prime_power(pp)
 
 
 def factorial_bound(n: int, pp: PrimePower, l: int) -> int:
@@ -62,10 +68,7 @@ def factorial_bound(n: int, pp: PrimePower, l: int) -> int:
     For a = 0, floor(n/p^(a-1)) means n*p.  The result may be negative.
     """
     p = pp.p
-    if pp.a == 0:
-        shifted = n * p
-    else:
-        shifted = n // p ** (pp.a - 1)
+    shifted = n * p // pp.modulus  # floor(n/p^(a-1))
     return ord_factorial(shifted, p) - ord_factorial(l, p) - min(l, n // pp.modulus)
 
 

@@ -41,9 +41,7 @@ from itertools import islice
 from math import gcd, prod
 from operator import add, mod
 
-from .exceptions import CeilingExceeded
-
-DEFAULT_CEILING = 10 ** 8  # work guard for parses and cube sums (see residue_histogram)
+from .exceptions import charge
 
 
 class MultiPoly:
@@ -145,8 +143,7 @@ class _Parser:
         left = [(e, c) for e, c in a.items() if c]
         right = [(e, c) for e, c in b.items() if c]
         self.pairs += _words(left) * _words(right)
-        if self.pairs > self.ceiling:
-            raise CeilingExceeded(required=self.pairs, ceiling=self.ceiling)
+        charge(self.pairs, self.ceiling)
         out: dict = {}
         for e1, c1 in left:
             for e2, c2 in right:
@@ -233,12 +230,11 @@ def parse_poly(text: str, n_vars: int, ceiling: int | None = None) -> MultiPoly:
     Expanding products multiplies the number of terms and the size of
     the coefficients, so it is charged: CeilingExceeded refuses a parse
     whose products' pairs of 64-bit coefficient words would add up to
-    more than ``ceiling`` (None: ``DEFAULT_CEILING``), before the product
-    that would pass it.
+    more than ``ceiling`` (None: ``exceptions.DEFAULT_CEILING``), before
+    the product that would pass it.
     """
     MultiPoly(n_vars)  # refuses a negative n_vars before any variable is read
-    parser = _Parser(_tokenize(text), n_vars,
-                     DEFAULT_CEILING if ceiling is None else ceiling)
+    parser = _Parser(_tokenize(text), n_vars, ceiling)
     try:
         terms = parser.parse()
     except RecursionError:
@@ -416,9 +412,11 @@ def _elimination(p, comp, mods):
     return work, steps, widths, gcds
 
 
-def _frontier_histogram(p, steps, mods):
+def _frontier_histogram(p, steps, mods, start=None):
     """Counts of (f_1 mod m_1, ...) over one component, by the frontier
-    DP that ``_elimination`` planned as ``steps``.
+    DP that ``_elimination`` planned as ``steps``.  Its initial state is
+    ``start``, a (residue tuple, count) pair, else (zeros, 1), so every
+    residue tuple is shifted by start's and every count scaled by its count.
 
     The states are a dict from frontier values to a dict from residue
     tuples to counts; the terms added at a step depend on the frontier
@@ -426,7 +424,7 @@ def _frontier_histogram(p, steps, mods):
     frontier value, from tables of powers mod m_k, and shift all of its
     residue tuples alike.
     """
-    states = {(): {(0,) * len(mods): 1}}
+    states = {(): dict([start or ((0,) * len(mods), 1)])}
     power = cache(lambda e, mk: [pow(x, e, mk) for x in range(p)])  # x^e mod m_k
     for keep, terms in steps:
         terms = [[(c % mk, [(s, power(e, mk)) for s, e in factors]) for c, factors in group]
@@ -505,9 +503,10 @@ def _windows(p, comp, mods):
     return windows
 
 
-def _component_histogram(p, comp, mods):
+def _component_histogram(p, comp, mods, start=None):
     """Counts of (f_1 mod m_1, ...) over one component's points, on Python
-    integers.
+    integers, every residue tuple shifted by that of ``start``, a (residue
+    tuple, count) pair, and every count scaled by its count (None: zeros, 1).
 
     The variables split into A and B, B the last half capped at ``CHUNK``
     points.  Each f_k / g_k is a sum of products u_j(A) v_j(B)
@@ -518,7 +517,8 @@ def _component_histogram(p, comp, mods):
     when v is constant.  Blocks of at most ``CHUNK`` points are counted in
     ``sys.byteorder``: one-byte sub-fields are reduced mod M_k by
     ``bytes.translate``, and a joint key of at most 256 values is counted
-    by ``bytes.count``.  Each distinct key is mapped back once.
+    by ``bytes.count``.  Each distinct key is mapped back once, and
+    shifted and scaled by ``start`` there.
     """
     windows = _windows(p, comp, mods)
     moduli = [window for *_, window in windows]
@@ -571,11 +571,13 @@ def _component_histogram(p, comp, mods):
         else:
             merged.update(int.from_bytes(blob[i:i + width], sys.byteorder)
                           for i in range(0, len(blob), width))
+    shift, factor = start or ((0,) * len(mods), 1)
     hist: dict = {}
     for key, count in merged.items():
-        r = tuple(g * (base + (key // place % radix - base) % window) % mk
-                  for mk, (g, base, window), (place, radix) in zip(mods, windows, digits))
-        hist[r] = hist.get(r, 0) + count  # distinct keys may share residues
+        r = tuple((s + g * (base + (key // place % radix - base) % window)) % mk
+                  for s, mk, (g, base, window), (place, radix)
+                  in zip(shift, mods, windows, digits))
+        hist[r] = hist.get(r, 0) + count * factor  # distinct keys may share residues
     return hist
 
 
@@ -597,10 +599,10 @@ def _plan(p: int, fact: Factorisation, mods, bits: int,
     and the row-block product (``_component_histogram``) enumerates them.
 
     CeilingExceeded refuses the sum if its bound exceeds ``ceiling`` (None:
-    ``DEFAULT_CEILING``): each plan's D steps or p^|C| points, plus the
-    entry pairs of each convolution, with each histogram no larger than
-    its points and the residue tuples its sums can reach (``_reach``), all
-    charged the 64-bit words of a ``bits``-bit number (the largest m_k),
+    ``exceptions.DEFAULT_CEILING``): each plan's D steps or p^|C| points,
+    plus the entry pairs of each convolution, with each histogram no larger
+    than its points and the residue tuples its sums can reach (``_reach``),
+    all charged the 64-bit words of a ``bits``-bit number (the largest m_k),
     plus the ``tables`` entries the caller builds afterwards.  The bounds
     read each m_k only up to the number of points, so moduli capped at p^n
     give the same plans and charge.
@@ -617,10 +619,7 @@ def _plan(p: int, fact: Factorisation, mods, bits: int,
         required += (points if dense else work) + acc * size
         acc = min(acc * size, _reach(mods, widths, gcds))
         plans.append((comp, None if dense else steps))
-    required = -(-bits // 64) * required + tables
-    ceiling = DEFAULT_CEILING if ceiling is None else ceiling
-    if required > ceiling:
-        raise CeilingExceeded(required=required, ceiling=ceiling)
+    charge(-(-bits // 64) * required + tables, ceiling)
     return plans
 
 
@@ -631,14 +630,19 @@ def residue_histogram(p: int, fact: Factorisation, mods,
     dict from each occurring residue tuple to its count: each component by
     its plan (``_plan``, charged the 64-bit words of the largest m_k, unless
     the caller has planned and passes ``plans``), the histograms combined
-    by cyclic convolution."""
+    by cyclic convolution.  The first component's enumeration starts
+    from the constants and the p^free points of the free variables."""
     if plans is None:
         plans = _plan(p, fact, mods, max(mods, default=1).bit_length(), ceiling, tables)
-    hist = {tuple(c % mk for c, mk in zip(fact.constants, mods)): p ** fact.free}
+    start = (tuple(c % mk for c, mk in zip(fact.constants, mods)), p ** fact.free)
+    if not plans:
+        return dict([start])
+    hist = None
     for comp, steps in plans:
-        part = (_frontier_histogram(p, steps, mods) if steps else
-                _component_histogram(p, comp, mods))
-        hist = _convolve(hist, part, mods)
+        part = (_frontier_histogram(p, steps, mods, start) if steps else
+                _component_histogram(p, comp, mods, start))
+        hist = part if hist is None else _convolve(hist, part, mods)
+        start = None
     return hist
 
 

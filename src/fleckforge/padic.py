@@ -6,6 +6,10 @@ arbitrary-precision integers; nothing is ever rounded.
 """
 from __future__ import annotations
 
+import sys
+
+from .exceptions import charge
+
 #: Miller-Rabin with the prime bases 2..41 decides primality below this
 #: bound (Sorenson and Webster, Math. Comp. 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -40,26 +44,42 @@ def is_prime(n: int) -> bool:
 
 
 class PrimePower:
-    """A prime power p^a with p prime and a >= 0."""
+    """A prime power p^a with p prime and a >= 0, and the integer p^a,
+    formed once as ``modulus``.
 
-    __slots__ = ("p", "a")
+    Forming it is charged against the default ceiling before it starts:
+    the square of the 64-bit words of p^a, which bounds the word products
+    of its squarings.
+    """
+
+    __slots__ = ("p", "a", "modulus")
 
     def __init__(self, p: int, a: int) -> None:
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if a < 0:
             raise ValueError(f"exponent must be >= 0, got {a}")
+        words = a * p.bit_length() // 64 + 1
+        charge(words * words)
         self.p = p
         self.a = a
+        self.modulus = p ** a
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PrimePower)
                 and (self.p, self.a) == (other.p, other.a))
 
-    @property
-    def modulus(self) -> int:
-        """The integer p^a."""
-        return self.p ** self.a
+
+def refuse_unprintable_power(name: str, p: int, e: int) -> None:
+    """ValueError, before p^e is formed, if it has more digits than a
+    report can print (``sys.get_int_max_str_digits()``; 0 is no limit).
+    2^(3 limit) < 10^limit < 2^(4 limit) decide all but a narrow band of
+    e, where the power is formed and compared."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and (e * (p.bit_length() - 1) > 4 * limit
+                  or e * p.bit_length() > 3 * limit and p ** e >= 10 ** limit):
+        raise ValueError(f"{name} = {p}^{e} has more than {limit} digits, "
+                         "more than a report can print")
 
 
 def ord_int(v: int, p: int) -> int:
@@ -115,4 +135,4 @@ def phi_prime_power(pp: PrimePower) -> int:
     """Euler's totient of p^a: p^a - p^(a-1) for a >= 1, and phi(1) = 1."""
     if pp.a == 0:
         return 1
-    return pp.p ** pp.a - pp.p ** (pp.a - 1)
+    return pp.modulus - pp.modulus // pp.p

@@ -12,7 +12,7 @@ bound M_d stays below b.  The congruence P(p^a q + r) = f(q) g(r)
 """
 from __future__ import annotations
 
-from .exceptions import TheoremViolation
+from .exceptions import TheoremViolation, charge
 from .fleck import factorial_bound, wan_bound
 from .ivpoly import IntegerValuedPoly, eval_ivp, forward_differences
 from .padic import PrimePower, ord_int, phi_prime_power
@@ -76,12 +76,21 @@ def degree_limit(pp: PrimePower, l: int, b: int) -> int:
     totient-floor term of M_d alone is >= b."""
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
-    half = pp.p ** (pp.a - 1) if pp.a >= 1 else 1  # ceil(p^(a-1))
+    half = -(-pp.modulus // pp.p)  # ceil(p^(a-1))
     return l * pp.modulus + half + b * phi_prime_power(pp)
 
 
-def max_degree(pp: PrimePower, l: int, b: int) -> int:
-    """The maximal d with M_d < b, found by bisection below ``degree_limit``.
+def _bisection_steps(pp: PrimePower, l: int, b: int) -> int:
+    """The charge of ``max_degree``: L bisection steps of L divisions of an
+    L-bit number each, L being ``degree_limit``'s bit length."""
+    L = degree_limit(pp, l, b).bit_length()
+    return L * L * (L // 64 + 1)
+
+
+def max_degree(pp: PrimePower, l: int, b: int, ceiling: int | None = None) -> int:
+    """The maximal d with M_d < b, found by bisection below ``degree_limit``,
+    whose steps (``_bisection_steps``) are charged against ``ceiling``
+    (None: the default) before it starts.
 
     M_d is nondecreasing in d: ``wan_bound`` is the floor of an increasing
     function, and in ``factorial_bound`` min(l, floor(d/p^a)) rises, by 1,
@@ -90,6 +99,7 @@ def max_degree(pp: PrimePower, l: int, b: int) -> int:
     rises by p).  So the d with M_d < b run from 0, as M_0 <= 0 < b, to
     below ``degree_limit``, where wan_bound(d) < b stops holding.
     """
+    charge(_bisection_steps(pp, l, b), ceiling)
     lo, hi = 0, degree_limit(pp, l, b)  # M_lo < b <= M_hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -106,17 +116,32 @@ def _table_of_F(pp: PrimePower, f: IntegerValuedPoly, g: ResidueTable, d: int) -
     return [eval_ivp(f, x // q) * g.values[x % q] for x in range(d + 1)]
 
 
-def synthesize(pp: PrimePower, b: int, f: IntegerValuedPoly, g: ResidueTable) -> NewtonPoly:
+def synthesize(pp: PrimePower, b: int, f: IntegerValuedPoly, g: ResidueTable,
+               ceiling: int | None = None) -> NewtonPoly:
     """Construct the truncated interpolating polynomial for f(q)g(r) mod p^b.
 
     Coefficients are forward differences of F at 0; before returning,
     ord_p(c_n) >= M_n is asserted for every nonzero c_n (every power of p
     divides 0; this is a theorem, so a failure raises TheoremViolation).
+
+    Charged against ``ceiling`` (None: the default), as one total, are
+    the bisection of ``max_degree``, which charges it first, and the work
+    that follows it and ``verify_theorem11``'s check of the result.  With
+    n = d + 1 coefficients and the check's D + 1 values of q: the table of
+    F, its differences and the check's direct values of P take n (n + D
+    + 1) steps on numbers of up to n bits(2 p^a) bits, whose terms C(x, j)
+    at x < p^a (D + 1) grow like (e p^a)^j; and the check steps p^a (D +
+    1) points through n packed fields of b bits(p) + 1 bits.
     """
     if g.pp != pp:
         raise ValueError("residue table built for a different prime power")
     l = max(f.degree_bound, 0)
-    d = max_degree(pp, l, b)
+    d = max_degree(pp, l, b, ceiling)
+    n, points = d + 1, max(d, l) + 1
+    words = n * (2 * pp.modulus).bit_length() // 64 + 1
+    fields = n * (b * pp.p.bit_length() + 1) // 64 + 1
+    charge(_bisection_steps(pp, l, b) + n * (n + points) * words
+           + pp.modulus * points * fields, ceiling)
     coeffs = forward_differences(_table_of_F(pp, f, g, d))
     records = tuple(bound_M(n, pp, l) for n in range(d + 1))
     for n, (c, m) in enumerate(zip(coeffs, records)):

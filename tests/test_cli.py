@@ -9,6 +9,9 @@ import jsonschema
 import pytest
 
 from fleckforge import axkatz, cli, wilson
+from fleckforge.exceptions import CeilingExceeded
+from fleckforge.fleck import restricted_sum
+from fleckforge.ivpoly import IntegerValuedPoly
 from fleckforge.padic import PrimePower, ord_int, phi_prime_power
 from oracles import weisman_bound
 
@@ -462,27 +465,39 @@ def test_violation_too_long_to_print_stays_a_violation(capsys, monkeypatch,
     assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv,doc,required", [
+# the work that the refusals below charge, through the CLI and without it
+LARGE_WORK = {
     # max_degree would bisect below 1 + 10^999, of L = 3319 bits: L steps of
     # L divisions on L-bit numbers
-    (["bounds", "-p", "2", "-a", "1", "-n", "5", "-l", "0", "-b", str(10 ** 999)],
-     None, 3319 * 3319 * (3319 // 64 + 1)),
+    "bounds": 3319 * 3319 * (3319 // 64 + 1),
     # n + 1 steps on words of n bits
-    (["fleck", "-p", "2", "-a", "0", "-n", "300000", "-r", "0"], None,
-     300001 * (300000 // 64 + 1)),
+    "fleck": 300001 * (300000 // 64 + 1),
     # the bisection below 3001, of 12 bits; then d = D = 3000: 3001 * (3001 +
     # 3001) steps on 3001 * 3 bits, and 2 * 3001 steps of 3001 fields of
     # 3000 * 2 + 1 bits
+    "synthesize": 12 * 12 + 3001 * 6002 * (3001 * 3 // 64 + 1)
+                  + 2 * 3001 * (3001 * 6001 // 64 + 1),
+}
+
+
+@pytest.mark.parametrize("argv,doc,required", [
+    (["bounds", "-p", "2", "-a", "1", "-n", "5", "-l", "0", "-b", str(10 ** 999)],
+     None, LARGE_WORK["bounds"]),
+    (["fleck", "-p", "2", "-a", "0", "-n", "300000", "-r", "0"], None,
+     LARGE_WORK["fleck"]),
     (["synthesize", "{doc}"],
      {"kind": "synthesize", "p": 2, "a": 1, "b": 3000, "f": ["1"], "g": [1, 0]},
-     12 * 12 + 3001 * 6002 * (3001 * 3 // 64 + 1)
-     + 2 * 3001 * (3001 * 6001 // 64 + 1)),
+     LARGE_WORK["synthesize"]),
     # the document's own ceiling: the bisection below 4, then d = D = 3
     (["synthesize", "{doc}"],
      {"kind": "synthesize", "p": 2, "a": 1, "b": 3, "f": ["1"], "g": [1, 0],
       "ceiling": 40},
      3 * 3 + 4 * 8 + 2 * 4),
-], ids=["bounds", "fleck", "synthesize", "synthesize-ceiling"])
+    # forming p^a at p = 3, a = 10^7: the square of its 10^7 * 2 // 64 + 1
+    # words
+    (["fleck", "-p", "3", "-a", "10000000", "-n", "3", "-r", "0"], None, 312501 ** 2),
+    (["bounds", "-p", "3", "-a", "10000000", "-n", "3"], None, 312501 ** 2),
+], ids=["bounds", "fleck", "synthesize", "synthesize-ceiling", "fleck-p-to-a", "bounds-p-to-a"])
 def test_large_work_is_refused_before_it_starts(tmp_path, capsys, argv, doc, required):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(doc))
@@ -491,6 +506,46 @@ def test_large_work_is_refused_before_it_starts(tmp_path, capsys, argv, doc, req
     validate_report(report)
     assert report["results"] == {}
     assert report["error"] == f"enumeration ceiling exceeded: {required} steps needed"
+
+
+@pytest.mark.parametrize("case,call", [
+    ("bounds", lambda: wilson.max_degree(PrimePower(2, 1), 0, 10 ** 999)),
+    ("fleck", lambda: restricted_sum(300000, 0, PrimePower(2, 0), IntegerValuedPoly([1]))),
+    ("synthesize", lambda: wilson.synthesize(
+        PrimePower(2, 1), 3000, IntegerValuedPoly([1]),
+        wilson.ResidueTable(PrimePower(2, 1), [1, 0]))),
+], ids=["max_degree", "restricted_sum", "synthesize"])
+def test_library_calls_charge_what_the_cli_refuses(case, call):
+    # the function that does the work charges it, so a caller without the
+    # CLI is refused the same work, before any of it
+    with pytest.raises(CeilingExceeded) as refused:
+        call()
+    assert refused.value.required == LARGE_WORK[case]
+
+
+@pytest.mark.parametrize("argv,doc,a", [
+    (["count", "{doc}"],
+     {"kind": "theorem12", "p": 3, "b": 2, "n_vars": 2,
+      "constraints": [{"f": "x1 + x2", "a": "100000",
+                       "F": {"basis": "binomial", "coeffs": ["1", "1"]}}]}, 100000),
+    (["count", "{doc}"],
+     {"kind": "corollary11", "p": 3, "a": "10000000", "b": 2, "n_vars": 2,
+      "polynomials": ["x1 + x2"], "ls": [0]}, 10 ** 7),
+    (["synthesize", "{doc}"],
+     {"kind": "synthesize", "p": 3, "a": "10000000", "b": 1, "f": ["1"], "g": [1]},
+     10 ** 7),
+], ids=["theorem12", "corollary11", "synthesize"])
+def test_unprintable_p_to_the_a_is_one_error(tmp_path, capsys, digit_limit, argv, doc, a):
+    # the hypothesis margin, and g's length, would print p^a: refused
+    # before the power is formed
+    digit_limit(4300)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    assert cli.main([arg.format(doc=inst) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: p^a = 3^{a} has more than 4300 digits, "
+                            "more than a report can print\n")
 
 
 @pytest.mark.parametrize("exponent,ceiling,required", [

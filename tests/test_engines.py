@@ -391,6 +391,26 @@ def test_exponents_beyond_the_modulus_form_no_full_power():
         Counter((v,) for v in values)
 
 
+def test_the_first_component_starts_from_the_constants(monkeypatch):
+    # x3 and x4 appear in no term: the constant 5 and their 3^2 points start
+    # the one component's enumeration on either kernel, and nothing is
+    # convolved
+    f = parse_poly("x1*x2 + 2*x2^2 + 5", 4)
+    walk = Counter((eval_poly(f, x) % 9,) for x in product(range(3), repeat=4))
+    fact = factorise(4, [f])
+    (comp,) = fact.components
+    start = ((5,), 9)
+    assert multipoly._component_histogram(3, comp, [9], start) == walk
+    steps = multipoly._elimination(3, comp, [9])[1]
+    assert multipoly._frontier_histogram(3, steps, [9], start) == walk
+
+    def refuse(*args):
+        raise AssertionError("a one-component sum was convolved")
+
+    monkeypatch.setattr(multipoly, "_convolve", refuse)
+    assert multipoly.residue_histogram(3, fact, [9]) == walk
+
+
 @st.composite
 def polynomials(draw):
     n = draw(st.integers(1, 5))

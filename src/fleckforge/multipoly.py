@@ -1,9 +1,9 @@
 """Sparse multivariate integer polynomials and factorised cube sums.
 
-Polynomials are stored as dictionaries mapping exponent vectors to
-nonzero integer coefficients, e.g. 17 + 2*x1*x2 - 19*x1^6*x3^12 over
-three variables is
-    {(0,0,0): 17, (1,1,0): 2, (6,0,12): -19}
+Polynomials are stored as dictionaries mapping monomials, tuples of
+(variable, exponent) pairs with 0-based variables increasing and exponents
+>= 1, to nonzero integer coefficients; e.g. 17 + 2*x1*x2 - 19*x1^6*x3^12 is
+    {(): 17, ((0, 1), (1, 1)): 2, ((0, 6), (2, 12)): -19}
 
 A small precedence-climbing parser accepts the text grammar
 ``x1 + 3*(x2 - x1)^2`` (variables x1..xN, integer literals, + - * ^,
@@ -55,15 +55,16 @@ class MultiPoly:
             raise ValueError(f"n_vars must be >= 0, got {n_vars}")
         self.n_vars = n_vars
         clean = {}
-        for exps, c in (terms or {}).items():
-            if len(exps) != n_vars:
-                raise ValueError(f"exponent vector {exps} has wrong length")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+        for mono, c in (terms or {}).items():
+            bounds = [-1, *(v for v, _ in mono), n_vars]
+            if any(u >= v for u, v in zip(bounds, bounds[1:])):
+                raise ValueError(f"{mono} needs increasing variables in 0..{n_vars - 1}")
+            if any(e < 1 for _, e in mono):
+                raise ValueError(f"exponent below 1 in {mono}")
             if c != 0:
-                clean[tuple(exps)] = int(c)
+                clean[tuple(mono)] = int(c)
         self.terms = clean
-        self._total_degree = max((sum(e) for e in clean), default=None)
+        self._total_degree = max((sum(e for _, e in m) for m in clean), default=None)
 
     @property
     def is_zero(self) -> bool:
@@ -74,7 +75,7 @@ class MultiPoly:
 
 
 def total_degree(f: MultiPoly) -> int:
-    """Maximum exponent-vector sum; the zero polynomial has no degree."""
+    """Maximum degree of a term; the zero polynomial has no degree."""
     if f._total_degree is None:
         raise ValueError("the zero polynomial has no total degree")
     return f._total_degree
@@ -115,13 +116,13 @@ def _tokenize(text: str):
 
 
 def _words(terms) -> int:
-    """64-bit words of the coefficients of (exponents, coefficient) pairs."""
+    """64-bit words of the coefficients of (monomial, coefficient) pairs."""
     return sum(-(-c.bit_length() // 64) for _, c in terms)
 
 
 class _Parser:
     """Precedence climbing over + - (prec 1), * (prec 2), ^ (literal exponent)
-    on term dicts, exponent vector -> coefficient, that may hold zeros.
+    on term dicts, monomial -> coefficient, that may hold zeros.
 
     Every method returns a dict that nothing else holds, so + and - add
     the right operand into the left one in place.
@@ -145,9 +146,12 @@ class _Parser:
         self.pairs += _words(left) * _words(right)
         charge(self.pairs, self.ceiling)
         out: dict = {}
-        for e1, c1 in left:
-            for e2, c2 in right:
-                key = tuple(map(add, e1, e2))
+        for m1, c1 in left:
+            for m2, c2 in right:
+                merged = dict(m1)  # the pairs of both, a shared variable's exponents added
+                for v, e in m2:
+                    merged[v] = merged.get(v, 0) + e
+                key = tuple(sorted(merged.items()))
                 out[key] = out.get(key, 0) + c1 * c2
         return out
 
@@ -179,18 +183,18 @@ class _Parser:
                 left = self.times(left, right)
                 continue
             sign = 1 if kind == "+" else -1
-            for exps, c in right.items():
-                left[exps] = left.get(exps, 0) + sign * c
+            for mono, c in right.items():
+                left[mono] = left.get(mono, 0) + sign * c
 
     def atom(self) -> dict:
         kind, value, at = self.next()
         n = self.n_vars
         if kind == "int":
-            base = {(0,) * n: value}
+            base = {(): value}
         elif kind == "var":
             if not 1 <= value <= n:
                 raise ParseError(f"variable x{value} out of range 1..{n}", at)
-            base = {(0,) * (value - 1) + (1,) + (0,) * (n - value): 1}
+            base = {((value - 1, 1),): 1}
         elif kind == "(":
             base = self.expression(1)
             kind2, _, at2 = self.next()
@@ -198,7 +202,7 @@ class _Parser:
                 raise ParseError("expected ')'", at2)
         elif kind == "-":
             # unary minus binds tighter than + - but looser than ^
-            return {exps: -c for exps, c in self.expression(2).items()}
+            return {mono: -c for mono, c in self.expression(2).items()}
         else:
             raise ParseError(f"unexpected {kind!r}", at)
         return self.exponent(base)
@@ -211,7 +215,7 @@ class _Parser:
         kind, k, at = self.next()
         if kind != "int":
             raise ParseError("exponent must be a nonnegative integer literal", at)
-        result = {(0,) * self.n_vars: 1}  # square and multiply
+        result = {(): 1}  # square and multiply
         while k:
             if k & 1:
                 result = self.times(result, base)
@@ -247,14 +251,9 @@ def render_poly(f: MultiPoly) -> str:
     if f.is_zero:
         return "0"
     parts = []
-    for exps in sorted(f.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-        c = f.terms[exps]
-        factors = []
-        for j, e in enumerate(exps):
-            if e == 1:
-                factors.append(f"x{j + 1}")
-            elif e > 1:
-                factors.append(f"x{j + 1}^{e}")
+    for mono in sorted(f.terms, key=lambda m: (-sum(e for _, e in m), [(v, -e) for v, e in m])):
+        c = f.terms[mono]
+        factors = [f"x{v + 1}" if e == 1 else f"x{v + 1}^{e}" for v, e in mono]
         mag = abs(c)
         if not factors:
             body = str(mag)
@@ -286,7 +285,7 @@ class CubeSpec:
 
 class Component:
     """Variables linked through shared terms, and each polynomial's terms
-    on them, with exponent vectors indexed like ``variables``."""
+    on them, in monomials that number a variable by its place in ``variables``."""
 
     __slots__ = ("variables", "terms")
 
@@ -317,7 +316,7 @@ def factorise(n_vars: int, polys) -> Factorisation:
 
     Components are ordered by their smallest variable.
     """
-    parent = list(range(n_vars))
+    parent: dict[int, int] = {}  # union-find over the variables some term uses
 
     def find(i):
         while parent[i] != i:
@@ -325,30 +324,27 @@ def factorise(n_vars: int, polys) -> Factorisation:
             i = parent[i]
         return i
 
-    used = set()
     for f in polys:
-        for exps in f.terms:
-            support = [j for j, e in enumerate(exps) if e]
-            used.update(support)
-            for j in support[1:]:
-                parent[find(j)] = find(support[0])
+        for mono in f.terms:
+            for v, _ in mono:
+                parent.setdefault(v, v)
+                parent[find(v)] = find(mono[0][0])
     groups: dict[int, list[int]] = {}
-    for j in sorted(used):
+    for j in sorted(parent):
         groups.setdefault(find(j), []).append(j)
     slot = {root: i for i, root in enumerate(groups)}
     variables = list(groups.values())
+    place = {j: i for group in variables for i, j in enumerate(group)}
     terms = [[{} for _ in polys] for _ in variables]
     for k, f in enumerate(polys):
-        for exps, c in f.terms.items():
-            first = next((j for j, e in enumerate(exps) if e), None)
-            if first is not None:
-                i = slot[find(first)]
-                terms[i][k][tuple(exps[j] for j in variables[i])] = c
+        for mono, c in f.terms.items():
+            if mono:
+                terms[slot[find(mono[0][0])]][k][tuple((place[v], e) for v, e in mono)] = c
     return Factorisation(
         components=tuple(Component(tuple(v), tuple(t))
                          for v, t in zip(variables, terms)),
-        constants=tuple(f.terms.get((0,) * n_vars, 0) for f in polys),
-        free=n_vars - len(used))
+        constants=tuple(f.terms.get((), 0) for f in polys),
+        free=n_vars - len(parent))
 
 
 def _value_range(terms: dict, p: int, m: int) -> tuple[int, int]:
@@ -356,8 +352,8 @@ def _value_range(terms: dict, p: int, m: int) -> tuple[int, int]:
     term's degree is capped at m's bit length, where (p-1)^degree already
     exceeds m, so the window min(m, width / g + 1) stays m."""
     lo = hi = 0
-    for exps, c in terms.items():
-        degree = min(sum(exps), m.bit_length())
+    for mono, c in terms.items():
+        degree = min(sum(e for _, e in mono), m.bit_length())
         extreme = c * (p - 1) ** degree
         lo, hi = lo + min(extreme, 0), hi + max(extreme, 0)
     return lo, hi
@@ -390,11 +386,11 @@ def _elimination(p, comp, mods):
     last_use = list(range(n))  # the last step of a term that uses variable j
     added = [[{} for _ in mods] for _ in range(n)]
     for k, terms in enumerate(comp.terms):
-        for exps, c in terms.items():
-            support = [j for j, e in enumerate(exps) if e]
-            added[support[-1]][k][exps] = c
-            for j in support:
-                last_use[j] = max(last_use[j], support[-1])
+        for mono, c in terms.items():
+            last = mono[-1][0]
+            added[last][k][mono] = c
+            for j, _ in mono:
+                last_use[j] = max(last_use[j], last)
     work, steps, frontier = 0, [], ()
     widths, gcds = [0] * len(mods), [0] * len(mods)
     for i in range(n):
@@ -402,8 +398,8 @@ def _elimination(p, comp, mods):
         slot = {j: s for s, j in enumerate(frontier + (i,))}
         terms = []
         for k, group in enumerate(added[i]):
-            terms.append(tuple((c, tuple((slot[j], e) for j, e in enumerate(exps) if e))
-                               for exps, c in group.items()))
+            terms.append(tuple((c, tuple((slot[j], e) for j, e in mono))
+                               for mono, c in group.items()))
             lo, hi = _value_range(group, p, mods[k])
             widths[k] += hi - lo
             gcds[k] = gcd(gcds[k], *group.values())
@@ -449,13 +445,14 @@ def _frontier_histogram(p, steps, mods, start=None):
 
 
 def _cube_values(terms, p, n, m):
-    """Values mod m of a polynomial (a dict over n-variable exponent
-    vectors) at every point of [0, p-1]^n, the last variable fastest."""
+    """Values mod m of a polynomial (a dict over monomials in the variables
+    0..n-1) at every point of [0, p-1]^n, the last variable fastest."""
     if n == 0:
         return [sum(terms.values()) % m]
     parts: dict = {}  # f = sum_e x_n^e g_e, each g_e in one variable fewer
-    for exps, c in terms.items():
-        parts.setdefault(exps[-1], {})[exps[:-1]] = c
+    for mono, c in terms.items():
+        e = mono[-1][1] if mono and mono[-1][0] == n - 1 else 0
+        parts.setdefault(e, {})[mono[:-1] if e else mono] = c
     out = [0] * p ** n
     for e, g in parts.items():
         xe = [pow(x, e, m) for x in range(p)]
@@ -463,29 +460,29 @@ def _cube_values(terms, p, n, m):
     return [v % m for v in out]
 
 
-def _low_rank(terms, na, nb):
-    """Pairs (u_j, v_j) of polynomials in the first na and the last nb
-    variables with sum_j u_j * v_j equal to ``terms``.
+def _low_rank(terms, na):
+    """Pairs (u_j, v_j) of polynomials in the first na variables and in the
+    rest (renumbered from 0) with sum_j u_j * v_j equal to ``terms``.
 
     The pure-A terms form one pair and the pure-B terms another; the
     mixed terms are grouped by their A-monomial or by their B-monomial,
     whichever side has fewer distinct ones.  So there are never more
     pairs than terms.
     """
-    one_a, one_b = (0,) * na, (0,) * nb
     pure_a, pure_b, by_a, by_b = {}, {}, {}, {}
-    for exps, c in terms.items():
-        ea, eb = exps[:na], exps[na:]
-        if eb == one_b:
+    for mono, c in terms.items():
+        ea = tuple(pair for pair in mono if pair[0] < na)
+        eb = tuple((v - na, e) for v, e in mono[len(ea):])
+        if not eb:
             pure_a[ea] = c
-        elif ea == one_a:
+        elif not ea:
             pure_b[eb] = c
         else:
             by_a.setdefault(ea, {})[eb] = c
             by_b.setdefault(eb, {})[ea] = c
-    pairs = [(pure_a, {one_b: 1})] if pure_a else []
+    pairs = [(pure_a, {(): 1})] if pure_a else []
     if pure_b:
-        pairs.append(({one_a: 1}, pure_b))
+        pairs.append(({(): 1}, pure_b))
     if len(by_a) <= len(by_b):
         return pairs + [({ea: 1}, v) for ea, v in by_a.items()]
     return pairs + [(u, {eb: 1}) for eb, u in by_b.items()]
@@ -524,7 +521,7 @@ def _component_histogram(p, comp, mods, start=None):
     moduli = [window for *_, window in windows]
     nb = next(k for k in range((len(comp.variables) + 1) // 2, -1, -1) if p ** k <= CHUNK)
     na = len(comp.variables) - nb
-    pairs = [_low_rank({e: c // g for e, c in terms.items()}, na, nb)
+    pairs = [_low_rank({e: c // g for e, c in terms.items()}, na)
              for terms, (g, *_) in zip(comp.terms, windows)]
     sizes = [max(1, -(-(len(js) * (m - 1)).bit_length() // 8))
              for js, m in zip(pairs, moduli)]
@@ -605,7 +602,9 @@ def _plan(p: int, fact: Factorisation, mods, bits: int,
     all charged the 64-bit words of a ``bits``-bit number (the largest m_k),
     plus the ``tables`` entries the caller builds afterwards.  The bounds
     read each m_k only up to the number of points, so moduli capped at p^n
-    give the same plans and charge.
+    give the same plans and charge.  A second charge is the square of the
+    64-bit words of p^free, which ``residue_histogram`` forms, as
+    ``padic.PrimePower`` charges p^a, when p^free may exceed one word.
     """
     plans, required, acc = [], 0, 1
     widths, gcds = [0] * len(mods), [0] * len(mods)  # of the components so far
@@ -620,6 +619,9 @@ def _plan(p: int, fact: Factorisation, mods, bits: int,
         acc = min(acc * size, _reach(mods, widths, gcds))
         plans.append((comp, None if dense else steps))
     charge(-(-bits // 64) * required + tables, ceiling)
+    words = fact.free * p.bit_length() // 64 + 1
+    if words > 1:  # a p^free below 2^64 is formed at once
+        charge(words * words, ceiling)
     return plans
 
 
@@ -663,7 +665,8 @@ def fold_poly_values(spec: CubeSpec, polys, ceiling: int | None = None) -> dict:
             raise ValueError("polynomial variable count does not match cube")
     p, fact = spec.p, factorise(spec.n_vars, polys)
     L = ((p - 1) ** 64 - 1).bit_length()
-    bits = [max((c.bit_length() + -(-sum(e) * L // 64) for e, c in f.terms.items() if any(e)),
+    bits = [max((c.bit_length() + -(-sum(x for _, x in e) * L // 64)
+                 for e, c in f.terms.items() if e),
                 default=0) + len(f.terms).bit_length() + 1 for f in polys]
     cap = spec.n_vars * p.bit_length()
     plans = _plan(p, fact, [1 << min(b, cap) for b in bits], max(bits, default=0) + 1, ceiling)

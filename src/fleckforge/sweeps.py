@@ -8,6 +8,7 @@ enough budget produce identical logs.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 from .axkatz import (
     CongruenceSystem,
@@ -47,13 +48,10 @@ def _random_multipoly(rng, n_vars: int, max_deg: int) -> MultiPoly:
     while True:
         terms = {}
         for _ in range(rng.randint(1, 4)):
-            exps = [0] * n_vars
-            budget = rng.randint(0, max_deg)
-            for _ in range(budget):
-                exps[rng.randrange(n_vars)] += 1
+            exps = Counter(rng.randrange(n_vars) for _ in range(rng.randint(0, max_deg)))
             c = rng.randint(-5, 5)
             if c:
-                key = tuple(exps)
+                key = tuple(sorted(exps.items()))
                 terms[key] = terms.get(key, 0) + c
         f = MultiPoly(n_vars, terms)
         if not f.is_zero:

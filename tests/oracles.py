@@ -6,16 +6,21 @@ on ``sys.path`` because ``tests/`` is not a package.
 from fleckforge.multipoly import MultiPoly
 
 
+def monomial(exps) -> tuple:
+    """The monomial of a dense exponent vector, as ``MultiPoly`` keys its
+    terms: monomial((2, 0, 1)) == ((0, 2), (2, 1))."""
+    return tuple((j, e) for j, e in enumerate(exps) if e)
+
+
 def eval_poly(f: MultiPoly, point) -> int:
     """Exact value of f at an integer point, term by term."""
     if len(point) != f.n_vars:
         raise ValueError(f"point has {len(point)} coordinates, need {f.n_vars}")
     total = 0
-    for exps, c in f.terms.items():
+    for mono, c in f.terms.items():
         v = c
-        for x, e in zip(point, exps):
-            if e:
-                v *= x ** e
+        for j, e in mono:
+            v *= point[j] ** e
         total += v
     return total
 

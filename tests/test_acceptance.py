@@ -25,7 +25,7 @@ from fleckforge.wilson import (
     verify_theorem11,
 )
 from fleckforge.padic import phi_prime_power
-from oracles import fleck_bound, weisman_bound
+from oracles import fleck_bound, monomial, weisman_bound
 
 ONE = IntegerValuedPoly([1])
 
@@ -139,7 +139,7 @@ def _random_nonzero(rng, n_vars, max_deg):
                 exps[rng.randrange(n_vars)] += 1
             c = rng.randint(-5, 5)
             if c:
-                key = tuple(exps)
+                key = monomial(exps)
                 terms[key] = terms.get(key, 0) + c
         f = MultiPoly(n_vars, terms)
         if not f.is_zero:
@@ -196,7 +196,7 @@ def test_criterion_7_divisibility_sweeps():
         axkatz_prime_verify(polys, rng.randint(1, 2), p)
         corollary11_verify(polys, 1, 1, [0] * len(polys), p, exact=True)
         js = [rng.randint(0, 2) for _ in polys]
-        degbound = sum(j * max(sum(e) for e in f.terms)
+        degbound = sum(j * max(sum(e for _, e in mono) for mono in f.terms)
                        for j, f in zip(js, polys))
         for c in range(0, n + 1):
             if degbound < (n - c + 1) * (p - 1):

@@ -497,7 +497,15 @@ LARGE_WORK = {
     # words
     (["fleck", "-p", "3", "-a", "10000000", "-n", "3", "-r", "0"], None, 312501 ** 2),
     (["bounds", "-p", "3", "-a", "10000000", "-n", "3"], None, 312501 ** 2),
-], ids=["bounds", "fleck", "synthesize", "synthesize-ceiling", "fleck-p-to-a", "bounds-p-to-a"])
+    # forming p^free at p = 2 with 10^6 - 2 free variables: the square of its
+    # (10^6 - 2) * 2 // 64 + 1 words, above the document's ceiling, which the
+    # two one-variable components are not
+    (["count", "{doc}"],
+     {"kind": "chevalley", "p": 2, "n_vars": 10 ** 6, "polynomials": ["x1 + 2*x2 + 1"],
+      "ceiling": 1000},
+     31250 ** 2),
+], ids=["bounds", "fleck", "synthesize", "synthesize-ceiling", "fleck-p-to-a", "bounds-p-to-a",
+        "count-p-to-free"])
 def test_large_work_is_refused_before_it_starts(tmp_path, capsys, argv, doc, required):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(doc))

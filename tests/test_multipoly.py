@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -12,12 +13,13 @@ from fleckforge.multipoly import (
     CubeSpec,
     MultiPoly,
     ParseError,
+    factorise,
     fold_poly_values,
     parse_poly,
     render_poly,
     total_degree,
 )
-from oracles import eval_poly
+from oracles import eval_poly, monomial
 
 
 def test_parse_examples():
@@ -25,18 +27,18 @@ def test_parse_examples():
     assert len(f.terms) == 3 and total_degree(f) == 1
 
     f = parse_poly("(x1 + x2)^2", 2)
-    assert f.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    assert f.terms == {monomial((2, 0)): 1, monomial((1, 1)): 2, monomial((0, 2)): 1}
     assert total_degree(f) == 2
 
     assert parse_poly("x1*x2 - x1*x2", 2).is_zero
 
 
 def test_parse_precedence_and_unary_minus():
-    assert parse_poly("1 + 2*3", 1).terms == {(0,): 7}
-    assert parse_poly("-x1^2", 1).terms == {(2,): -1}
-    assert parse_poly("2 - 3 - 4", 1).terms == {(0,): -5}
-    assert parse_poly("-(x1 - 2)*x1", 1).terms == {(2,): -1, (1,): 2}
-    assert parse_poly("3 - -2", 1).terms == {(0,): 5}
+    assert parse_poly("1 + 2*3", 1).terms == {monomial((0,)): 7}
+    assert parse_poly("-x1^2", 1).terms == {monomial((2,)): -1}
+    assert parse_poly("2 - 3 - 4", 1).terms == {monomial((0,)): -5}
+    assert parse_poly("-(x1 - 2)*x1", 1).terms == {monomial((2,)): -1, monomial((1,)): 2}
+    assert parse_poly("3 - -2", 1).terms == {monomial((0,)): 5}
 
 
 def test_parse_errors_carry_position():
@@ -57,7 +59,7 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as err:
             parse_poly(text, 1)
         assert err.value.pos == pos
-    assert parse_poly("x\u0661", 1).terms == {(1,): 1}
+    assert parse_poly("x\u0661", 1).terms == {monomial((1,)): 1}
 
 
 def test_trailing_space_is_read_in_linear_time():
@@ -65,7 +67,7 @@ def test_trailing_space_is_read_in_linear_time():
     # the end would take about k^2 / 2 steps: seconds at k = 2 * 10^4
     space = " \t\u2028" * 7000
     t0 = time.monotonic()
-    assert parse_poly("x1" + space, 1).terms == {(1,): 1}
+    assert parse_poly("x1" + space, 1).terms == {monomial((1,)): 1}
     with pytest.raises(ParseError) as err:
         parse_poly(space, 1)
     assert err.value.pos == len(space)
@@ -165,7 +167,7 @@ def _random_poly(rng, n_vars, max_deg=6, max_abs=99):
             exps[rng.randrange(n_vars)] += 1
         c = rng.randint(-max_abs, max_abs)
         if c:
-            key = tuple(exps)
+            key = monomial(exps)
             terms[key] = terms.get(key, 0) + c
     return MultiPoly(n_vars, terms)
 
@@ -177,6 +179,45 @@ def test_render_parse_round_trip():
         f = _random_poly(rng, n_vars)
         g = parse_poly(render_poly(f), n_vars)
         assert (g.n_vars, g.terms) == (f.n_vars, f.terms)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 50).map(monomial), min_size=1,
+                max_size=8, unique=True))
+def test_render_order_is_graded_lex(monos):
+    # the terms print by degree, then by exponent vector, largest first, as
+    # the dense vectors over x1..x50 sort
+    f = MultiPoly(50, {m: 1 for m in monos})
+    dense = [tuple(dict(m).get(j, 0) for j in range(50)) for m in monos]
+    order = sorted(dense, key=lambda e: (-sum(e), [-x for x in e]))
+    assert render_poly(f) == " + ".join(render_poly(MultiPoly(50, {monomial(e): 1}))
+                                        for e in order)
+
+
+@pytest.mark.parametrize("mono", [
+    ((1, 1), (0, 1)),  # unordered
+    ((0, 1), (0, 2)),  # repeated
+    ((3, 1),),  # out of range
+    ((-1, 1),),
+    ((0, 0),),  # zero exponent
+])
+def test_multipoly_refuses_malformed_monomials(mono):
+    with pytest.raises(ValueError):
+        MultiPoly(3, {mono: 1})
+
+
+def test_parse_and_factorise_allocate_nothing_per_variable():
+    # a term names only the variables it uses: at 10^6 variables, a term
+    # as an exponent vector would take 8 MB
+    tracemalloc.start()
+    try:
+        f = parse_poly("x1 + 2*x2 + 1", 10 ** 6)
+        fact = factorise(10 ** 6, [f])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fact.free == 10 ** 6 - 2 and fact.constants == (1,)
+    assert peak < 1 << 20
 
 
 def test_eval_examples():
@@ -197,10 +238,10 @@ def test_eval_matches_naive_term_sum():
         assert eval_poly(f, point) == naive
 
 
-def _power_product(point, exps):
+def _power_product(point, mono):
     v = 1
-    for x, e in zip(point, exps):
-        v *= x ** e
+    for j, e in mono:
+        v *= point[j] ** e
     return v
 
 

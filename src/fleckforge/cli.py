@@ -8,9 +8,20 @@ Each subcommand fills in the report that ``main`` hands it, its skeleton
 before any work, and returns the exit code; ``main`` alone times it,
 turns a CeilingExceeded or a TheoremViolation into the report's error
 and prints the report, and ``run`` wraps it as the process entry point.
-Every request runs in a fresh process, so this module imports only what
-every subcommand needs: ``count`` imports ``axkatz`` and ``sweep``
-imports ``sweeps`` when they run.
+Every request runs in a fresh process, often with no bytecode cache, so
+it compiles each module it imports.  This module imports only
+``argparse``, ``json`` and, of the package, ``exceptions``.  The other
+names it calls are in ``_LAZY``, name -> defining module, and a function
+that calls one first binds its modules' names into this module's
+globals with ``_need``: ``fleck`` loads ``fleck``, ``ivpoly`` and
+``padic``, ``bounds`` and ``synthesize`` also ``wilson``, and ``count``
+``multipoly`` and ``ivpoly``; ``count`` imports ``axkatz`` and ``sweep``
+``sweeps`` when they run.  The calls read this module's globals because
+perfbench's tracer (``perfbench/spans.py``) and the tests wrap
+``cli.parse_poly``, ``cli.synthesize`` and ``cli.verify_theorem11`` by
+name right after the import: the module's ``__getattr__`` (PEP 562)
+binds a name of the table that is read from outside before any request
+bound it.
 
 Instance files are checked against ``schemas/instance.schema.json`` by
 ``_violation``, which interprets the JSON Schema 2020-12 keywords that
@@ -28,6 +39,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import importlib
 import json
 import math
 import os
@@ -36,16 +48,44 @@ import sys
 import time
 
 from .exceptions import CeilingExceeded, TheoremViolation
-from .fleck import check_lemma21, factorial_bound, wan_bound
-from .ivpoly import IntegerValuedPoly, monomials_to_ivp
-from .multipoly import parse_poly
-from .padic import PrimePower, refuse_unprintable_power
-from .wilson import ResidueTable, bound_M, max_degree, synthesize, verify_theorem11
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_CEILING = 3
+
+# name -> the module that defines it, bound into this module's globals on
+# first use, so that the code below calls whatever this module holds at
+# that name (a wrapper set on ``cli.parse_poly`` is the one a count calls);
+# max_degree is here for the tracer alone (see cmd_bounds)
+_LAZY = {
+    "check_lemma21": "fleck", "factorial_bound": "fleck", "wan_bound": "fleck",
+    "IntegerValuedPoly": "ivpoly", "monomials_to_ivp": "ivpoly",
+    "parse_poly": "multipoly",
+    "PrimePower": "padic", "refuse_unprintable_power": "padic",
+    "ResidueTable": "wilson", "bound_M": "wilson", "max_degree": "wilson",
+    "synthesize": "wilson", "verify_theorem11": "wilson",
+}
+
+
+def __getattr__(name: str):
+    """A name of ``_LAZY`` read on this module before anything bound it
+    (PEP 562): imported and bound for good, so that a tracer or a test can
+    wrap ``cli.parse_poly`` before the first request."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module("." + _LAZY[name], __package__), name)
+    return value
+
+
+def _need(*modules: str) -> None:
+    """Bind the names of ``_LAZY`` that ``modules`` define and nothing has
+    bound yet; a name already bound, wrapped or not, stays as it is."""
+    bound = globals()
+    for name, module in _LAZY.items():
+        if module in modules and name not in bound:
+            __getattr__(name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,7 +268,8 @@ def _load_instance(path: str, expected_kinds=None) -> dict:
     return doc
 
 
-def _ivp_from_json(spec) -> IntegerValuedPoly:
+def _ivp_from_json(spec):
+    _need("ivpoly")
     if isinstance(spec, list):
         return IntegerValuedPoly([int(c) for c in spec])
     coeffs = [int(c) for c in spec["coeffs"]]
@@ -255,6 +296,7 @@ def _nonnegative(**flags) -> None:
 
 def cmd_fleck(args, report: dict) -> int:
     _nonnegative(n=args.n)
+    _need("fleck", "ivpoly", "padic")
     f = IntegerValuedPoly(_parse_coeff_list(args.f) if args.f is not None else [1])
     report.update(kind="fleck", results={},
                   instance={"p": args.p, "a": args.a, "n": args.n, "r": args.r,
@@ -271,6 +313,12 @@ def cmd_fleck(args, report: dict) -> int:
 
 def cmd_bounds(args, report: dict) -> int:
     _nonnegative(n=args.n, l=args.l)
+    _need("fleck", "padic", "wilson")
+    # max_degree is read from wilson, not from this module: the tracer wraps
+    # wilson.max_degree before it reads cli.max_degree, so reading an unbound
+    # cli.max_degree binds the tracer's wrapper, which outlives the tracer
+    from . import wilson
+
     report.update(kind="bounds", results={},
                   instance={"p": args.p, "a": args.a, "n": args.n, "l": args.l,
                             "b": args.b})
@@ -285,13 +333,14 @@ def cmd_bounds(args, report: dict) -> int:
         if pp.a == 1:
             results["fleck"] = results["weisman"]
     if args.b is not None:
-        results["max_degree"] = max_degree(pp, args.l, args.b)
+        results["max_degree"] = wilson.max_degree(pp, args.l, args.b)
     report["results"] = dict(sorted(results.items()))
     return EXIT_OK
 
 
 def cmd_synthesize(args, report: dict) -> int:
     doc = _load_instance(args.instance, {"synthesize"})
+    _need("padic", "wilson")
     report.update(kind="synthesize", instance=doc, results={})
     p, a = int(doc["p"]), int(doc["a"])
     refuse_unprintable_power("p^a", p, a)  # g's length would name it
@@ -313,6 +362,7 @@ def cmd_synthesize(args, report: dict) -> int:
 
 
 def _polys(doc, ceiling: int | None = None) -> list:
+    _need("multipoly")
     n_vars = int(doc["n_vars"])
     return [parse_poly(text, n_vars, ceiling=ceiling) for text in doc["polynomials"]]
 
@@ -320,6 +370,7 @@ def _polys(doc, ceiling: int | None = None) -> list:
 def _congruence_system(doc, ceiling: int | None = None):
     from .axkatz import CongruenceSystem, Constraint
 
+    _need("multipoly")
     n_vars = int(doc["n_vars"])
     constraints = tuple(
         Constraint(f=parse_poly(c["f"], n_vars, ceiling=ceiling),

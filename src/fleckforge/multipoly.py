@@ -39,7 +39,7 @@ from collections import Counter
 from functools import cache
 from itertools import islice
 from math import gcd, prod
-from operator import add, mod
+from operator import add, lt, mod
 
 from .exceptions import charge
 
@@ -56,11 +56,17 @@ class MultiPoly:
         self.n_vars = n_vars
         clean = {}
         for mono, c in (terms or {}).items():
-            bounds = [-1, *(v for v, _ in mono), n_vars]
-            if any(u >= v for u, v in zip(bounds, bounds[1:])):
-                raise ValueError(f"{mono} needs increasing variables in 0..{n_vars - 1}")
-            if any(e < 1 for _, e in mono):
-                raise ValueError(f"exponent below 1 in {mono}")
+            if mono:
+                try:
+                    variables, exponents = zip(*mono)
+                except (TypeError, ValueError):  # not pairs, e.g. dense (1, 0)
+                    raise ValueError(f"{mono} is not a tuple of (variable, exponent) "
+                                     "pairs") from None
+                if variables[0] < 0 or variables[-1] >= n_vars \
+                        or not all(map(lt, variables, variables[1:])):
+                    raise ValueError(f"{mono} needs increasing variables in 0..{n_vars - 1}")
+                if min(exponents) < 1:
+                    raise ValueError(f"exponent below 1 in {mono}")
             if c != 0:
                 clean[tuple(mono)] = int(c)
         self.terms = clean
@@ -120,6 +126,32 @@ def _words(terms) -> int:
     return sum(-(-c.bit_length() // 64) for _, c in terms)
 
 
+def _monomial_product(m1: tuple, m2: tuple) -> tuple:
+    """The product of two monomials: their pairs in one tuple, concatenated
+    when one's variables all come before the other's, else merged in
+    variable order, with a shared variable's exponents added."""
+    if not m1 or not m2 or m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        v1, v2 = m1[i][0], m2[j][0]
+        if v1 < v2:
+            out.append(m1[i])
+            i += 1
+        elif v2 < v1:
+            out.append(m2[j])
+            j += 1
+        else:
+            out.append((v1, m1[i][1] + m2[j][1]))
+            i += 1
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
+
+
 class _Parser:
     """Precedence climbing over + - (prec 1), * (prec 2), ^ (literal exponent)
     on term dicts, monomial -> coefficient, that may hold zeros.
@@ -148,10 +180,7 @@ class _Parser:
         out: dict = {}
         for m1, c1 in left:
             for m2, c2 in right:
-                merged = dict(m1)  # the pairs of both, a shared variable's exponents added
-                for v, e in m2:
-                    merged[v] = merged.get(v, 0) + e
-                key = tuple(sorted(merged.items()))
+                key = _monomial_product(m1, m2)
                 out[key] = out.get(key, 0) + c1 * c2
         return out
 

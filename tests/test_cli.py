@@ -767,36 +767,75 @@ def test_help_nobody_reads_exits_0(argv, buffered):
 
 
 def test_start_up_loads_only_the_subcommands_code():
-    # the modules each step adds, as a diff, since the interpreter may load
-    # some of them before the program starts
-    chevalley = Path(__file__).resolve().parent / "golden" / "chevalley.json"
+    # the modules that the import and then the request add, as a diff,
+    # since the interpreter may load some of them before the program
+    # starts; one process per request, so each shows its own modules
+    golden = Path(__file__).resolve().parent / "golden"
     script = ("import contextlib, io, json, sys\n"
               "seen = set(sys.modules)\n"
               "def added():\n"
               "    new = sorted(set(sys.modules) - seen)\n"
               "    seen.update(new)\n"
               "    print(json.dumps(new))\n"
-              "def run(argv):\n"
-              "    with contextlib.redirect_stdout(io.StringIO()):\n"
-              "        assert cli.main(argv) == 0\n"
-              "    added()\n"
               "from fleckforge import cli\n"
               "added()\n"
-              f"run(['count', {str(chevalley)!r}])\n"
-              "run(['sweep', '--seed', '1', '--rounds', '1'])\n")
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.main(sys.argv[1:]) == 0\n"
+              "added()\n")
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    start, count, sweep = (set(json.loads(line)) for line in proc.stdout.splitlines())
+
+    def loaded(*argv):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        return [set(json.loads(line)) for line in proc.stdout.splitlines()]
+
+    start, count = loaded("count", str(golden / "chevalley.json"))
+    _, sweep = loaded("sweep", "--seed", "1", "--rounds", "1")
+    _, fleck = loaded(*(golden / "cli" / "fleck-a1-linear.argv").read_text().split())
+    _, bounds = loaded(*(golden / "cli" / "bounds-l2-b.argv").read_text().split())
+    assert {m for m in start if m.startswith("fleckforge")} == {
+        "fleckforge", "fleckforge.cli", "fleckforge.exceptions"}
     assert start & {"dataclasses", "inspect", "fractions", "decimal", "numbers",
-                    "importlib.resources", "numpy", "fleckforge.axkatz",
-                    "fleckforge.sweeps"} == set()
+                    "importlib.resources", "numpy"} == set()
     # the hypotheses are integer inequalities: no rational arithmetic
     assert (count | sweep) & {"fractions", "decimal", "numbers"} == set()
-    assert "fleckforge.axkatz" in count
-    assert count & {"fleckforge.sweeps", "numpy"} == set()
+    assert {"fleckforge.axkatz", "fleckforge.multipoly"} <= count
+    assert count & {"fleckforge.sweeps", "fleckforge.wilson", "fleckforge.fleck",
+                    "numpy"} == set()
     assert "fleckforge.sweeps" in sweep
+    assert "fleckforge.fleck" in fleck and "fleckforge.wilson" in bounds
+    assert "fleckforge.multipoly" not in fleck | bounds
+
+
+def test_names_wrapped_on_cli_are_the_ones_called(tmp_path, monkeypatch):
+    # a tracer wraps these names on cli before the first request: the
+    # request calls the wrapper, as it did when cli imported them eagerly
+    calls = []
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in cli._LAZY:  # unbound, as right after the import
+        monkeypatch.delattr(cli, name, raising=False)
+    for name in ("parse_poly", "synthesize", "verify_theorem11"):
+        monkeypatch.setattr(cli, name, counting(name))
+    chevalley = Path(__file__).resolve().parent / "golden" / "chevalley.json"
+    assert cli.main(["count", str(chevalley)]) == 0
+    parsed = len(json.loads(chevalley.read_text())["polynomials"])
+    assert calls == ["parse_poly"] * parsed
+    calls.clear()
+    inst = tmp_path / "synth.json"
+    inst.write_text(json.dumps({"kind": "synthesize", "p": 3, "a": 1, "b": 2,
+                                "f": ["1"], "g": [1, 0, 2]}))
+    assert cli.main(["synthesize", str(inst)]) == 0
+    assert calls == ["synthesize", "verify_theorem11"]
 
 
 @pytest.mark.parametrize("name", ["instance.schema.json", "report.schema.json"])

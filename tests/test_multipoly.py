@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -31,6 +32,13 @@ def test_parse_examples():
     assert total_degree(f) == 2
 
     assert parse_poly("x1*x2 - x1*x2", 2).is_zero
+
+    # products concatenate the pairs, in either order, or merge them and
+    # add the exponents of a shared variable (x3, x1)
+    f = parse_poly("(x1*x3 + x4)*(x2*x3 + x1 + x5)", 5)
+    assert f.terms == {monomial((1, 1, 2, 0, 0)): 1, monomial((2, 0, 1, 0, 0)): 1,
+                       monomial((1, 0, 1, 0, 1)): 1, monomial((0, 1, 1, 1, 0)): 1,
+                       monomial((1, 0, 0, 1, 0)): 1, monomial((0, 0, 0, 1, 1)): 1}
 
 
 def test_parse_precedence_and_unary_minus():
@@ -200,9 +208,13 @@ def test_render_order_is_graded_lex(monos):
     ((3, 1),),  # out of range
     ((-1, 1),),
     ((0, 0),),  # zero exponent
+    (1, 0),  # a dense exponent tuple, not pairs
+    (2,),
+    ((0, 1, 2),),
+    ((0,),),
 ])
 def test_multipoly_refuses_malformed_monomials(mono):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(mono))):
         MultiPoly(3, {mono: 1})
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 
 from .exceptions import TheoremViolation
 from .ivpoly import IntegerValuedPoly, eval_ivp
@@ -107,17 +108,9 @@ class CongruenceSystem:
         self.constraints = constraints
 
 
-class DivisibilityVerdict:
-    __slots__ = ("sum", "claimed_modulus", "hypothesis_holds",
-                 "hypothesis_margin", "divisible")
-
-    def __init__(self, sum: int, claimed_modulus: int, hypothesis_holds: bool,
-                 hypothesis_margin: str, divisible: bool):
-        self.sum = sum
-        self.claimed_modulus = claimed_modulus
-        self.hypothesis_holds = hypothesis_holds
-        self.hypothesis_margin = hypothesis_margin
-        self.divisible = divisible
+DivisibilityVerdict = namedtuple(
+    "DivisibilityVerdict",
+    "sum claimed_modulus hypothesis_holds hypothesis_margin divisible")
 
 
 def hypothesis_16(sys: CongruenceSystem) -> int:

@@ -59,7 +59,8 @@ EXIT_CEILING = 3
 # that name (a wrapper set on ``cli.parse_poly`` is the one a count calls);
 # max_degree is here for the tracer alone (see cmd_bounds)
 _LAZY = {
-    "check_lemma21": "fleck", "factorial_bound": "fleck", "wan_bound": "fleck",
+    "check_lemma21": "fleck", "classical_bounds": "fleck",
+    "factorial_bound": "fleck", "wan_bound": "fleck",
     "IntegerValuedPoly": "ivpoly", "monomials_to_ivp": "ivpoly",
     "parse_poly": "multipoly",
     "PrimePower": "padic", "refuse_unprintable_power": "padic",
@@ -302,12 +303,9 @@ def cmd_fleck(args, report: dict) -> int:
                   instance={"p": args.p, "a": args.a, "n": args.n, "r": args.r,
                             "f": list(f.coeffs)})
     lemma = check_lemma21(args.n, args.r, PrimePower(args.p, args.a), f)
-    report["results"] = {
-        "sum": lemma.sum,
-        "valuation": "inf" if lemma.valuation is None else lemma.valuation,
-        "bounds": dict(sorted(lemma.bounds.items())),
-        "satisfied": dict(sorted(lemma.satisfied.items())),
-    }
+    report["results"] = lemma._asdict()
+    if lemma.valuation is None:
+        report["results"]["valuation"] = "inf"
     return EXIT_OK if lemma.all_satisfied else EXIT_VIOLATION
 
 
@@ -327,14 +325,11 @@ def cmd_bounds(args, report: dict) -> int:
         "wan": wan_bound(args.n, pp, args.l),
         "factorial": factorial_bound(args.n, pp, args.l),
         "M": bound_M(args.n, pp, args.l),
+        **classical_bounds(args.n, pp),
     }
-    if pp.a >= 1:
-        results["weisman"] = wan_bound(args.n, pp, 0)
-        if pp.a == 1:
-            results["fleck"] = results["weisman"]
-    if args.b is not None:
+    if args.b is not None:  # a refused bisection leaves the results empty
         results["max_degree"] = wilson.max_degree(pp, args.l, args.b)
-    report["results"] = dict(sorted(results.items()))
+    report["results"] = results
     return EXIT_OK
 
 
@@ -418,13 +413,7 @@ def cmd_count(args, report: dict) -> int:
     exact = args.exact or doc.get("exact_mode", False)
     report.update(kind=kind, instance=doc, workers=args.workers, results={})
     verdict = _COUNT_KINDS[kind](axkatz, doc, exact, ceiling=ceiling)
-    report["verdict"] = {
-        "sum": verdict.sum,
-        "claimed_modulus": verdict.claimed_modulus,
-        "hypothesis_holds": verdict.hypothesis_holds,
-        "hypothesis_margin": verdict.hypothesis_margin,
-        "divisible": verdict.divisible,
-    }
+    report["verdict"] = verdict._asdict()
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ and at a = 1, l = 0 it is Fleck's.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb, perm
 
 from .exceptions import charge
@@ -72,7 +73,16 @@ def factorial_bound(n: int, pp: PrimePower, l: int) -> int:
     return ord_factorial(shifted, p) - ord_factorial(l, p) - min(l, n // pp.modulus)
 
 
-class FleckReport:
+def classical_bounds(n: int, pp: PrimePower) -> dict[str, int]:
+    """Weisman's bound for a >= 1, and at a = 1 Fleck's: each the Lemma 2.1
+    bound at l = 0."""
+    if pp.a < 1:
+        return {}
+    bound = wan_bound(n, pp, 0)
+    return {"weisman": bound, "fleck": bound} if pp.a == 1 else {"weisman": bound}
+
+
+class FleckReport(namedtuple("FleckReport", "sum valuation bounds satisfied")):
     """Outcome of checking one restricted sum against its bounds.
 
     ``bounds`` holds the general pair always; for constant f and a >= 1
@@ -83,14 +93,7 @@ class FleckReport:
     trivially satisfied, not clamped.
     """
 
-    __slots__ = ("sum", "valuation", "bounds", "satisfied")
-
-    def __init__(self, sum: int, valuation: int | None, bounds: dict[str, int],
-                 satisfied: dict[str, bool]):
-        self.sum = sum
-        self.valuation = valuation
-        self.bounds = bounds
-        self.satisfied = satisfied
+    __slots__ = ()
 
     @property
     def all_satisfied(self) -> bool:
@@ -111,10 +114,8 @@ def check_lemma21(n: int, r: int, pp: PrimePower, f: IntegerValuedPoly) -> Fleck
         "wan": wan_bound(n, pp, l),
         "factorial": factorial_bound(n, pp, l),
     }
-    if l == 0 and pp.a >= 1:
-        bounds["weisman"] = bounds["wan"]
-        if pp.a == 1:
-            bounds["fleck"] = bounds["wan"]
+    if l == 0:
+        bounds.update(classical_bounds(n, pp))
     satisfied = {name: val is None or val >= b for name, b in bounds.items()}
     return FleckReport(sum=s, valuation=val, bounds=bounds, satisfied=satisfied)
 

@@ -30,12 +30,14 @@ exceeds both ``CHUNK`` and its p^|C| points, rows of packed byte fields
 in the caller's thread, from nothing but the arguments.
 ``fold_poly_values`` takes each m_k a power of two above twice the
 largest |f_k| its terms allow, so the residues recover the exact values.
+``factorise`` returns a ``Factorisation`` of ``Component``s, named
+tuples like the ``CubeSpec`` of a cube.
 """
 from __future__ import annotations
 
 import re
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import cache
 from itertools import islice
 from math import gcd, prod
@@ -301,42 +303,17 @@ def render_poly(f: MultiPoly) -> str:
 
 CHUNK = 1 << 16  # most points handled as one unit
 
+# the enumeration domain [0, p-1]^n_vars
+CubeSpec = namedtuple("CubeSpec", "p n_vars")
 
-class CubeSpec:
-    """The enumeration domain [0, p-1]^n_vars."""
+# variables linked through shared terms, and each polynomial's terms on them,
+# in monomials that number a variable by its place in ``variables``
+Component = namedtuple("Component", "variables terms")
 
-    __slots__ = ("p", "n_vars")
-
-    def __init__(self, p: int, n_vars: int):
-        self.p = p
-        self.n_vars = n_vars
-
-
-class Component:
-    """Variables linked through shared terms, and each polynomial's terms
-    on them, in monomials that number a variable by its place in ``variables``."""
-
-    __slots__ = ("variables", "terms")
-
-    def __init__(self, variables: tuple[int, ...], terms: tuple[dict, ...]):
-        self.variables = variables
-        self.terms = terms
-
-
-class Factorisation:
-    """f_k(x) = constants[k] + sum over components C of f_k restricted to C.
-
-    The ``free`` variables appear in no term; each multiplies every count
-    by p and is never enumerated.
-    """
-
-    __slots__ = ("components", "constants", "free")
-
-    def __init__(self, components: tuple[Component, ...],
-                 constants: tuple[int, ...], free: int):
-        self.components = components
-        self.constants = constants
-        self.free = free
+# f_k(x) = constants[k] + sum over components C of f_k restricted to C; the
+# ``free`` variables appear in no term, and each multiplies every count by p
+# and is never enumerated
+Factorisation = namedtuple("Factorisation", "components constants free")
 
 
 def factorise(n_vars: int, polys) -> Factorisation:

@@ -12,6 +12,8 @@ bound M_d stays below b.  The congruence P(p^a q + r) = f(q) g(r)
 """
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .exceptions import TheoremViolation, charge
 from .fleck import factorial_bound, wan_bound
 from .ivpoly import IntegerValuedPoly, eval_ivp, forward_differences
@@ -32,37 +34,23 @@ class ResidueTable:
         self.values = values
 
 
-class NewtonPoly:
+class NewtonPoly(namedtuple("NewtonPoly", "coeffs pp b bound_records")):
     """P(x) = sum c_n C(x, n) with per-coefficient valuation bounds.
 
     ``bound_records[n]`` is the proven lower bound M_n on ord_p(c_n);
     ``b`` is the target modulus exponent (congruences hold mod p^b).
     """
 
-    __slots__ = ("coeffs", "pp", "b", "bound_records")
-
-    def __init__(self, coeffs: tuple[int, ...], pp: PrimePower, b: int,
-                 bound_records: tuple[int, ...]):
-        self.coeffs = coeffs
-        self.pp = pp
-        self.b = b
-        self.bound_records = bound_records
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
 
-class CongruenceReport:
-    """Result of checking P(p^a q + r) = f(q) g(r) (mod p^b) for every q."""
-
-    __slots__ = ("ok", "checked", "counterexample")
-
-    def __init__(self, ok: bool, checked: int,
-                 counterexample: tuple[int, int] | None):  # (q, r), if any
-        self.ok = ok
-        self.checked = checked
-        self.counterexample = counterexample
+# the result of checking P(p^a q + r) = f(q) g(r) (mod p^b) for every q: the
+# first failing (q, r) is the counterexample, None if there is none
+CongruenceReport = namedtuple("CongruenceReport", "ok checked counterexample")
 
 
 def bound_M(d: int, pp: PrimePower, l: int) -> int:

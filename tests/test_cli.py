@@ -766,7 +766,7 @@ def test_help_nobody_reads_exits_0(argv, buffered):
     assert _into_closed_pipe(["-m", "fleckforge.cli", *argv], buffered) == (0, b"")
 
 
-def test_start_up_loads_only_the_subcommands_code():
+def test_start_up_loads_only_the_subcommands_code(tmp_path):
     # the modules that the import and then the request add, as a diff,
     # since the interpreter may load some of them before the program
     # starts; one process per request, so each shows its own modules
@@ -794,10 +794,16 @@ def test_start_up_loads_only_the_subcommands_code():
     _, sweep = loaded("sweep", "--seed", "1", "--rounds", "1")
     _, fleck = loaded(*(golden / "cli" / "fleck-a1-linear.argv").read_text().split())
     _, bounds = loaded(*(golden / "cli" / "bounds-l2-b.argv").read_text().split())
+    wilson = tmp_path / "wilson.json"
+    wilson.write_text(json.dumps({"kind": "synthesize", "p": 3, "a": 2, "b": 2,
+                                  "f": ["1"], "g": [4, -7, 0, 12, 5, -1, 9, 3, -8]}))
+    _, synthesize = loaded("synthesize", str(wilson))
     assert {m for m in start if m.startswith("fleckforge")} == {
         "fleckforge", "fleckforge.cli", "fleckforge.exceptions"}
     assert start & {"dataclasses", "inspect", "fractions", "decimal", "numbers",
                     "importlib.resources", "numpy"} == set()
+    # the records are named tuples: no request loads dataclasses
+    assert "dataclasses" not in count | sweep | fleck | bounds | synthesize
     # the hypotheses are integer inequalities: no rational arithmetic
     assert (count | sweep) & {"fractions", "decimal", "numbers"} == set()
     assert {"fleckforge.axkatz", "fleckforge.multipoly"} <= count

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from fleckforge import cli, multipoly
-from fleckforge.axkatz import theorem12_sum
+from fleckforge.axkatz import DivisibilityVerdict, theorem12_sum
+from fleckforge.fleck import FleckReport
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INSTANCES = sorted(GOLDEN.glob("*.json"))
@@ -48,6 +49,16 @@ def test_argv_report_matches_golden(capsys, path):
 
 def test_argv_corpus_covers_fleck_and_bounds():
     assert {p.read_text().split()[0] for p in ARGVS} == {"fleck", "bounds"}
+
+
+def test_records_name_the_report_fields():
+    # count prints a verdict's fields and fleck a FleckReport's, each by its
+    # record's field names; the report schema lists the same verdict fields
+    schema = cli._load_schema("report.schema.json")
+    verdict = schema["properties"]["verdict"]["properties"]
+    assert set(verdict) == set(DivisibilityVerdict._fields)
+    report = json.loads((GOLDEN / "cli" / "fleck-a1-linear.out").read_text())
+    assert set(report["results"]) == set(FleckReport._fields)
 
 
 def _floats(value, path=()):

@@ -30,12 +30,13 @@ tuples to counts): it keeps the tuples with p^(a_k) | v_k for every k
 and multiplies their counts by F_k(v_k / p^(a_k)), read from a table of
 F_k mod p^b on the modular engine and evaluated exactly once per
 distinct argument on the exact one.  The enumerator alone bounds the
-work and refuses it above the ceiling; the modular engine passes it the
-size of the F tables, and builds them only once the histogram is in.  A
-constant F_k has period 1 and a one-entry table, so when every F_k is
-constant, as in the zero counts, the exact engine takes the modular path
-with exact tables and no reduction.  The zero counts and Lemma 2.2
-report exact sums, so they always take the exact engine.
+work and refuses it above the request's ceiling; the modular engine
+passes it the size of the F tables, and builds them only once the
+histogram is in.  A constant F_k has period 1 and a one-entry table, so
+when every F_k is constant, as in the zero counts, the exact engine
+takes the modular path with exact tables and no reduction.  The zero
+counts and Lemma 2.2 report exact sums, so they always take the exact
+engine.
 """
 from __future__ import annotations
 
@@ -149,8 +150,7 @@ def _gate_and_weight(system: CongruenceSystem, hist: dict, weigh,
     return total if modulus is None else total % modulus
 
 
-def theorem12_sum(system: CongruenceSystem, exact: bool = False,
-                  ceiling: int | None = None) -> int:
+def theorem12_sum(system: CongruenceSystem, exact: bool = False) -> int:
     """The gated weighted sum over the cube, factorised by variable components.
 
     Modular mode (default) builds the histogram of (f_k mod m_k)_k, with
@@ -167,15 +167,14 @@ def theorem12_sum(system: CongruenceSystem, exact: bool = False,
     polys = [c.f for c in system.constraints]
     periods, mods = _periods(system)
     if exact and any(period > 1 for period in periods):
-        hist = fold_poly_values(CubeSpec(p, system.n_vars), polys, ceiling=ceiling)
+        hist = fold_poly_values(CubeSpec(p, system.n_vars), polys)
 
         @functools.cache
         def weigh(k, t):
             return eval_ivp(system.constraints[k].F, t)
 
         return _gate_and_weight(system, hist, weigh, None)
-    hist = residue_histogram(p, factorise(system.n_vars, polys), mods,
-                             ceiling, tables=sum(periods))
+    hist = residue_histogram(p, factorise(system.n_vars, polys), mods, tables=sum(periods))
     tables = [[eval_ivp(c.F, t) if exact else eval_ivp(c.F, t) % pb
                for t in range(period)]
               for c, period in zip(system.constraints, periods)]
@@ -226,7 +225,7 @@ def _binomial_system(polys, p: int, b: int, a: int, ls,
 
 
 def _judge(system: CongruenceSystem, modulus: int, margin: int, unit: int,
-           exact: bool, ceiling: int | None) -> DivisibilityVerdict:
+           exact: bool) -> DivisibilityVerdict:
     """Sum the system and compare the sum with the claimed modulus.
 
     The hypothesis holds when the integer ``margin`` is positive; the
@@ -236,7 +235,7 @@ def _judge(system: CongruenceSystem, modulus: int, margin: int, unit: int,
     """
     g = math.gcd(margin, unit)
     shown = str(margin // g) if g == unit else f"{margin // g}/{unit // g}"
-    s = theorem12_sum(system, exact=exact, ceiling=ceiling)
+    s = theorem12_sum(system, exact=exact)
     verdict = DivisibilityVerdict(sum=s, claimed_modulus=modulus,
                                   hypothesis_holds=margin > 0,
                                   hypothesis_margin=shown,
@@ -247,15 +246,14 @@ def _judge(system: CongruenceSystem, modulus: int, margin: int, unit: int,
     return verdict
 
 
-def verify_theorem12(system: CongruenceSystem, exact: bool = False,
-                     ceiling: int | None = None) -> DivisibilityVerdict:
+def verify_theorem12(system: CongruenceSystem,
+                     exact: bool = False) -> DivisibilityVerdict:
     """The gated weighted sum against p^b under hypothesis_16."""
     return _judge(system, system.p ** system.b, hypothesis_16(system),
-                  system.p - 1, exact, ceiling)
+                  system.p - 1, exact)
 
 
-def corollary11_verify(polys, a: int, b: int, ls, p: int,
-                       exact: bool = False, ceiling: int | None = None,
+def corollary11_verify(polys, a: int, b: int, ls, p: int, exact: bool = False,
                        n_vars: int | None = None) -> DivisibilityVerdict:
     """Theorem 1.2 with a_k = a and F_k(x) = C(x, l_k), whose hypothesis is
 
@@ -266,27 +264,26 @@ def corollary11_verify(polys, a: int, b: int, ls, p: int,
     if a < 1:
         raise ValueError("a must be >= 1")
     system = _binomial_system(list(polys), p, b, a, list(ls), n_vars)
-    return verify_theorem12(system, exact=exact, ceiling=ceiling)
+    return verify_theorem12(system, exact=exact)
 
 
-def chevalley_warning_verify(polys, p: int, ceiling: int | None = None,
+def chevalley_warning_verify(polys, p: int,
                              n_vars: int | None = None) -> DivisibilityVerdict:
     """p divides the common-zero count when n > sum d_k: the Ax-Katz
     statement at b = 1."""
-    return axkatz_prime_verify(polys, 1, p, ceiling=ceiling, n_vars=n_vars)
+    return axkatz_prime_verify(polys, 1, p, n_vars=n_vars)
 
 
-def axkatz_prime_verify(polys, b: int, p: int, ceiling: int | None = None,
+def axkatz_prime_verify(polys, b: int, p: int,
                         n_vars: int | None = None) -> DivisibilityVerdict:
     """p^b divides the common-zero count when
     n > (b-1) max(d_1, 1) + sum d_k: Corollary 1.1 at a = 1 and l_k = 0,
     counted exactly."""
     polys = list(polys)
-    return corollary11_verify(polys, 1, b, [0] * len(polys), p, exact=True,
-                              ceiling=ceiling, n_vars=n_vars)
+    return corollary11_verify(polys, 1, b, [0] * len(polys), p, exact=True, n_vars=n_vars)
 
 
-def lemma22_verify(polys, js, c: int, p: int, ceiling: int | None = None,
+def lemma22_verify(polys, js, c: int, p: int,
                    n_vars: int | None = None) -> DivisibilityVerdict:
     """Full-cube sum of prod_k C(f_k(x), j_k); p^c divides it when
     sum_k j_k deg f_k < (n - c + 1)(p - 1)."""
@@ -298,4 +295,4 @@ def lemma22_verify(polys, js, c: int, p: int, ceiling: int | None = None,
     system = _binomial_system(polys, p, max(c, 1), 0, js, n_vars)
     degbound = sum(j * total_degree(f) for j, f in zip(js, polys))
     margin = (system.n_vars - c + 1) * (p - 1) - degbound
-    return _judge(system, p ** c, margin, 1, True, ceiling)
+    return _judge(system, p ** c, margin, 1, True)

@@ -32,7 +32,7 @@ the first violation, with the reason worded as jsonschema words it
 Exit codes: 0 success, 1 usage or validation error or a report value
 too long to print, 2 theorem violation, 3 work ceiling exceeded: each
 function that does work charges it before it starts, and refuses it
-above the ceiling.
+above the request's ceiling, which ``count`` and ``synthesize`` set.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ import re
 import sys
 import time
 
-from .exceptions import CeilingExceeded, TheoremViolation
+from .exceptions import CeilingExceeded, TheoremViolation, ceiling
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -339,12 +339,12 @@ def cmd_synthesize(args, report: dict) -> int:
     report.update(kind="synthesize", instance=doc, results={})
     p, a = int(doc["p"]), int(doc["a"])
     refuse_unprintable_power("p^a", p, a)  # g's length would name it
-    pp = PrimePower(p, a)
-    f = _ivp_from_json(doc["f"])
-    g = ResidueTable(pp, [int(v) for v in doc["g"]])
-    P = synthesize(pp, int(doc["b"]), f, g,
-                   int(doc["ceiling"]) if "ceiling" in doc else None)
-    check = verify_theorem11(P, f, g)
+    with ceiling(int(doc["ceiling"]) if "ceiling" in doc else None):
+        pp = PrimePower(p, a)
+        f = _ivp_from_json(doc["f"])
+        g = ResidueTable(pp, [int(v) for v in doc["g"]])
+        P = synthesize(pp, int(doc["b"]), f, g)
+        check = verify_theorem11(P, f, g)
     report["results"] = {
         "coeffs": list(P.coeffs),
         "bound_records": list(P.bound_records),
@@ -356,19 +356,19 @@ def cmd_synthesize(args, report: dict) -> int:
     return EXIT_OK if check.ok else EXIT_VIOLATION
 
 
-def _polys(doc, ceiling: int | None = None) -> list:
+def _polys(doc) -> list:
     _need("multipoly")
     n_vars = int(doc["n_vars"])
-    return [parse_poly(text, n_vars, ceiling=ceiling) for text in doc["polynomials"]]
+    return [parse_poly(text, n_vars) for text in doc["polynomials"]]
 
 
-def _congruence_system(doc, ceiling: int | None = None):
+def _congruence_system(doc):
     from .axkatz import CongruenceSystem, Constraint
 
     _need("multipoly")
     n_vars = int(doc["n_vars"])
     constraints = tuple(
-        Constraint(f=parse_poly(c["f"], n_vars, ceiling=ceiling),
+        Constraint(f=parse_poly(c["f"], n_vars),
                    a=int(c["a"]),
                    F=_ivp_from_json(c["F"]),
                    l=int(c["l"]) if "l" in c else None)
@@ -377,27 +377,24 @@ def _congruence_system(doc, ceiling: int | None = None):
                             n_vars=n_vars, constraints=constraints)
 
 
-# count kind -> verifier call (axkatz, doc, exact, ceiling); cmd_count, the
-# one subcommand that runs the engines, imports axkatz and passes it in.
-# chevalley calls axkatz, which calls corollary11, which calls theorem12: one
-# hypothesis judges all four.  Only theorem12 and corollary11 have a modular
-# engine for `exact` to switch off.  The ceiling bounds the parse and the sum
-# alike.  The polynomial kinds pass n_vars, which an empty polynomial list
-# cannot carry.
+# count kind -> verifier call (axkatz, doc, exact); cmd_count imports axkatz,
+# the engines, and passes it in.  chevalley calls axkatz, which calls
+# corollary11, which calls theorem12: one hypothesis judges all four.  Only
+# theorem12 and corollary11 have a modular engine for `exact` to switch off.
+# The polynomial kinds pass n_vars, which an empty polynomial list cannot carry.
 _COUNT_KINDS = {
-    "theorem12": lambda axkatz, doc, exact, **run: axkatz.verify_theorem12(
-        _congruence_system(doc, **run), exact=exact, **run),
-    "corollary11": lambda axkatz, doc, exact, **run: axkatz.corollary11_verify(
-        _polys(doc, **run), int(doc["a"]), int(doc["b"]), list(map(int, doc["ls"])),
-        int(doc["p"]), exact=exact, n_vars=int(doc["n_vars"]), **run),
-    "chevalley": lambda axkatz, doc, exact, **run: axkatz.chevalley_warning_verify(
-        _polys(doc, **run), int(doc["p"]), n_vars=int(doc["n_vars"]), **run),
-    "axkatz": lambda axkatz, doc, exact, **run: axkatz.axkatz_prime_verify(
-        _polys(doc, **run), int(doc["b"]), int(doc["p"]),
-        n_vars=int(doc["n_vars"]), **run),
-    "lemma22": lambda axkatz, doc, exact, **run: axkatz.lemma22_verify(
-        _polys(doc, **run), list(map(int, doc["js"])), int(doc["c"]), int(doc["p"]),
-        n_vars=int(doc["n_vars"]), **run),
+    "theorem12": lambda axkatz, doc, exact: axkatz.verify_theorem12(
+        _congruence_system(doc), exact=exact),
+    "corollary11": lambda axkatz, doc, exact: axkatz.corollary11_verify(
+        _polys(doc), int(doc["a"]), int(doc["b"]), list(map(int, doc["ls"])),
+        int(doc["p"]), exact=exact, n_vars=int(doc["n_vars"])),
+    "chevalley": lambda axkatz, doc, exact: axkatz.chevalley_warning_verify(
+        _polys(doc), int(doc["p"]), n_vars=int(doc["n_vars"])),
+    "axkatz": lambda axkatz, doc, exact: axkatz.axkatz_prime_verify(
+        _polys(doc), int(doc["b"]), int(doc["p"]), n_vars=int(doc["n_vars"])),
+    "lemma22": lambda axkatz, doc, exact: axkatz.lemma22_verify(
+        _polys(doc), list(map(int, doc["js"])), int(doc["c"]), int(doc["p"]),
+        n_vars=int(doc["n_vars"])),
 }
 
 
@@ -408,11 +405,11 @@ def cmd_count(args, report: dict) -> int:
     from . import axkatz
 
     kind = doc["kind"]
-    ceiling = args.ceiling if args.ceiling is not None else (
-        int(doc["ceiling"]) if "ceiling" in doc else None)
     exact = args.exact or doc.get("exact_mode", False)
     report.update(kind=kind, instance=doc, workers=args.workers, results={})
-    verdict = _COUNT_KINDS[kind](axkatz, doc, exact, ceiling=ceiling)
+    with ceiling(args.ceiling if args.ceiling is not None else
+                 int(doc["ceiling"]) if "ceiling" in doc else None):
+        verdict = _COUNT_KINDS[kind](axkatz, doc, exact)
     report["verdict"] = verdict._asdict()
     return EXIT_OK
 

@@ -1,7 +1,7 @@
-"""Shared exception types, and the work ceiling that one of them enforces."""
-from __future__ import annotations
+"""Shared exception types, and the request's work ceiling that one of them enforces."""
 
-DEFAULT_CEILING = 10 ** 8  # steps a computation may be charged, unless its caller says
+DEFAULT_CEILING = 10 ** 8  # steps a computation may be charged outside any ceiling block
+_running = DEFAULT_CEILING  # the ceiling of the innermost open ceiling block
 
 
 class TheoremViolation(Exception):
@@ -12,10 +12,8 @@ class TheoremViolation(Exception):
 
 
 class CeilingExceeded(Exception):
-    """The work a function charges before doing it is above the ceiling:
-    the one its caller passed, else ``DEFAULT_CEILING``.  Each function
-    that does the work charges it (``charge``); what each one charges is
-    stated in its docstring."""
+    """The work a function charges before doing it (``charge``; what each
+    one charges is stated in its docstring) is above the running ceiling."""
 
     def __init__(self, required: int, ceiling: int):
         self.required = required
@@ -24,10 +22,23 @@ class CeilingExceeded(Exception):
             f"enumeration needs {required} steps, ceiling is {ceiling}")
 
 
-def charge(required: int, ceiling: int | None = None) -> None:
-    """Refuse ``required`` steps of work above ``ceiling`` (None:
-    ``DEFAULT_CEILING``) with CeilingExceeded."""
-    if ceiling is None:
-        ceiling = DEFAULT_CEILING
-    if required > ceiling:
-        raise CeilingExceeded(required=required, ceiling=ceiling)
+class ceiling:
+    """``with ceiling(limit):`` charges the work inside the block against
+    ``limit`` (None: ``DEFAULT_CEILING``), then restores the outer one."""
+
+    def __init__(self, limit: int | None):
+        self.limit = DEFAULT_CEILING if limit is None else limit
+
+    def __enter__(self):
+        global _running
+        self.outer, _running = _running, self.limit
+
+    def __exit__(self, *exc_info):
+        global _running
+        _running = self.outer
+
+
+def charge(required: int) -> None:
+    """Refuse ``required`` steps of work above the running ceiling."""
+    if required > _running:
+        raise CeilingExceeded(required=required, ceiling=_running)

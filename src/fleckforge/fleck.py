@@ -35,7 +35,7 @@ def restricted_sum(n: int, r: int, pp: PrimePower, f: IntegerValuedPoly) -> int:
     take about 2n products and quotients of an n-bit number by small
     factors, not a fresh binomial per term.
 
-    Charged against the default ceiling before it starts: n + 1 steps on
+    Charged against the request's ceiling before it starts: n + 1 steps on
     the 64-bit words of an n-bit number, which also covers the at most n
     divisions that take ord_p of the sum (``check_lemma21``).
     """

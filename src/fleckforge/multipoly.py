@@ -21,13 +21,13 @@ variables sharing a term, and ``residue_histogram``, the one enumerator,
 counts the tuples (f_k(x) mod m_k)_k over each component and convolves
 the component histograms (dicts from residue tuples to counts).  It
 plans each component before any work, and refuses a sum whose plans
-exceed the ceiling: the frontier DP, whose state is the values of the
-assigned variables that a later term still uses with the residues of
-the partial sums, so a chain costs a few thousand steps where its cube
-has millions of points; or, for a dense component, whose DP bound
-exceeds both ``CHUNK`` and its p^|C| points, rows of packed byte fields
-(``_component_histogram``).  The counts are exact, on Python integers,
-in the caller's thread, from nothing but the arguments.
+exceed the request's ceiling: the frontier DP, whose state is the
+values of the assigned variables that a later term still uses with the
+residues of the partial sums, so a chain costs a few thousand steps
+where its cube has millions of points; or, for a dense component, whose
+DP bound exceeds both ``CHUNK`` and its p^|C| points, rows of packed
+byte fields (``_component_histogram``).  The counts are exact, on Python
+integers, in the caller's thread, from nothing but the arguments.
 ``fold_poly_values`` takes each m_k a power of two above twice the
 largest |f_k| its terms allow, so the residues recover the exact values.
 ``factorise`` returns a ``Factorisation`` of ``Component``s, named
@@ -44,6 +44,7 @@ from math import gcd, prod
 from operator import add, lt, mod
 
 from .exceptions import charge
+from .padic import charge_power
 
 
 class MultiPoly:
@@ -162,11 +163,10 @@ class _Parser:
     the right operand into the left one in place.
     """
 
-    def __init__(self, tokens, n_vars, ceiling):
+    def __init__(self, tokens, n_vars):
         self.tokens = tokens
         self.pos = 0
         self.n_vars = n_vars
-        self.ceiling = ceiling
         self.pairs = 0
 
     def times(self, a: dict, b: dict) -> dict:
@@ -174,11 +174,11 @@ class _Parser:
         skipped.  It is charged first, the 64-bit words of the left
         coefficients times those of the right (the pairs of terms, when
         every coefficient is below 2^64), and CeilingExceeded refuses it
-        if the running total would pass the ceiling."""
+        if the running total would pass the request's ceiling."""
         left = [(e, c) for e, c in a.items() if c]
         right = [(e, c) for e, c in b.items() if c]
         self.pairs += _words(left) * _words(right)
-        charge(self.pairs, self.ceiling)
+        charge(self.pairs)
         out: dict = {}
         for m1, c1 in left:
             for m2, c2 in right:
@@ -256,7 +256,7 @@ class _Parser:
         return result
 
 
-def parse_poly(text: str, n_vars: int, ceiling: int | None = None) -> MultiPoly:
+def parse_poly(text: str, n_vars: int) -> MultiPoly:
     """Parse the text grammar into expanded, normalized sparse form: the
     one ``MultiPoly`` built from the parser's term dict validates it and
     drops its zero coefficients.  Nesting deeper than the interpreter's
@@ -265,11 +265,11 @@ def parse_poly(text: str, n_vars: int, ceiling: int | None = None) -> MultiPoly:
     Expanding products multiplies the number of terms and the size of
     the coefficients, so it is charged: CeilingExceeded refuses a parse
     whose products' pairs of 64-bit coefficient words would add up to
-    more than ``ceiling`` (None: ``exceptions.DEFAULT_CEILING``), before
-    the product that would pass it.
+    more than the request's ceiling, before the product that would pass
+    it.
     """
     MultiPoly(n_vars)  # refuses a negative n_vars before any variable is read
-    parser = _Parser(_tokenize(text), n_vars, ceiling)
+    parser = _Parser(_tokenize(text), n_vars)
     try:
         terms = parser.parse()
     except RecursionError:
@@ -594,23 +594,21 @@ def _convolve(hist_a, hist_b, mods):
     return out
 
 
-def _plan(p: int, fact: Factorisation, mods, bits: int,
-          ceiling: int | None, tables: int = 0) -> list:
+def _plan(p: int, fact: Factorisation, mods, bits: int, tables: int = 0) -> list:
     """Each component of ``fact`` with its plan, chosen from bounds computed
     before any work: the frontier DP's steps (``_elimination``), or None
     when its bound D exceeds both ``CHUNK`` and the component's p^|C| points
     and the row-block product (``_component_histogram``) enumerates them.
 
-    CeilingExceeded refuses the sum if its bound exceeds ``ceiling`` (None:
-    ``exceptions.DEFAULT_CEILING``): each plan's D steps or p^|C| points,
-    plus the entry pairs of each convolution, with each histogram no larger
-    than its points and the residue tuples its sums can reach (``_reach``),
-    all charged the 64-bit words of a ``bits``-bit number (the largest m_k),
-    plus the ``tables`` entries the caller builds afterwards.  The bounds
-    read each m_k only up to the number of points, so moduli capped at p^n
-    give the same plans and charge.  A second charge is the square of the
-    64-bit words of p^free, which ``residue_histogram`` forms, as
-    ``padic.PrimePower`` charges p^a, when p^free may exceed one word.
+    CeilingExceeded refuses the sum if its bound exceeds the request's
+    ceiling: each plan's D steps or p^|C| points, plus the entry pairs of
+    each convolution, with each histogram no larger than its points and
+    the residue tuples its sums can reach (``_reach``), all charged the
+    64-bit words of a ``bits``-bit number (the largest m_k), plus the
+    ``tables`` entries the caller builds afterwards.  The bounds read each
+    m_k only up to the number of points, so moduli capped at p^n give the
+    same plans and charge.  A second charge is forming p^free, which
+    ``residue_histogram`` does (``padic.charge_power``).
     """
     plans, required, acc = [], 0, 1
     widths, gcds = [0] * len(mods), [0] * len(mods)  # of the components so far
@@ -624,15 +622,12 @@ def _plan(p: int, fact: Factorisation, mods, bits: int,
         required += (points if dense else work) + acc * size
         acc = min(acc * size, _reach(mods, widths, gcds))
         plans.append((comp, None if dense else steps))
-    charge(-(-bits // 64) * required + tables, ceiling)
-    words = fact.free * p.bit_length() // 64 + 1
-    if words > 1:  # a p^free below 2^64 is formed at once
-        charge(words * words, ceiling)
+    charge(-(-bits // 64) * required + tables)
+    charge_power(p, fact.free)
     return plans
 
 
-def residue_histogram(p: int, fact: Factorisation, mods,
-                      ceiling: int | None = None, tables: int = 0,
+def residue_histogram(p: int, fact: Factorisation, mods, tables: int = 0,
                       plans: list | None = None) -> dict:
     """Exact counts of (f_1 mod m_1, ..., f_K mod m_K) over the cube, as a
     dict from each occurring residue tuple to its count: each component by
@@ -641,7 +636,7 @@ def residue_histogram(p: int, fact: Factorisation, mods,
     by cyclic convolution.  The first component's enumeration starts
     from the constants and the p^free points of the free variables."""
     if plans is None:
-        plans = _plan(p, fact, mods, max(mods, default=1).bit_length(), ceiling, tables)
+        plans = _plan(p, fact, mods, max(mods, default=1).bit_length(), tables)
     start = (tuple(c % mk for c, mk in zip(fact.constants, mods)), p ** fact.free)
     if not plans:
         return dict([start])
@@ -654,7 +649,7 @@ def residue_histogram(p: int, fact: Factorisation, mods,
     return hist
 
 
-def fold_poly_values(spec: CubeSpec, polys, ceiling: int | None = None) -> dict:
+def fold_poly_values(spec: CubeSpec, polys) -> dict:
     """Exact histogram of (f_1(x), ..., f_m(x)) over the cube: a dict from
     each occurring value tuple to its exact count.
 
@@ -675,7 +670,7 @@ def fold_poly_values(spec: CubeSpec, polys, ceiling: int | None = None) -> dict:
                  for e, c in f.terms.items() if e),
                 default=0) + len(f.terms).bit_length() + 1 for f in polys]
     cap = spec.n_vars * p.bit_length()
-    plans = _plan(p, fact, [1 << min(b, cap) for b in bits], max(bits, default=0) + 1, ceiling)
+    plans = _plan(p, fact, [1 << min(b, cap) for b in bits], max(bits, default=0) + 1)
     mods = [1 << b for b in bits]
     hist = residue_histogram(p, fact, mods, plans=plans)
     return {tuple((r - c + m // 2) % m - m // 2 + c

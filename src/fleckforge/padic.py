@@ -43,14 +43,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def charge_power(p: int, e: int) -> None:
+    """Charge forming p^e, once it may exceed one 64-bit word: the square of
+    its words, which bounds the word products of its squarings."""
+    words = e * p.bit_length() // 64 + 1
+    if words > 1:
+        charge(words * words)
+
+
 class PrimePower:
     """A prime power p^a with p prime and a >= 0, and the integer p^a,
-    formed once as ``modulus``.
-
-    Forming it is charged against the default ceiling before it starts:
-    the square of the 64-bit words of p^a, which bounds the word products
-    of its squarings.
-    """
+    formed once as ``modulus`` and charged first (``charge_power``)."""
 
     __slots__ = ("p", "a", "modulus")
 
@@ -59,8 +62,7 @@ class PrimePower:
             raise ValueError(f"p must be prime, got {p}")
         if a < 0:
             raise ValueError(f"exponent must be >= 0, got {a}")
-        words = a * p.bit_length() // 64 + 1
-        charge(words * words)
+        charge_power(p, a)
         self.p = p
         self.a = a
         self.modulus = p ** a

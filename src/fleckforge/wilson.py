@@ -75,10 +75,9 @@ def _bisection_steps(pp: PrimePower, l: int, b: int) -> int:
     return L * L * (L // 64 + 1)
 
 
-def max_degree(pp: PrimePower, l: int, b: int, ceiling: int | None = None) -> int:
+def max_degree(pp: PrimePower, l: int, b: int) -> int:
     """The maximal d with M_d < b, found by bisection below ``degree_limit``,
-    whose steps (``_bisection_steps``) are charged against ``ceiling``
-    (None: the default) before it starts.
+    whose steps (``_bisection_steps``) are charged before it starts.
 
     M_d is nondecreasing in d: ``wan_bound`` is the floor of an increasing
     function, and in ``factorial_bound`` min(l, floor(d/p^a)) rises, by 1,
@@ -87,7 +86,7 @@ def max_degree(pp: PrimePower, l: int, b: int, ceiling: int | None = None) -> in
     rises by p).  So the d with M_d < b run from 0, as M_0 <= 0 < b, to
     below ``degree_limit``, where wan_bound(d) < b stops holding.
     """
-    charge(_bisection_steps(pp, l, b), ceiling)
+    charge(_bisection_steps(pp, l, b))
     lo, hi = 0, degree_limit(pp, l, b)  # M_lo < b <= M_hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -104,32 +103,31 @@ def _table_of_F(pp: PrimePower, f: IntegerValuedPoly, g: ResidueTable, d: int) -
     return [eval_ivp(f, x // q) * g.values[x % q] for x in range(d + 1)]
 
 
-def synthesize(pp: PrimePower, b: int, f: IntegerValuedPoly, g: ResidueTable,
-               ceiling: int | None = None) -> NewtonPoly:
+def synthesize(pp: PrimePower, b: int, f: IntegerValuedPoly,
+               g: ResidueTable) -> NewtonPoly:
     """Construct the truncated interpolating polynomial for f(q)g(r) mod p^b.
 
     Coefficients are forward differences of F at 0; before returning,
     ord_p(c_n) >= M_n is asserted for every nonzero c_n (every power of p
     divides 0; this is a theorem, so a failure raises TheoremViolation).
 
-    Charged against ``ceiling`` (None: the default), as one total, are
-    the bisection of ``max_degree``, which charges it first, and the work
-    that follows it and ``verify_theorem11``'s check of the result.  With
-    n = d + 1 coefficients and the check's D + 1 values of q: the table of
-    F, its differences and the check's direct values of P take n (n + D
-    + 1) steps on numbers of up to n bits(2 p^a) bits, whose terms C(x, j)
-    at x < p^a (D + 1) grow like (e p^a)^j; and the check steps p^a (D +
-    1) points through n packed fields of b bits(p) + 1 bits.
+    Charged as one total are the bisection of ``max_degree``, which charges
+    it first, and the work that follows it and ``verify_theorem11``'s check
+    of the result.  With n = d + 1 coefficients and the check's D + 1 values
+    of q: the table of F, its differences and the check's direct values of
+    P take n (n + D + 1) steps on numbers of up to n bits(2 p^a) bits, whose
+    terms C(x, j) at x < p^a (D + 1) grow like (e p^a)^j; and the check
+    steps p^a (D + 1) points through n packed fields of b bits(p) + 1 bits.
     """
     if g.pp != pp:
         raise ValueError("residue table built for a different prime power")
     l = max(f.degree_bound, 0)
-    d = max_degree(pp, l, b, ceiling)
+    d = max_degree(pp, l, b)
     n, points = d + 1, max(d, l) + 1
     words = n * (2 * pp.modulus).bit_length() // 64 + 1
     fields = n * (b * pp.p.bit_length() + 1) // 64 + 1
     charge(_bisection_steps(pp, l, b) + n * (n + points) * words
-           + pp.modulus * points * fields, ceiling)
+           + pp.modulus * points * fields)
     coeffs = forward_differences(_table_of_F(pp, f, g, d))
     records = tuple(bound_M(n, pp, l) for n in range(d + 1))
     for n, (c, m) in enumerate(zip(coeffs, records)):

@@ -19,7 +19,7 @@ from fleckforge.axkatz import (
     theorem12_sum,
     verify_theorem12,
 )
-from fleckforge.exceptions import CeilingExceeded, TheoremViolation
+from fleckforge.exceptions import CeilingExceeded, TheoremViolation, ceiling
 from fleckforge.ivpoly import IntegerValuedPoly, eval_ivp
 from fleckforge.multipoly import MultiPoly, parse_poly, total_degree
 from fleckforge.padic import binom_int
@@ -297,11 +297,11 @@ def test_ceiling_refusal():
     # constant, so either engine builds a one-entry F table
     product_text = "*".join(f"x{i}" for i in range(1, 31))
     system = _system(2, 1, 30, [(product_text, 1, ONE)])
-    with pytest.raises(CeilingExceeded) as err:
-        theorem12_sum(system, ceiling=10 ** 6)
+    with ceiling(10 ** 6), pytest.raises(CeilingExceeded) as err:
+        theorem12_sum(system)
     assert err.value.required == 2 ** 30 + 3
-    with pytest.raises(CeilingExceeded) as err:
-        theorem12_sum(system, exact=True, ceiling=10 ** 6)
+    with ceiling(10 ** 6), pytest.raises(CeilingExceeded) as err:
+        theorem12_sum(system, exact=True)
     assert err.value.required == 2 ** 30 + 3
 
 
@@ -396,10 +396,11 @@ def test_high_b_modular_table_is_charged_to_the_ceiling():
     system = CongruenceSystem(p=2, b=30, n_vars=2, constraints=(
         Constraint(f=parse_poly("x1 - 3*x2 - 1", 2), a=0,
                    F=IntegerValuedPoly([3, 7])),))
-    with pytest.raises(CeilingExceeded) as err:
-        theorem12_sum(system, ceiling=10 ** 8)
+    with ceiling(10 ** 8), pytest.raises(CeilingExceeded) as err:
+        theorem12_sum(system)
     assert err.value.required == 2 ** 30 + 4 + 2 + 4  # table, points, pairs
-    exact = theorem12_sum(system, exact=True, ceiling=10 ** 8)
+    with ceiling(10 ** 8):
+        exact = theorem12_sum(system, exact=True)
     assert exact == 4 * 3 + 7 * (-1 + 0 - 4 - 3)
     low = CongruenceSystem(p=2, b=12, n_vars=2, constraints=system.constraints)
     assert theorem12_sum(low) == exact % 2 ** 12

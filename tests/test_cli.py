@@ -480,6 +480,11 @@ LARGE_WORK = {
 }
 
 
+A_4000 = {"kind": "theorem12", "p": 3, "b": 2, "n_vars": 2,
+          "constraints": [{"f": "x1 + x2", "a": 4000,
+                           "F": {"basis": "binomial", "coeffs": [1, 1]}}]}
+
+
 @pytest.mark.parametrize("argv,doc,required", [
     (["bounds", "-p", "2", "-a", "1", "-n", "5", "-l", "0", "-b", str(10 ** 999)],
      None, LARGE_WORK["bounds"]),
@@ -504,8 +509,13 @@ LARGE_WORK = {
      {"kind": "chevalley", "p": 2, "n_vars": 10 ** 6, "polynomials": ["x1 + 2*x2 + 1"],
       "ceiling": 1000},
      31250 ** 2),
+    # the hypothesis forms p^(a_k) at p = 3, a_k = 4000: the square of its
+    # 4000 * 2 // 64 + 1 words, above the request's ceiling, from the option
+    # or from the document
+    (["count", "{doc}", "--ceiling", "2000"], A_4000, 126 ** 2),
+    (["count", "{doc}"], {**A_4000, "ceiling": 2000}, 126 ** 2),
 ], ids=["bounds", "fleck", "synthesize", "synthesize-ceiling", "fleck-p-to-a", "bounds-p-to-a",
-        "count-p-to-free"])
+        "count-p-to-free", "count-p-to-a-flag", "count-p-to-a-document"])
 def test_large_work_is_refused_before_it_starts(tmp_path, capsys, argv, doc, required):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(doc))
@@ -514,6 +524,20 @@ def test_large_work_is_refused_before_it_starts(tmp_path, capsys, argv, doc, req
     validate_report(report)
     assert report["results"] == {}
     assert report["error"] == f"enumeration ceiling exceeded: {required} steps needed"
+
+
+def test_the_ceiling_ends_with_its_request(capsys):
+    # a refused request leaves its ceiling behind for nothing that follows:
+    # not a fleck request or a library call, which set none of their own,
+    # and not the same count without the option
+    chevalley = str(Path(__file__).resolve().parent / "golden" / "chevalley.json")
+    code, refused = run(capsys, ["count", chevalley, "--ceiling", "0"])
+    assert code == 3 and "error" in refused
+    assert run(capsys, ["fleck", "-p", "2", "-a", "1", "-n", "3", "-r", "0"])[0] == 0
+    assert restricted_sum(3, 0, PrimePower(2, 1), IntegerValuedPoly([1])) == 4
+    code, answered = run(capsys, ["count", chevalley])
+    assert code == 0 and "error" not in answered
+    assert answered["verdict"]["divisible"] is True
 
 
 @pytest.mark.parametrize("case,call", [

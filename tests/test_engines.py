@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from fleckforge import axkatz, multipoly
 from fleckforge.axkatz import CongruenceSystem, Constraint, theorem12_sum
-from fleckforge.exceptions import CeilingExceeded
+from fleckforge.exceptions import CeilingExceeded, ceiling
 from fleckforge.ivpoly import IntegerValuedPoly, eval_ivp
 from fleckforge.multipoly import MultiPoly, factorise, parse_poly, render_poly
 from oracles import eval_poly, monomial
@@ -366,8 +366,8 @@ def test_dense_component_of_a_full_window_takes_the_kernel(monkeypatch):
     assert multipoly._elimination(3, comp, [m])[0] > max(multipoly.CHUNK, 3 ** 10)
     assert multipoly._windows(3, comp, [m]) == [(1, 0, m)]
     monkeypatch.setattr(multipoly, "_frontier_histogram", _no_dp)
-    with pytest.raises(CeilingExceeded) as err:
-        multipoly.residue_histogram(3, fact, [m], ceiling=-1)
+    with ceiling(-1), pytest.raises(CeilingExceeded) as err:
+        multipoly.residue_histogram(3, fact, [m])
     assert err.value.required == 2 * 3 ** 10
     hist = multipoly.residue_histogram(3, fact, [m])
     assert hist == {(v % m,): c for (v,), c in _grid_counts(3, [f]).items()}
@@ -567,15 +567,15 @@ def _refuse(*args, **kwargs):
     raise AssertionError("work started before the ceiling was checked")
 
 
-def _refused_untouched(system, exact, ceiling):
-    """The CeilingExceeded that theorem12_sum raises under ``ceiling``, with
+def _refused_untouched(system, exact, limit):
+    """The CeilingExceeded that theorem12_sum raises under ``limit``, with
     every enumerator and the F-table evaluation made to fail if called."""
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_frontier_histogram", "_component_histogram"):
             patch.setattr(multipoly, name, _refuse)
         patch.setattr(axkatz, "eval_ivp", _refuse)
-        with pytest.raises(CeilingExceeded) as err:
-            theorem12_sum(system, exact=exact, ceiling=ceiling)
+        with ceiling(limit), pytest.raises(CeilingExceeded) as err:
+            theorem12_sum(system, exact=exact)
     return err.value
 
 
@@ -592,7 +592,8 @@ def test_refusal_is_exact_and_comes_before_any_work(case, data, exact):
     assert (err.required, err.ceiling) == (required, required - 1)
     walk = sum(leaf([eval_poly(c.f, x) for c in system.constraints])
                for x in product(range(p), repeat=system.n_vars))
-    got = theorem12_sum(system, exact=exact, ceiling=required)
+    with ceiling(required):
+        got = theorem12_sum(system, exact=exact)
     assert got == (walk if exact else walk % p ** system.b)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleckforge.exceptions import CeilingExceeded
+from fleckforge.exceptions import CeilingExceeded, ceiling
 from fleckforge.multipoly import (
     CubeSpec,
     MultiPoly,
@@ -106,10 +106,12 @@ def test_parse_builds_one_multipoly_whatever_the_length(monkeypatch):
     (f"({2 ** 64 - 1}*x1 + 1)*({2 ** 128}*x2 + {2 ** 64})", 1 + 3 + 2 * 5),
 ])
 def test_parse_is_charged_its_term_pairs(text, pairs):
-    with pytest.raises(CeilingExceeded) as err:
-        parse_poly(text, 3, ceiling=pairs - 1)
+    with ceiling(pairs - 1), pytest.raises(CeilingExceeded) as err:
+        parse_poly(text, 3)
     assert (err.value.required, err.value.ceiling) == (pairs, pairs - 1)
-    assert parse_poly(text, 3, ceiling=pairs).terms == parse_poly(text, 3).terms
+    with ceiling(pairs):
+        terms = parse_poly(text, 3).terms
+    assert terms == parse_poly(text, 3).terms
 
 
 def test_150_nested_parentheses_and_minuses_parse():
@@ -280,21 +282,22 @@ def test_fold_poly_values_ceiling():
     # one component, which the frontier DP enumerates in 3 + 9 + 27 + 81
     # state steps, plus a histogram of the values 0..16
     f = parse_poly("x1*x2*x3*x4", 4)
-    with pytest.raises(CeilingExceeded) as err:
-        fold_poly_values(CubeSpec(3, 4), [f], ceiling=120 + 17 - 1)
+    with ceiling(120 + 17 - 1), pytest.raises(CeilingExceeded) as err:
+        fold_poly_values(CubeSpec(3, 4), [f])
     assert err.value.required == 120 + 17
-    assert _histogram(fold_poly_values(CubeSpec(3, 4), [f], ceiling=120 + 17)) == \
-        _direct_counts(3, [f])
+    with ceiling(120 + 17):
+        assert _histogram(fold_poly_values(CubeSpec(3, 4), [f])) == _direct_counts(3, [f])
 
 
 def test_ceiling_argument_boundary():
     # 2 + 4 + 8 + 16 DP state steps plus a histogram of the values 0 and 1
     f = parse_poly("x1*x2*x3*x4", 4)
-    with pytest.raises(CeilingExceeded) as err:
-        fold_poly_values(CubeSpec(2, 4), [f], ceiling=31)
+    with ceiling(31), pytest.raises(CeilingExceeded) as err:
+        fold_poly_values(CubeSpec(2, 4), [f])
     assert err.value.required == 30 + 2
-    assert _histogram(fold_poly_values(CubeSpec(2, 4), [f], ceiling=32)) == \
-        Counter({(0,): 15, (1,): 1})
+    with ceiling(32):
+        assert _histogram(fold_poly_values(CubeSpec(2, 4), [f])) == \
+            Counter({(0,): 15, (1,): 1})
 
 
 def test_fold_poly_values_matches_direct():

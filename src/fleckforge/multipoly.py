@@ -18,9 +18,10 @@ A sum over [0, p-1]^n of a function of (f_1(x), ..., f_m(x)) depends
 only on how often each value tuple occurs.  ``factorise`` splits the
 variables into the connected components of the graph that links two
 variables sharing a term, and ``residue_histogram``, the one enumerator,
-counts the tuples (f_k(x) mod m_k)_k over each component and convolves
-the component histograms (dicts from residue tuples to counts).  It
-plans each component before any work, and refuses a sum whose plans
+counts the tuples (f_k(x) mod m_k)_k over each component from its terms
+alone, and convolves the component histograms (dicts from residue tuples
+to counts) into one seed: the constants' residues, counted p^free times.
+It plans each component before any work, and refuses a sum whose plans
 exceed the request's ceiling: the frontier DP, whose state is the
 values of the assigned variables that a later term still uses with the
 residues of the partial sums, so a chain costs a few thousand steps
@@ -414,11 +415,9 @@ def _elimination(p, comp, mods):
     return work, steps, widths, gcds
 
 
-def _frontier_histogram(p, steps, mods, start=None):
-    """Counts of (f_1 mod m_1, ...) over one component, by the frontier
-    DP that ``_elimination`` planned as ``steps``.  Its initial state is
-    ``start``, a (residue tuple, count) pair, else (zeros, 1), so every
-    residue tuple is shifted by start's and every count scaled by its count.
+def _frontier_histogram(p, steps, mods):
+    """Counts of (f_1 mod m_1, ...) over one component, from its terms
+    alone, by the frontier DP that ``_elimination`` planned as ``steps``.
 
     The states are a dict from frontier values to a dict from residue
     tuples to counts; the terms added at a step depend on the frontier
@@ -426,7 +425,7 @@ def _frontier_histogram(p, steps, mods, start=None):
     frontier value, from tables of powers mod m_k, and shift all of its
     residue tuples alike.
     """
-    states = {(): dict([start or ((0,) * len(mods), 1)])}
+    states = {(): {(0,) * len(mods): 1}}
     power = cache(lambda e, mk: [pow(x, e, mk) for x in range(p)])  # x^e mod m_k
     for keep, terms in steps:
         terms = [[(c % mk, [(s, power(e, mk)) for s, e in factors]) for c, factors in group]
@@ -506,10 +505,9 @@ def _windows(p, comp, mods):
     return windows
 
 
-def _component_histogram(p, comp, mods, start=None):
-    """Counts of (f_1 mod m_1, ...) over one component's points, on Python
-    integers, every residue tuple shifted by that of ``start``, a (residue
-    tuple, count) pair, and every count scaled by its count (None: zeros, 1).
+def _component_histogram(p, comp, mods):
+    """Counts of (f_1 mod m_1, ...) over one component's points, from its
+    terms alone, on Python integers.
 
     The variables split into A and B, B the last half capped at ``CHUNK``
     points.  Each f_k / g_k is a sum of products u_j(A) v_j(B)
@@ -520,8 +518,7 @@ def _component_histogram(p, comp, mods, start=None):
     when v is constant.  Blocks of at most ``CHUNK`` points are counted in
     ``sys.byteorder``: one-byte sub-fields are reduced mod M_k by
     ``bytes.translate``, and a joint key of at most 256 values is counted
-    by ``bytes.count``.  Each distinct key is mapped back once, and
-    shifted and scaled by ``start`` there.
+    by ``bytes.count``.  Each distinct key is mapped back once.
     """
     windows = _windows(p, comp, mods)
     moduli = [window for *_, window in windows]
@@ -574,13 +571,11 @@ def _component_histogram(p, comp, mods, start=None):
         else:
             merged.update(int.from_bytes(blob[i:i + width], sys.byteorder)
                           for i in range(0, len(blob), width))
-    shift, factor = start or ((0,) * len(mods), 1)
     hist: dict = {}
     for key, count in merged.items():
-        r = tuple((s + g * (base + (key // place % radix - base) % window)) % mk
-                  for s, mk, (g, base, window), (place, radix)
-                  in zip(shift, mods, windows, digits))
-        hist[r] = hist.get(r, 0) + count * factor  # distinct keys may share residues
+        r = tuple(g * (base + (key // place % radix - base) % window) % mk
+                  for mk, (g, base, window), (place, radix) in zip(mods, windows, digits))
+        hist[r] = hist.get(r, 0) + count  # distinct keys may share residues
     return hist
 
 
@@ -602,7 +597,8 @@ def _plan(p: int, fact: Factorisation, mods, bits: int, tables: int = 0) -> list
 
     CeilingExceeded refuses the sum if its bound exceeds the request's
     ceiling: each plan's D steps or p^|C| points, plus the entry pairs of
-    each convolution, with each histogram no larger than its points and
+    each convolution, the first into the one-entry seed of the constants
+    and free points, each histogram no larger than its points and
     the residue tuples its sums can reach (``_reach``), all charged the
     64-bit words of a ``bits``-bit number (the largest m_k), plus the
     ``tables`` entries the caller builds afterwards.  The bounds read each
@@ -630,22 +626,16 @@ def _plan(p: int, fact: Factorisation, mods, bits: int, tables: int = 0) -> list
 def residue_histogram(p: int, fact: Factorisation, mods, tables: int = 0,
                       plans: list | None = None) -> dict:
     """Exact counts of (f_1 mod m_1, ..., f_K mod m_K) over the cube, as a
-    dict from each occurring residue tuple to its count: each component by
-    its plan (``_plan``, charged the 64-bit words of the largest m_k, unless
-    the caller has planned and passes ``plans``), the histograms combined
-    by cyclic convolution.  The first component's enumeration starts
-    from the constants and the p^free points of the free variables."""
+    dict from each occurring residue tuple to its count: the seed {(c_k mod
+    m_k)_k: p^free} of the constants and free points, with each component's
+    histogram convolved in, by its plan (``_plan``, charged the 64-bit words
+    of the largest m_k, unless the caller has planned and passes ``plans``)."""
     if plans is None:
         plans = _plan(p, fact, mods, max(mods, default=1).bit_length(), tables)
-    start = (tuple(c % mk for c, mk in zip(fact.constants, mods)), p ** fact.free)
-    if not plans:
-        return dict([start])
-    hist = None
+    hist = {tuple(c % mk for c, mk in zip(fact.constants, mods)): p ** fact.free}
     for comp, steps in plans:
-        part = (_frontier_histogram(p, steps, mods, start) if steps else
-                _component_histogram(p, comp, mods, start))
-        hist = part if hist is None else _convolve(hist, part, mods)
-        start = None
+        hist = _convolve(hist, _frontier_histogram(p, steps, mods) if steps
+                         else _component_histogram(p, comp, mods), mods)
     return hist
 
 

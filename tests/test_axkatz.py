@@ -22,8 +22,8 @@ from fleckforge.axkatz import (
 from fleckforge.exceptions import CeilingExceeded, TheoremViolation, ceiling
 from fleckforge.ivpoly import IntegerValuedPoly, eval_ivp
 from fleckforge.multipoly import MultiPoly, parse_poly, total_degree
-from fleckforge.padic import binom_int
-from oracles import eval_poly, monomial
+from fleckforge.padic import binom_int, ord_int
+from oracles import diagonal_valuation, eval_poly, monomial
 
 ONE = IntegerValuedPoly([1])
 X = IntegerValuedPoly([0, 1])
@@ -622,6 +622,55 @@ def test_band_zero_count_matches_closed_form():
     rng = random.Random(7)
     _check_form_equals_one({(i, j): rng.randrange(1, p) for i in range(1, n + 1)
                             for j in range(i, min(i + 2, n) + 1)}, p, n)
+
+
+@st.composite
+def _diagonal_forms(draw):
+    """(f, p, coefficients, degrees): f = sum_i a_i x_i^(d_i) in n <= 7
+    variables, a_i in 1..p-1, d_i among 1, 2, 3, 4, 6, p - 1, 2(p - 1) and
+    p + 1."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    n = draw(st.integers(1, 7))
+    degrees = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, p - 1, 2 * (p - 1), p + 1]),
+                            min_size=n, max_size=n))
+    coeffs = draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+    f = MultiPoly(n, {((i, d),): a for i, (a, d) in enumerate(zip(coeffs, degrees))})
+    return f, p, coeffs, degrees
+
+
+@settings(max_examples=150, deadline=None)
+@given(_diagonal_forms())
+def test_diagonal_form_zero_count_has_the_stickelberger_valuation(case):
+    f, p, coeffs, degrees = case
+    excess = axkatz_prime_verify([f], 1, p).sum - p ** (f.n_vars - 1)
+    oracle = diagonal_valuation(p, coeffs, degrees)
+    if oracle is None:
+        assert excess == 0
+        return
+    t, s = oracle
+    if s:
+        assert ord_int(excess, p) == t - 1
+    else:
+        assert excess % p ** t == 0
+
+
+@pytest.mark.parametrize("p, n, d, valuation", [(7, 300, 3, 99), (13, 200, 4, 49),
+                                                (5, 400, 2, 199), (7, 120, 6, 19)])
+def test_diagonal_form_attains_the_axkatz_bound(p, n, d, valuation):
+    # sum_i a_i x_i^d with d | n: the zero count N has ord_p exactly
+    # ceil(n / d) - 1, so at b = ord_p(N) the hypothesis n > b d holds and
+    # p^b divides N, and at b + 1 neither does; N is p^(n-1) plus a term of
+    # that valuation, so the oracle's t - 1 gives it
+    rng = random.Random(n)
+    coeffs = [rng.randrange(1, p) for _ in range(n)]
+    f = MultiPoly(n, {((i, d),): a for i, a in enumerate(coeffs)})
+    assert valuation == -(-n // d) - 1
+    t, s = diagonal_valuation(p, coeffs, [d] * n)
+    assert s and t - 1 == valuation
+    at, past = (axkatz_prime_verify([f], b, p) for b in (valuation, valuation + 1))
+    assert ord_int(at.sum, p) == valuation
+    assert at.hypothesis_holds and at.divisible
+    assert not past.hypothesis_holds and not past.divisible
 
 
 @st.composite

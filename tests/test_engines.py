@@ -392,23 +392,19 @@ def test_exponents_beyond_the_modulus_form_no_full_power():
         Counter((v,) for v in values)
 
 
-def test_the_first_component_starts_from_the_constants(monkeypatch):
-    # x3 and x4 appear in no term: the constant 5 and their 3^2 points start
-    # the one component's enumeration on either kernel, and nothing is
-    # convolved
+def test_the_first_component_starts_from_the_constants():
+    # x3 and x4 appear in no term: each kernel counts the one component
+    # from its terms alone, f - 5 over x1, x2, and the constant 5 with the
+    # 3^2 points of x3, x4 start the sum as its one-entry seed
     f = parse_poly("x1*x2 + 2*x2^2 + 5", 4)
     walk = Counter((eval_poly(f, x) % 9,) for x in product(range(3), repeat=4))
+    alone = Counter(((eval_poly(f, x + (0, 0)) - 5) % 9,)
+                    for x in product(range(3), repeat=2))
     fact = factorise(4, [f])
     (comp,) = fact.components
-    start = ((5,), 9)
-    assert multipoly._component_histogram(3, comp, [9], start) == walk
+    assert multipoly._component_histogram(3, comp, [9]) == alone
     steps = multipoly._elimination(3, comp, [9])[1]
-    assert multipoly._frontier_histogram(3, steps, [9], start) == walk
-
-    def refuse(*args):
-        raise AssertionError("a one-component sum was convolved")
-
-    monkeypatch.setattr(multipoly, "_convolve", refuse)
+    assert multipoly._frontier_histogram(3, steps, [9]) == alone
     assert multipoly.residue_histogram(3, fact, [9]) == walk
 
 
